@@ -6,6 +6,9 @@ adaptive alternative that grows the neighborhood until one label's bag
 frequency exceeds ``1/c`` by the elimination threshold and then predicts it;
 unlike the margin-elimination classifier it looks only at the leading
 frequency, never at gaps between labels.
+
+Both rules are vectorized over :func:`knn_index.neighbor_blocks`; the
+single-query forms are one-row batch calls.
 """
 
 from __future__ import annotations
@@ -24,12 +27,7 @@ def fixed_k_classify(
     k: int,
 ) -> int:
     """Most frequent label among the k nearest bags; ties go to the smallest."""
-    _require_matching_index(train, index)
-    if not 1 <= k <= train.n:
-        raise ValueError(f"k must be in 1..{train.n}, got {k}")
-    order = knn_index.nearest_order(knn_index.sq_distances(index, x), k)
-    counts = train.membership_matrix()[order].sum(axis=0)
-    return int(np.argmax(counts)) + 1
+    return int(fixed_k_batch(train, index, np.asarray(x, dtype=np.float64)[None, :], k)[0])
 
 
 def fixed_k_batch(
@@ -38,19 +36,57 @@ def fixed_k_batch(
     queries: np.ndarray,
     k: int,
 ) -> np.ndarray:
+    """:func:`fixed_k_classify` for every row of ``queries``."""
     _require_matching_index(train, index)
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in 1..{train.n}, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
     memb = train.membership_matrix()
     labels = np.empty(queries.shape[0], dtype=np.int64)
-    for start in range(0, queries.shape[0], 256):
-        chunk = queries[start : start + 256]
-        d2 = knn_index.sq_distance_chunk(index, chunk)
-        for i in range(chunk.shape[0]):
-            order = knn_index.nearest_order(d2[i], k)
-            labels[start + i] = int(np.argmax(memb[order].sum(axis=0))) + 1
+    for rows, order, _ in knn_index.neighbor_blocks(index, queries, k):
+        labels[rows] = np.argmax(memb[order].sum(axis=1), axis=1) + 1
     return labels
+
+
+def _aknn(
+    train: PartialDataset,
+    index: knn_index.NeighborIndex,
+    queries: np.ndarray,
+    config: PlaknnConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and qualification steps (0: none within the cap) per query.
+
+    Labels are scanned one at a time so temporaries stay (block, T).
+    """
+    _require_matching_index(train, index)
+    queries = np.asarray(queries, dtype=np.float64)
+    n = train.n
+    c = train.label_space.c
+    t_cap = _effective_t(config.T, n)
+    d0 = config.resolve_d0(train.dim)
+    memb = train.membership_matrix()
+    ks = np.arange(1, t_cap + 1, dtype=np.float64)
+    deltas = np.array(
+        [threshold(n, k, config.delta, c, config.c1, d0) for k in range(1, t_cap + 1)]
+    )
+    labels = np.empty(queries.shape[0], dtype=np.int64)
+    steps = np.empty(queries.shape[0], dtype=np.int64)
+    for rows, order, _ in knn_index.neighbor_blocks(index, queries, t_cap):
+        first = np.full(order.shape[0], t_cap)  # t_cap: no hit yet
+        best = np.zeros(order.shape[0], dtype=np.int64)
+        at_cap = np.empty((order.shape[0], c), dtype=np.int64)
+        for y in range(c):
+            counts = np.cumsum(memb[order, y], axis=1)
+            qualified = counts / ks - 1.0 / c >= deltas
+            hit = np.where(qualified.any(axis=1), np.argmax(qualified, axis=1), t_cap)
+            best = np.where(hit < first, y, best)
+            first = np.minimum(hit, first)
+            at_cap[:, y] = counts[:, -1]
+        missed = first == t_cap
+        best[missed] = np.argmax(at_cap[missed], axis=1)
+        labels[rows] = best + 1
+        steps[rows] = np.where(missed, 0, first + 1)
+    return labels, steps
 
 
 def aknn_decision(
@@ -67,24 +103,8 @@ def aknn_decision(
     the label falls back to the most frequent one at the cap (ties to the
     smallest label, as everywhere in this package).
     """
-    _require_matching_index(train, index)
-    n = train.n
-    c = train.label_space.c
-    t_cap = _effective_t(config.T, n)
-    d0 = config.resolve_d0(train.dim)
-    order = knn_index.nearest_order(knn_index.sq_distances(index, x), t_cap)
-    counts = np.cumsum(train.membership_matrix()[order], axis=0)
-
-    ks = np.arange(1, t_cap + 1, dtype=np.float64)
-    deltas = np.array(
-        [threshold(n, k, config.delta, c, config.c1, d0) for k in range(1, t_cap + 1)]
-    )
-    qualified = counts / ks[:, None] - 1.0 / c >= deltas[:, None]
-    hits = qualified.any(axis=1)
-    if hits.any():
-        k0 = int(np.argmax(hits))
-        return int(np.argmax(qualified[k0])) + 1, k0 + 1
-    return int(np.argmax(counts[-1])) + 1, None
+    labels, steps = _aknn(train, index, np.asarray(x, dtype=np.float64)[None, :], config)
+    return int(labels[0]), int(steps[0]) or None
 
 
 def aknn_classify(
@@ -103,7 +123,5 @@ def aknn_batch(
     queries: np.ndarray,
     config: PlaknnConfig,
 ) -> np.ndarray:
-    queries = np.asarray(queries, dtype=np.float64)
-    return np.array(
-        [aknn_classify(train, index, q, config) for q in queries], dtype=np.int64
-    )
+    """:func:`aknn_classify` for every row of ``queries``."""
+    return _aknn(train, index, queries, config)[0]

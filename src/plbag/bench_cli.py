@@ -139,8 +139,12 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
+def _n_train(n: int, fraction: float) -> int:
+    return min(n - 1, max(1, int(round(fraction * n))))
+
+
 def _split(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    n_train = min(n - 1, max(1, int(round(fraction * n))))
+    n_train = _n_train(n, fraction)
     perm = rng.permutation(n)
     return perm[:n_train], perm[n_train:]
 
@@ -234,6 +238,16 @@ def _run_job(
     return rows, preds
 
 
+def _check_neighbor_counts(config: ExperimentConfig, n_train: int) -> None:
+    """Reject neighbor counts that a training split of n_train points cannot supply."""
+    if "fixed_k" in config.methods and config.fixed_k > n_train:
+        raise ConfigError(f"fixed_k = {config.fixed_k} exceeds the {n_train} training points")
+    if config.pipeline is not None:
+        k = max(config.pipeline.smoothing_k, config.pipeline.density_k)
+        if k >= n_train:
+            raise ConfigError(f"pipeline needs more than {k} training points, got {n_train}")
+
+
 def _load_source(config: ExperimentConfig) -> PartialDataset | AnalyticScenario:
     if config.dataset is not None:
         data = load_dataset(config.dataset)
@@ -252,6 +266,8 @@ def run(
 ) -> RunResult:
     """Execute the full (noise x repetition) grid and summarize it."""
     source = _load_source(config)
+    n = source.n if isinstance(source, PartialDataset) else config.n_samples
+    _check_neighbor_counts(config, _n_train(n, config.train_fraction))
     jobs = [(noise, rep) for noise in config.noise_grid for rep in range(config.repetitions)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

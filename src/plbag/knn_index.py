@@ -2,16 +2,20 @@
 
 Neighbors are ranked by squared Euclidean distance with ties broken by the
 original training index, which makes every downstream classifier run
-reproducible.  A :class:`NeighborStream` yields neighbors one at a time so a
-caller can grow its neighborhood incrementally without sorting the whole
-training set up front.
+reproducible.  :func:`neighbor_blocks` is the one retrieval path: it walks a
+batch of queries in fixed-size blocks and yields each query's nearest
+training indices in that order, so every consumer sees the same neighbors
+whether it asks for one query or many.
 """
 
 from __future__ import annotations
 
-import heapq
+from typing import Iterator
 
 import numpy as np
+
+# Queries per block: bounds the (block, n, d) difference tensor.
+_BLOCK = 256
 
 
 class NeighborIndex:
@@ -43,29 +47,17 @@ def build(points: np.ndarray) -> NeighborIndex:
     return NeighborIndex(points)
 
 
-def sq_distances(index: NeighborIndex, query: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from the query to every training point.
-
-    Squared distances preserve the neighbor ordering and avoid square roots.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (index.dim,):
-        raise ValueError(f"query has dimension {query.shape}, index expects ({index.dim},)")
-    diff = index.points - query[None, :]
-    return (diff * diff).sum(axis=-1)
-
-
 def sq_distance_chunk(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
     """Row-wise squared distances for a chunk of queries, shape (m, n).
 
     Computed from explicit differences, never the expanded dot-product form,
-    so each row is bit-identical to :func:`sq_distances` on that query.
+    so each row is bit-identical to the same query computed on its own.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ValueError("queries must be an (m, d) matrix matching the index dimension")
     diff = index.points[None, :, :] - queries[:, None, :]
-    return (diff * diff).sum(axis=-1)
+    return np.multiply(diff, diff, out=diff).sum(axis=-1)
 
 
 def nearest_order(sqd: np.ndarray, limit: int) -> np.ndarray:
@@ -86,35 +78,24 @@ def nearest_order(sqd: np.ndarray, limit: int) -> np.ndarray:
     return np.concatenate([below, at[:take]])
 
 
-class NeighborStream:
-    """Single-consumer iterator over training indices by increasing distance.
+def neighbor_blocks(
+    index: NeighborIndex, queries: np.ndarray, t: int
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Yield ``(rows, order, sqd)`` for consecutive blocks of queries.
 
-    Each training index is emitted exactly once; the k-th emission is the
-    k-th nearest neighbor under the (distance, index) total order.
+    ``order[i]`` holds the ``min(t, n)`` nearest training indices of query
+    ``rows.start + i`` under (distance, index) order and ``sqd[i]`` their
+    squared distances.  The block's (block, n) distance matrix is freed
+    before the yield, so callers never hold it while they work.
     """
-
-    __slots__ = ("_heap", "_sqd")
-
-    def __init__(self, index: NeighborIndex, query: np.ndarray) -> None:
-        sqd = sq_distances(index, query)
-        self._sqd = sqd
-        heap = [(float(sqd[i]), i) for i in range(index.n)]
-        heapq.heapify(heap)
-        self._heap = heap
-
-    def __iter__(self) -> "NeighborStream":
-        return self
-
-    def __next__(self) -> int:
-        if not self._heap:
-            raise StopIteration
-        _, idx = heapq.heappop(self._heap)
-        return idx
-
-    def sq_distance(self, idx: int) -> float:
-        return float(self._sqd[idx])
-
-
-def stream(index: NeighborIndex, query: np.ndarray) -> NeighborStream:
-    """Open a neighbor stream for the query."""
-    return NeighborStream(index, query)
+    queries = np.asarray(queries, dtype=np.float64)
+    t = min(t, index.n)
+    for start in range(0, queries.shape[0], _BLOCK):
+        rows = slice(start, min(start + _BLOCK, queries.shape[0]))
+        d2 = sq_distance_chunk(index, queries[rows])
+        order = np.empty((d2.shape[0], t), dtype=np.int64)
+        for i in range(d2.shape[0]):
+            order[i] = nearest_order(d2[i], t)
+        sqd = np.take_along_axis(d2, order, axis=1)
+        del d2
+        yield rows, order, sqd

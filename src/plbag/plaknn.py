@@ -11,7 +11,8 @@ to eliminating all others wins.
 Two entry points are provided: :func:`classify` is the literal per-query
 loop and also returns a full :class:`EliminationTrace`; :func:`classify_batch`
 is a vectorized implementation that returns exactly the labels the per-query
-loop would, query by query.
+loop would, query by query.  Both read their neighbors from
+:func:`knn_index.neighbor_blocks`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import numpy as np
 
 from . import knn_index
 from .core import LabelSpace, PartialDataset
-
-_BATCH_CHUNK = 256
 
 
 def threshold(
@@ -183,7 +182,8 @@ def classify(
     t_cap = _effective_t(config.T, n)
     d0 = config.resolve_d0(train.dim)
     memb = train.membership_matrix()
-    neighbors = knn_index.stream(index, x)
+    query = np.asarray(x, dtype=np.float64)[None, :]
+    _, order, _ = next(knn_index.neighbor_blocks(index, query, t_cap))
 
     alive = np.ones(c, dtype=bool)
     tau = np.zeros(c, dtype=np.int64)
@@ -192,7 +192,7 @@ def classify(
     k = 0
     while int(alive.sum()) > 1 and k < t_cap:
         k += 1
-        l_k = next(neighbors)
+        l_k = order[0, k - 1]
         tau = tau + memb[l_k]
         delta_k = threshold(n, k, config.delta, c, config.c1, d0)
         capped = np.where(alive, tau, -1)
@@ -271,31 +271,16 @@ def classify_batch_detail(
     labels = np.empty(m_total, dtype=np.int64)
     iterations = np.empty(m_total, dtype=np.int64)
     disambiguated = np.zeros(m_total, dtype=bool)
-    for start in range(0, m_total, _BATCH_CHUNK):
-        chunk = queries[start : start + _BATCH_CHUNK]
-        lab, its, dis = _classify_chunk(index, memb, chunk, n, c, t_cap, deltas)
-        labels[start : start + chunk.shape[0]] = lab
-        iterations[start : start + chunk.shape[0]] = its
-        disambiguated[start : start + chunk.shape[0]] = dis
+    for rows, order, _ in knn_index.neighbor_blocks(index, queries, t_cap):
+        labels[rows], iterations[rows], disambiguated[rows] = _classify_chunk(memb[order], deltas)
     return BatchResult(labels, iterations, disambiguated)
 
 
 def _classify_chunk(
-    index: knn_index.NeighborIndex,
-    memb: np.ndarray,
-    chunk: np.ndarray,
-    n: int,
-    c: int,
-    t_cap: int,
-    deltas: list[float],
+    nb: np.ndarray, deltas: list[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m = chunk.shape[0]
-    d2 = knn_index.sq_distance_chunk(index, chunk)
-    orders = np.empty((m, t_cap), dtype=np.int64)
-    for i in range(m):
-        orders[i] = knn_index.nearest_order(d2[i], t_cap)
-    nb = memb[orders]
-
+    """Elimination over a block; ``nb[q, k-1]`` is query q's k-th nearest bag row."""
+    m, t_cap, c = nb.shape
     tau = np.zeros((m, c), dtype=np.int64)
     alive = np.ones((m, c), dtype=bool)
     active = np.ones(m, dtype=bool)

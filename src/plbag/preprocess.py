@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import knn_index
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -75,32 +77,26 @@ def _neighbor_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """k nearest reference rows per query: (indices, Euclidean distances).
 
-    ``exclude="self"`` masks the same-index row (training-side searches,
-    where queries are the reference).  ``exclude="one_zero"`` masks at most
-    one exact-zero-distance row (test-side searches), so a test point that
-    coincides with a training point sees exactly the neighbor set that
-    training point saw and gets the identical transform.
+    ``exclude="self"`` drops the same-index row (training-side searches,
+    where queries are the reference).  ``exclude="one_zero"`` drops the
+    lowest-index exact-zero-distance row, if any (test-side searches), so a
+    test point that coincides with a training point sees exactly the
+    neighbor set that training point saw and gets the identical transform.
+    Among rows tied at the k-th distance the lowest index wins.
     """
     m = queries.shape[0]
     idx = np.empty((m, k), dtype=np.int64)
     dist = np.empty((m, k))
-    for start in range(0, m, 256):
-        chunk = queries[start : start + 256]
-        diff = reference[None, :, :] - chunk[:, None, :]
-        d2 = (diff * diff).sum(axis=-1)
+    index = knn_index.build(reference)
+    for rows, order, sqd in knn_index.neighbor_blocks(index, queries, k + 1):
         if exclude == "self":
-            rows = np.arange(start, start + chunk.shape[0])
-            d2[np.arange(chunk.shape[0]), rows] = np.inf
-        elif exclude == "one_zero":
-            for i in range(chunk.shape[0]):
-                zeros = np.flatnonzero(d2[i] == 0.0)
-                if zeros.size:
-                    d2[i, zeros[0]] = np.inf
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        for i in range(chunk.shape[0]):
-            sel = part[i][np.lexsort((part[i], d2[i, part[i]]))]
-            idx[start + i] = sel
-            dist[start + i] = np.sqrt(d2[i, sel])
+            drop = order == np.arange(rows.start, rows.stop)[:, None]
+        else:
+            drop = np.zeros(order.shape, dtype=bool)
+            drop[:, 0] = sqd[:, 0] == 0.0
+        drop[~drop.any(axis=1), -1] = True
+        idx[rows] = order[~drop].reshape(-1, k)
+        dist[rows] = np.sqrt(sqd[~drop]).reshape(-1, k)
     return idx, dist
 
 

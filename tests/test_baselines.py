@@ -105,6 +105,76 @@ class TestAknn:
         )[0]
 
 
+def aknn_oracle(train, x, config):
+    """Literal per-query qualification rule: the reference for the batch form.
+
+    Neighbors come from a full (distance, index) sort; the first step at
+    which any label qualifies decides, smallest label first, and the most
+    frequent label at the cap is the fallback.
+    """
+    n, c = train.n, train.label_space.c
+    t_cap = min(config.T, n)
+    d0 = config.resolve_d0(train.dim)
+    sqd = ((train.features - x) ** 2).sum(axis=1)
+    order = np.lexsort((np.arange(n), sqd))[:t_cap]
+    counts = np.cumsum(train.membership_matrix()[order], axis=0)
+    ks = np.arange(1, t_cap + 1, dtype=np.float64)
+    deltas = np.array(
+        [threshold(n, k, config.delta, c, config.c1, d0) for k in range(1, t_cap + 1)]
+    )
+    qualified = counts / ks[:, None] - 1.0 / c >= deltas[:, None]
+    hits = qualified.any(axis=1)
+    if hits.any():
+        k0 = int(np.argmax(hits))
+        return int(np.argmax(qualified[k0])) + 1, k0 + 1
+    return int(np.argmax(counts[-1])) + 1, None
+
+
+def _grid_dataset(rng, n, c):
+    train = random_partial_dataset(rng, n, 2, c, extra_rate=0.4)
+    return train.with_features(rng.integers(-3, 4, size=(n, 2)).astype(float))
+
+
+AKNN_CASES = {
+    "random": lambda rng: (
+        random_partial_dataset(rng, 300, 2, 3), rng.normal(size=(80, 2)), PlaknnConfig(T=200)
+    ),
+    "grid_ties": lambda rng: (
+        _grid_dataset(rng, 300, 4),
+        rng.integers(-3, 4, size=(80, 2)).astype(float),
+        PlaknnConfig(T=150),
+    ),
+    "t_above_n": lambda rng: (
+        random_partial_dataset(rng, 40, 2, 2), rng.normal(size=(30, 2)), PlaknnConfig(T=100)
+    ),
+    "uniform": lambda rng: (
+        random_partial_dataset(rng, 300, 3, 3),
+        rng.normal(size=(80, 3)),
+        PlaknnConfig(T=300, mode="uniform"),
+    ),
+    "cap_fallback": lambda rng: (
+        random_partial_dataset(rng, 200, 2, 4), rng.normal(size=(60, 2)), PlaknnConfig(T=3)
+    ),
+}
+
+
+class TestAknnOracle:
+    @pytest.mark.filterwarnings("ignore:iteration cap")
+    @pytest.mark.parametrize("case", sorted(AKNN_CASES))
+    def test_batch_and_decision_match_oracle(self, case):
+        train, queries, cfg = AKNN_CASES[case](np.random.default_rng(31))
+        index = knn_index.build(train.features)
+        expected = [aknn_oracle(train, q, cfg) for q in queries]
+        batch = baselines.aknn_batch(train, index, queries, cfg)
+        assert batch.tolist() == [label for label, _ in expected]
+        decisions = [baselines.aknn_decision(train, index, q, cfg) for q in queries]
+        assert decisions == expected
+        if case == "cap_fallback":
+            assert all(step is None for _, step in expected)
+        else:
+            assert any(step is not None for _, step in expected)
+
+
 class TestThresholdCrossingContrast:
     """Deterministic crossing-point comparison of the two adaptive rules.
 

@@ -11,6 +11,7 @@ from plbag.bench_cli import (
     SummaryRow,
     emit,
     load_distribution,
+    main,
     parse_config,
     run,
     theory_report,
@@ -326,6 +327,30 @@ class TestCli:
         dist.write_text("labels 3\natom\n")
         proc = run_cli("theory", "--dist", str(dist))
         assert proc.returncode == 3
+
+
+class TestNeighborCountsAgainstSplit:
+    """A 6-row dataset splits into 5 training points: k values above that
+    end in exit 2 with one line, before any job runs."""
+
+    def _run(self, tmp_path, capsys, extra):
+        data = tmp_path / "six.csv"
+        rows = "".join(f"{i}.0,{i % 2 + 1},{i % 2 + 1}\n" for i in range(6))
+        data.write_text("x1,bag,y\n" + rows)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[experiment]\ndataset = {data}\nrepetitions = 1\n{extra}")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        return code, err
+
+    def test_fixed_k_above_training_split(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "methods = plaknn,fixed_k\nfixed_k = 10\n")
+        assert code == 2 and "fixed_k = 10" in err
+
+    def test_pipeline_k_above_training_split(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, "[pipeline]\nvariant = vision\n")
+        assert code == 2 and "50" in err
 
 
 class TestPredictionDump:

@@ -4,6 +4,13 @@ import pytest
 from plbag import knn_index
 
 
+def neighbors(index, query, t=None):
+    """Neighbor order of one query, read from a one-row block."""
+    blocks = list(knn_index.neighbor_blocks(index, np.atleast_2d(query), t or index.n))
+    assert len(blocks) == 1
+    return blocks[0][1][0]
+
+
 class TestBuild:
     def test_single_point(self):
         index = knn_index.build(np.array([[1.0, 2.0]]))
@@ -19,7 +26,7 @@ class TestBuild:
 
     def test_duplicates_both_retrievable(self):
         index = knn_index.build(np.array([[1.0], [1.0]]))
-        emitted = list(knn_index.stream(index, np.array([1.0])))
+        emitted = neighbors(index, np.array([1.0]))
         assert sorted(emitted) == [0, 1]
 
 
@@ -27,36 +34,35 @@ class TestStreamOrder:
     def test_collinear_from_middle(self):
         # from the middle of three collinear points: distance, then index
         index = knn_index.build(np.array([[0.0], [1.0], [2.5]]))
-        assert list(knn_index.stream(index, np.array([1.0]))) == [1, 0, 2]
+        assert neighbors(index, np.array([1.0])).tolist() == [1, 0, 2]
 
     def test_line_query(self):
         index = knn_index.build(np.array([[0.0], [1.0], [2.0]]))
-        assert list(knn_index.stream(index, np.array([0.9]))) == [1, 0, 2]
+        assert neighbors(index, np.array([0.9])).tolist() == [1, 0, 2]
 
     def test_query_on_training_point(self):
         index = knn_index.build(np.array([[3.0], [7.0]]))
-        stream = knn_index.stream(index, np.array([7.0]))
-        assert next(stream) == 1
+        assert neighbors(index, np.array([7.0]), 1).tolist() == [1]
 
     def test_equidistant_tie_breaks_by_index(self):
         index = knn_index.build(np.array([[1.0], [-1.0]]))
-        assert list(knn_index.stream(index, np.array([0.0]))) == [0, 1]
+        assert neighbors(index, np.array([0.0])).tolist() == [0, 1]
 
     def test_dimension_mismatch(self):
         index = knn_index.build(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
-            knn_index.stream(index, np.array([0.0]))
+            next(knn_index.neighbor_blocks(index, np.array([[0.0]]), 1))
 
     def test_exhausts_after_n(self):
+        # asking for more neighbors than points yields all n, once each
         index = knn_index.build(np.array([[0.0], [1.0]]))
-        stream = knn_index.stream(index, np.array([0.0]))
-        list(stream)
-        with pytest.raises(StopIteration):
-            next(stream)
+        _, order, sqd = next(knn_index.neighbor_blocks(index, np.array([[0.0]]), 5))
+        assert order.tolist() == [[0, 1]]
+        assert sqd.tolist() == [[0.0, 1.0]]
 
 
 class TestOracleEquivalence:
-    """The first k emissions must equal the k smallest of a full sort."""
+    """The first k neighbors must equal the k smallest of a full sort."""
 
     def test_random_instances_match_full_sort(self):
         rng = np.random.default_rng(5)
@@ -66,7 +72,7 @@ class TestOracleEquivalence:
             query = rng.normal(size=3)
             sqd = ((pts - query) ** 2).sum(axis=1)
             expected = np.lexsort((np.arange(n), sqd))
-            emitted = np.fromiter(knn_index.stream(index, query), dtype=np.int64, count=n)
+            emitted = neighbors(index, query)
             assert np.array_equal(emitted, expected)
 
     def test_tie_heavy_instances(self):
@@ -77,7 +83,7 @@ class TestOracleEquivalence:
         query = np.zeros(2)
         sqd = ((pts - query) ** 2).sum(axis=1)
         expected = np.lexsort((np.arange(300), sqd))
-        emitted = np.fromiter(knn_index.stream(index, query), dtype=np.int64, count=300)
+        emitted = neighbors(index, query)
         assert np.array_equal(emitted, expected)
 
     def test_determinism(self):
@@ -85,9 +91,9 @@ class TestOracleEquivalence:
         pts = rng.normal(size=(50, 2))
         index = knn_index.build(pts)
         query = rng.normal(size=2)
-        first = list(knn_index.stream(index, query))
-        second = list(knn_index.stream(index, query))
-        assert first == second
+        first = neighbors(index, query)
+        second = neighbors(index, query)
+        assert np.array_equal(first, second)
 
 
 class TestNearestOrderHelper:
@@ -102,11 +108,19 @@ class TestNearestOrderHelper:
             assert np.array_equal(got, full[:limit])
 
     def test_chunk_distances_match_single_query(self):
+        # the 600-query batch spans several blocks; every row must equal the
+        # same query run as a one-row block
         rng = np.random.default_rng(15)
-        pts = rng.normal(size=(40, 5))
-        index = knn_index.build(pts)
-        queries = rng.normal(size=(9, 5))
-        chunked = knn_index.sq_distance_chunk(index, queries)
-        for i, q in enumerate(queries):
-            single = knn_index.sq_distances(index, q)
-            assert np.array_equal(chunked[i], single)
+        for n, m, t in ((40, 9, 40), (300, 600, 20)):
+            index = knn_index.build(rng.normal(size=(n, 5)))
+            queries = rng.normal(size=(m, 5))
+            covered = 0
+            for rows, order, sqd in knn_index.neighbor_blocks(index, queries, t):
+                assert rows.start == covered and order.shape == (rows.stop - covered, t)
+                for i in range(rows.start, rows.stop):
+                    one = queries[i : i + 1]
+                    _, one_order, one_sqd = next(knn_index.neighbor_blocks(index, one, t))
+                    assert np.array_equal(order[i - covered], one_order[0])
+                    assert np.array_equal(sqd[i - covered], one_sqd[0])
+                covered = rows.stop
+            assert covered == m

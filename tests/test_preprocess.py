@@ -4,6 +4,7 @@ import pytest
 from plbag.preprocess import (
     FittedPipeline,
     PipelineConfig,
+    _neighbor_distances,
     _signed_cube_root,
     _unit_rows,
     fit,
@@ -153,3 +154,36 @@ class TestTransform:
         transform(fitted, np.random.default_rng(19).normal(size=(10, 5)))
         np.testing.assert_array_equal(fitted.smoothed_train, snapshot)
         assert isinstance(fitted, FittedPipeline)
+
+
+class TestNeighborTies:
+    """Among rows tied at the k-th distance the lowest index wins, as in
+    every other neighbor search of the package."""
+
+    @staticmethod
+    def _oracle(reference, query, k, excluded):
+        sqd = ((reference - query) ** 2).sum(axis=1)
+        order = np.lexsort((np.arange(reference.shape[0]), sqd))
+        order = order[order != excluded][:k]
+        return order, np.sqrt(sqd[order])
+
+    def _grid(self):
+        return np.random.default_rng(23).integers(-2, 3, size=(200, 2)).astype(float)
+
+    def test_self_mode(self):
+        ref = self._grid()
+        idx, dist = _neighbor_distances(ref, ref, 7, "self")
+        for i in range(ref.shape[0]):
+            order, d = self._oracle(ref, ref[i], 7, i)
+            assert idx[i].tolist() == order.tolist()
+            np.testing.assert_array_equal(dist[i], d)
+
+    def test_one_zero_mode(self):
+        ref = self._grid()
+        queries = np.vstack([ref[:60], ref[:60] + 0.5])
+        idx, dist = _neighbor_distances(ref, queries, 7, "one_zero")
+        for i, q in enumerate(queries):
+            zeros = np.flatnonzero(((ref - q) ** 2).sum(axis=1) == 0.0)
+            order, d = self._oracle(ref, q, 7, zeros[0] if zeros.size else -1)
+            assert idx[i].tolist() == order.tolist()
+            np.testing.assert_array_equal(dist[i], d)

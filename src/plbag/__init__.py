@@ -4,12 +4,12 @@ Submodules: :mod:`plbag.core` (domain types and probability arithmetic),
 :mod:`plbag.knn_index` (exact neighbor retrieval), :mod:`plbag.plaknn`
 (the adaptive label-elimination classifier), :mod:`plbag.baselines`
 (fixed-k and threshold-qualification classifiers), :mod:`plbag.synth`
-(scenario generators), :mod:`plbag.theory` (learnability diagnostics),
-:mod:`plbag.preprocess` (neighbor-friendly feature pipelines), and
-:mod:`plbag.bench_cli` (experiment harness and CLI).
+(scenario generators), :mod:`plbag.theory` (learnability diagnostics), and
+:mod:`plbag.preprocess` (neighbor-friendly feature pipelines).  The
+experiment harness and CLI, :mod:`plbag.bench_cli`, is imported on its own.
 """
 
-from . import baselines, bench_cli, core, knn_index, plaknn, preprocess, synth, theory
+from . import baselines, core, knn_index, plaknn, preprocess, synth, theory
 from .core import (
     Bag,
     BagGenMatrix,
@@ -33,7 +33,6 @@ __all__ = [
     "PartialExample",
     "PlaknnConfig",
     "baselines",
-    "bench_cli",
     "core",
     "knn_index",
     "plaknn",

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import knn_index
 from .core import PartialDataset
-from .plaknn import PlaknnConfig, _effective_t, _require_matching_index, threshold
+from .plaknn import PlaknnConfig, _require_matching_index, _schedule
 
 
 def fixed_k_classify(
@@ -58,17 +58,11 @@ def _aknn(
 
     Labels are scanned one at a time so temporaries stay (block, T).
     """
-    _require_matching_index(train, index)
+    t_cap, deltas = _schedule(train, index, config)
     queries = np.asarray(queries, dtype=np.float64)
-    n = train.n
     c = train.label_space.c
-    t_cap = _effective_t(config.T, n)
-    d0 = config.resolve_d0(train.dim)
     memb = train.membership_matrix()
     ks = np.arange(1, t_cap + 1, dtype=np.float64)
-    deltas = np.array(
-        [threshold(n, k, config.delta, c, config.c1, d0) for k in range(1, t_cap + 1)]
-    )
     labels = np.empty(queries.shape[0], dtype=np.int64)
     steps = np.empty(queries.shape[0], dtype=np.int64)
     for rows, order, _ in knn_index.neighbor_blocks(index, queries, t_cap):

@@ -33,6 +33,7 @@ import numpy as np
 from . import knn_index, preprocess, theory
 from .baselines import aknn_batch, fixed_k_batch
 from .core import (
+    MAX_ENUMERABLE_LABELS,
     Atom,
     BagGenMatrix,
     DataFormatError,
@@ -539,6 +540,8 @@ def load_distribution(path: str | Path) -> DiscreteDistribution:
         c = int(lines[0][1].split()[1])
     except (IndexError, ValueError):
         raise DataFormatError(f"{path}: malformed labels directive") from None
+    if not 2 <= c <= MAX_ENUMERABLE_LABELS:
+        raise DataFormatError(f"{path}: labels must be in 2..{MAX_ENUMERABLE_LABELS}, got {c}")
     space = LabelSpace(c)
 
     atoms: list[Atom] = []

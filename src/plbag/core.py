@@ -99,11 +99,8 @@ class Bag:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def max_label(self) -> int:
-        return self.mask.bit_length()
-
     def valid_for(self, space: LabelSpace) -> bool:
-        return self.max_label() <= space.c
+        return self.mask.bit_length() <= space.c
 
 
 @dataclass(frozen=True)
@@ -309,13 +306,6 @@ class BagGenMatrix:
     @property
     def c(self) -> int:
         return self.entries.shape[1]
-
-    @property
-    def bag_order(self) -> np.ndarray:
-        return canonical_bag_masks(self.c)
-
-    def column(self, y: int) -> np.ndarray:
-        return self.entries[:, y - 1]
 
     def marginal(self, label_dist: LabelDistribution) -> np.ndarray:
         """Bag distribution induced by mixing columns with label weights."""
@@ -556,12 +546,12 @@ def load_dataset(path: str | Path, label_space: LabelSpace | None = None) -> Par
 
     if not features:
         raise DataFormatError(f"{path}: no data rows")
-    if label_space is None:
-        top = max(m.bit_length() for m in masks)
-        if truths:
-            top = max(top, max(truths))
-        label_space = LabelSpace(max(top, 2))
     try:
+        if label_space is None:
+            top = max(m.bit_length() for m in masks)
+            if truths:
+                top = max(top, max(truths))
+            label_space = LabelSpace(max(top, 2))
         return PartialDataset(
             np.asarray(features),
             np.asarray(masks, dtype=np.uint64),

@@ -8,11 +8,12 @@ label clearly leads; close races automatically draw in more neighbors.  If
 more than one candidate survives after T steps, the label that came closest
 to eliminating all others wins.
 
-Two entry points are provided: :func:`classify` is the literal per-query
-loop and also returns a full :class:`EliminationTrace`; :func:`classify_batch`
-is a vectorized implementation that returns exactly the labels the per-query
-loop would, query by query.  Both read their neighbors from
-:func:`knn_index.neighbor_blocks`.
+The rule lives in :func:`_step` (one step's margins and eliminations) and
+:func:`_eliminate` (the step loop over a block of queries, O(c) state per
+query).  :func:`classify_batch` runs the kernel once per
+:func:`knn_index.neighbor_blocks` block; :func:`classify` runs it on one query
+and rebuilds the full :class:`EliminationTrace` from the counts with a single
+vectorized :func:`_step` call, so both return the same labels by construction.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -148,25 +150,92 @@ def _require_matching_index(train: PartialDataset, index: knn_index.NeighborInde
         )
 
 
-def _effective_t(t: int, n: int) -> int:
-    if t > n:
+def _schedule(
+    train: PartialDataset, index: knn_index.NeighborIndex, config: PlaknnConfig
+) -> tuple[int, np.ndarray]:
+    """Iteration cap and thresholds ``deltas[k-1]`` for k = 1..cap.
+
+    Checks that ``index`` covers ``train`` and clamps T to the training size
+    with a ``RuntimeWarning``.
+    """
+    _require_matching_index(train, index)
+    n = train.n
+    t_cap = config.T
+    if t_cap > n:
         warnings.warn(
-            f"iteration cap T={t} exceeds the {n} available neighbors; using T={n}",
+            f"iteration cap T={t_cap} exceeds the {n} available neighbors; using T={n}",
             RuntimeWarning,
             stacklevel=3,
         )
-        return n
-    return t
+        t_cap = n
+    c = train.label_space.c
+    return t_cap, np.array([config.threshold(n, k, c, train.dim) for k in range(1, t_cap + 1)])
 
 
-def _disambiguate(margins: np.ndarray, alive: np.ndarray) -> int:
-    """Argmin of the margin matrix over surviving labels.
+def _step(
+    tau: np.ndarray, alive: np.ndarray, k: int | np.ndarray, delta_k: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One elimination step over the label axis; broadcasts over leading axes.
 
-    Row-major argmin realizes the (value, then k, then label) tie order.
+    Returns the margin row ``sqrt(k) * (delta_k - (tau - m2) / k)``, with m2
+    the runner-up count among alive labels, and the alive labels whose count
+    trails the leader's by at least ``k * delta_k``.
     """
-    masked = np.where(alive[None, :], margins, np.inf)
-    flat = int(np.argmin(masked))
-    return flat % alive.shape[0] + 1
+    c = tau.shape[-1]
+    capped = np.where(alive, tau, -1)
+    m1 = capped.max(axis=-1, keepdims=True)
+    m2 = np.partition(capped, c - 2, axis=-1)[..., c - 2 : c - 1]
+    margin = np.sqrt(k) * (delta_k - (tau - m2) / k)
+    return margin, alive & ((m1 - tau) / k >= delta_k)
+
+
+def _eliminate(
+    nb: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Elimination over a block; ``nb[q, k-1]`` is query q's k-th nearest bag row.
+
+    Returns labels, iterations, disambiguated flags and ``eliminated_at[q, y-1]``,
+    the step at which label y fell (0: it survived).  An active query keeps its
+    counts, its alive labels and, per label, the smallest margin so far with
+    the first step that reached it; it leaves the active set at the step it
+    finishes.  The winner is the alive label with the smallest (margin, step,
+    label), which is the row-major argmin over the margin matrix.
+    """
+    m, t_cap, c = nb.shape
+    labels = np.empty(m, dtype=np.int64)
+    iterations = np.empty(m, dtype=np.int64)
+    disambiguated = np.empty(m, dtype=bool)
+    eliminated_at = np.zeros((m, c), dtype=np.int64)
+    rows = np.arange(m)
+    tau = np.zeros((m, c), dtype=np.int64)
+    alive = np.ones((m, c), dtype=bool)
+    best = np.full((m, c), np.inf)
+    best_k = np.zeros((m, c), dtype=np.int64)
+    k = 0
+    while rows.size:
+        k += 1
+        tau += nb[rows, k - 1]
+        margin, elim = _step(tau, alive, k, deltas[k - 1])
+        better = alive & (margin < best)
+        np.copyto(best, margin, where=better)
+        np.copyto(best_k, k, where=better)
+        alive &= ~elim
+        q, y = np.nonzero(elim)
+        eliminated_at[rows[q], y] = k
+        single = alive.sum(axis=1) == 1
+        done = single | (k == t_cap)
+        if not done.any():
+            continue
+        score = np.where(alive[done], best[done], np.inf)
+        tied = score == score.min(axis=1, keepdims=True)
+        first = np.where(tied, best_k[done], t_cap + 1)
+        out = rows[done]
+        labels[out] = np.argmax(tied & (first == first.min(axis=1, keepdims=True)), axis=1) + 1
+        iterations[out] = k
+        disambiguated[out] = ~single[done]
+        keep = ~done
+        rows, tau, alive, best, best_k = rows[keep], tau[keep], alive[keep], best[keep], best_k[keep]
+    return labels, iterations, disambiguated, eliminated_at
 
 
 def classify(
@@ -176,57 +245,43 @@ def classify(
     config: PlaknnConfig,
 ) -> tuple[int, EliminationTrace]:
     """Classify one query, returning the label and the elimination trace."""
-    _require_matching_index(train, index)
-    n = train.n
-    c = train.label_space.c
-    t_cap = _effective_t(config.T, n)
-    d0 = config.resolve_d0(train.dim)
+    t_cap, deltas = _schedule(train, index, config)
     memb = train.membership_matrix()
     query = np.asarray(x, dtype=np.float64)[None, :]
     _, order, _ = next(knn_index.neighbor_blocks(index, query, t_cap))
+    labels, iterations, disambiguated, eliminated_at = _eliminate(memb[order], deltas)
 
-    alive = np.ones(c, dtype=bool)
-    tau = np.zeros(c, dtype=np.int64)
-    margins = np.full((t_cap, c), np.inf)
-    records: list[IterationRecord] = []
-    k = 0
-    while int(alive.sum()) > 1 and k < t_cap:
-        k += 1
-        l_k = order[0, k - 1]
-        tau = tau + memb[l_k]
-        delta_k = threshold(n, k, config.delta, c, config.c1, d0)
-        capped = np.where(alive, tau, -1)
-        m1 = int(capped.max())
-        m2 = int(np.partition(capped, c - 2)[c - 2])
-        row = math.sqrt(k) * (delta_k - (tau - m2) / k)
-        margins[k - 1, alive] = row[alive]
-        elim = alive & ((m1 - tau) / k >= delta_k)
-        alive = alive & ~elim
-        records.append(
-            IterationRecord(
-                k=k,
-                neighbor=int(l_k),
-                delta=delta_k,
-                tau=tuple(int(v) for v in tau),
-                survivors=frozenset(int(y) + 1 for y in np.flatnonzero(alive)),
-                eliminated=tuple(int(y) + 1 for y in np.flatnonzero(elim)),
-            )
+    # replay the K steps at once: counts, alive-before-step masks, one _step
+    n_steps = int(iterations[0])
+    neighbors = order[0, :n_steps]
+    ks = np.arange(1, n_steps + 1)[:, None]
+    tau = np.cumsum(memb[neighbors], axis=0, dtype=np.int64)
+    fell = eliminated_at[0]
+    alive = (fell == 0) | (fell >= ks)
+    margin, elim = _step(tau, alive, ks, deltas[:n_steps, None])
+    survivors = alive & ~elim
+    ys = range(1, train.label_space.c + 1)
+    steps = zip(neighbors.tolist(), deltas.tolist(), tau.tolist(), survivors.tolist(), elim.tolist())
+    records = [
+        IterationRecord(
+            k=k,
+            neighbor=neighbor,
+            delta=delta_k,
+            tau=tuple(counts),
+            survivors=frozenset(compress(ys, left)),
+            eliminated=tuple(compress(ys, dropped)),
         )
-
-    if int(alive.sum()) == 1:
-        label = int(np.flatnonzero(alive)[0]) + 1
-        disambiguated = False
-    else:
-        label = _disambiguate(margins[:k], alive)
-        disambiguated = True
+        for k, (neighbor, delta_k, counts, left, dropped) in enumerate(steps, start=1)
+    ]
+    label = int(labels[0])
     trace = EliminationTrace(
-        n=n,
+        n=train.n,
         label_space=train.label_space,
         config=config,
         records=records,
-        margins=margins[:k],
+        margins=np.where(alive, margin, np.inf),
         label=label,
-        disambiguated=disambiguated,
+        disambiguated=bool(disambiguated[0]),
     )
     return label, trace
 
@@ -256,55 +311,15 @@ def classify_batch_detail(
     queries: np.ndarray,
     config: PlaknnConfig,
 ) -> BatchResult:
-    _require_matching_index(train, index)
+    t_cap, deltas = _schedule(train, index, config)
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != train.dim:
         raise ValueError("queries must be an (m, d) matrix matching the training dimension")
-    n = train.n
-    c = train.label_space.c
-    t_cap = _effective_t(config.T, n)
-    d0 = config.resolve_d0(train.dim)
     memb = train.membership_matrix()
-    deltas = [threshold(n, k, config.delta, c, config.c1, d0) for k in range(1, t_cap + 1)]
-
     m_total = queries.shape[0]
     labels = np.empty(m_total, dtype=np.int64)
     iterations = np.empty(m_total, dtype=np.int64)
     disambiguated = np.zeros(m_total, dtype=bool)
     for rows, order, _ in knn_index.neighbor_blocks(index, queries, t_cap):
-        labels[rows], iterations[rows], disambiguated[rows] = _classify_chunk(memb[order], deltas)
+        labels[rows], iterations[rows], disambiguated[rows], _ = _eliminate(memb[order], deltas)
     return BatchResult(labels, iterations, disambiguated)
-
-
-def _classify_chunk(
-    nb: np.ndarray, deltas: list[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elimination over a block; ``nb[q, k-1]`` is query q's k-th nearest bag row."""
-    m, t_cap, c = nb.shape
-    tau = np.zeros((m, c), dtype=np.int64)
-    alive = np.ones((m, c), dtype=bool)
-    active = np.ones(m, dtype=bool)
-    iters = np.zeros(m, dtype=np.int64)
-    margins = np.full((m, t_cap, c), np.inf)
-    for k in range(1, t_cap + 1):
-        if not active.any():
-            break
-        tau += nb[:, k - 1, :]
-        delta_k = deltas[k - 1]
-        capped = np.where(alive, tau, -1)
-        m1 = capped.max(axis=1)
-        m2 = np.partition(capped, c - 2, axis=1)[:, c - 2]
-        row = math.sqrt(k) * (delta_k - (tau - m2[:, None]) / k)
-        update = active[:, None] & alive
-        margins[:, k - 1, :] = np.where(update, row, margins[:, k - 1, :])
-        elim = update & ((m1[:, None] - tau) / k >= delta_k)
-        alive &= ~elim
-        iters[active] = k
-        active &= alive.sum(axis=1) > 1
-
-    labels = np.empty(m, dtype=np.int64)
-    single = alive.sum(axis=1) == 1
-    labels[single] = np.argmax(alive[single], axis=1) + 1
-    for q in np.flatnonzero(~single):
-        labels[q] = _disambiguate(margins[q, : iters[q]], alive[q])
-    return labels, iters, ~single

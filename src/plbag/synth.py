@@ -315,9 +315,6 @@ class AnalyticScenario:
             post = np.where(in_region[:, None], swapped, post)
         return post
 
-    def bayes_rule_at(self, x: np.ndarray) -> np.ndarray:
-        return self.posterior(x).argmax(axis=1) + 1
-
     def _grid(self, resolution: int) -> tuple[np.ndarray, float]:
         step = 2.0 * self.grid_extent / resolution
         centers = -self.grid_extent + step * (np.arange(resolution) + 0.5)

@@ -321,6 +321,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "dist_label_aligned=false" in proc.stdout
         assert csv_out.exists()
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_theory_bad_file_exit_code(self, tmp_path):
         dist = tmp_path / "dist.txt"
@@ -351,6 +352,35 @@ class TestNeighborCountsAgainstSplit:
     def test_pipeline_k_above_training_split(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, "[pipeline]\nvariant = vision\n")
         assert code == 2 and "50" in err
+
+
+class TestLoaderBoundary:
+    """Label counts out of range end in exit 3 with one line, no traceback."""
+
+    @staticmethod
+    def _main(capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:")
+        return code, err
+
+    @pytest.mark.parametrize("c", [1, 65, 30])
+    def test_distribution_label_count(self, tmp_path, capsys, c):
+        # c = 30 is rejected before the (2^c - 1, c) bag table is allocated
+        dist = tmp_path / "dist.txt"
+        dist.write_text(f"labels {c}\natom\nlocation 0\nmass 1\nbagdefault identity\n")
+        code, err = self._main(capsys, ["theory", "--dist", str(dist)])
+        assert code == 3 and f"got {c}" in err
+
+    def test_dataset_label_above_limit(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("x1,bag,y\n0.0,1;100,1\n1.0,2,2\n")
+        with pytest.raises(DataFormatError):
+            load_dataset(data)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[experiment]\ndataset = {data}\nrepetitions = 1\n")
+        code, err = self._main(capsys, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3 and "100" in err
 
 
 class TestPredictionDump:

@@ -5,9 +5,70 @@ import pytest
 
 from plbag import knn_index, plaknn
 from plbag.core import LabelSpace, PartialDataset
-from plbag.plaknn import PlaknnConfig, threshold
+from plbag.plaknn import EliminationTrace, IterationRecord, PlaknnConfig, threshold
 
 from _fixtures import random_partial_dataset
+
+
+def classify_oracle(train, index, x, config):
+    """Literal per-query elimination loop, independent of the batch kernel.
+
+    Steps k = 1, 2, ... one neighbor at a time, fills the full margin matrix
+    and disambiguates by its row-major argmin over the surviving labels.
+    """
+    n = train.n
+    c = train.label_space.c
+    t_cap = min(config.T, n)
+    d0 = config.resolve_d0(train.dim)
+    memb = train.membership_matrix()
+    query = np.asarray(x, dtype=np.float64)[None, :]
+    _, order, _ = next(knn_index.neighbor_blocks(index, query, t_cap))
+
+    alive = np.ones(c, dtype=bool)
+    tau = np.zeros(c, dtype=np.int64)
+    margins = np.full((t_cap, c), np.inf)
+    records = []
+    k = 0
+    while int(alive.sum()) > 1 and k < t_cap:
+        k += 1
+        l_k = order[0, k - 1]
+        tau = tau + memb[l_k]
+        delta_k = threshold(n, k, config.delta, c, config.c1, d0)
+        capped = np.where(alive, tau, -1)
+        m1 = int(capped.max())
+        m2 = int(np.partition(capped, c - 2)[c - 2])
+        row = math.sqrt(k) * (delta_k - (tau - m2) / k)
+        margins[k - 1, alive] = row[alive]
+        elim = alive & ((m1 - tau) / k >= delta_k)
+        alive = alive & ~elim
+        records.append(
+            IterationRecord(
+                k=k,
+                neighbor=int(l_k),
+                delta=delta_k,
+                tau=tuple(int(v) for v in tau),
+                survivors=frozenset(int(y) + 1 for y in np.flatnonzero(alive)),
+                eliminated=tuple(int(y) + 1 for y in np.flatnonzero(elim)),
+            )
+        )
+
+    if int(alive.sum()) == 1:
+        label = int(np.flatnonzero(alive)[0]) + 1
+        disambiguated = False
+    else:
+        masked = np.where(alive[None, :], margins[:k], np.inf)
+        label = int(np.argmin(masked)) % c + 1
+        disambiguated = True
+    trace = EliminationTrace(
+        n=n,
+        label_space=train.label_space,
+        config=config,
+        records=records,
+        margins=margins[:k],
+        label=label,
+        disambiguated=disambiguated,
+    )
+    return label, trace
 
 
 def make_train(masks, positions=None, c=2):
@@ -263,7 +324,7 @@ class TestBatch:
         index = knn_index.build(train.features)
         cfg = PlaknnConfig(T=15)
         q = rng.normal(size=2)
-        assert plaknn.classify_batch(train, index, q[None, :], cfg)[0] == plaknn.classify(
+        assert plaknn.classify_batch(train, index, q[None, :], cfg)[0] == classify_oracle(
             train, index, q, cfg
         )[0]
 
@@ -277,7 +338,7 @@ class TestBatch:
         cfg = PlaknnConfig(T=40)
         queries = np.concatenate([rng.normal(size=(80, 2)), dup.features[:20]])
         sequential = np.array(
-            [plaknn.classify(dup, index, q, cfg)[0] for q in queries]
+            [classify_oracle(dup, index, q, cfg)[0] for q in queries]
         )
         batch = plaknn.classify_batch(dup, index, queries, cfg)
         assert np.array_equal(batch, sequential)
@@ -290,6 +351,81 @@ class TestBatch:
         queries = rng.normal(size=(25, 2))
         detail = plaknn.classify_batch_detail(train, index, queries, cfg)
         for i, q in enumerate(queries):
-            _, trace = plaknn.classify(train, index, q, cfg)
+            _, trace = classify_oracle(train, index, q, cfg)
             assert detail.iterations[i] == trace.iterations
             assert detail.disambiguated[i] == trace.disambiguated
+
+
+class TestKernelAgainstOracle:
+    @staticmethod
+    def _warned(clamped, fn, *args):
+        if not clamped:
+            return fn(*args)
+        with pytest.warns(RuntimeWarning):
+            return fn(*args)
+
+    @pytest.mark.parametrize("lead", [1, 2])
+    def test_equal_margins_break_by_first_step(self, lead):
+        # the leader's margin is delta_1 - 1 at k = 1 (lead 1), 2 * delta_4 - 1
+        # at k = 4 (lead 2) and 4 * delta_16 - 1 at k = 16 (lead 4): the same
+        # float, since delta_{4k} = delta_k / 2 exactly.  `lead` holds it at
+        # k = 1 and 16, the other label at k = 4; the earliest step wins.
+        other = 3 - lead
+        seq = [lead, other, other, other] + [lead] * 4 + [3, lead] + [3] * 5 + [lead]
+        train = make_train(seq)
+        index = knn_index.build(train.features)
+        cfg = PlaknnConfig(T=16)
+        x = np.array([0.0])
+        label, trace = plaknn.classify(train, index, x, cfg)
+        margins = trace.margins
+        assert margins[0, lead - 1] == margins[3, other - 1] == margins[15, lead - 1]
+        assert margins[0, lead - 1] == margins[np.isfinite(margins)].min()
+        assert (label, trace.disambiguated) == (lead, True)
+        assert classify_oracle(train, index, x, cfg)[0] == lead
+        assert plaknn.classify_batch(train, index, x[None, :], cfg)[0] == lead
+
+    def test_random_instances_match_oracle(self):
+        # grid ties and duplicates, T > n, uniform mode, c = 2, cap hits and
+        # one 600-query batch that spans several neighbor blocks
+        rng = np.random.default_rng(79)
+        cap_hits = disambiguated = 0
+        for i in range(24):
+            c = 2 if i % 3 == 0 else int(rng.integers(3, 7))
+            n = int(rng.integers(5, 150))
+            dim = int(rng.integers(1, 4))
+            train = random_partial_dataset(rng, n, dim, c, extra_rate=0.5 if i % 2 else 0.1)
+            if i % 2 == 0:
+                train = PartialDataset(
+                    rng.integers(0, 3, size=(n, dim)).astype(float),
+                    train.bag_masks,
+                    train.label_space,
+                )
+            clamped = i % 5 == 0
+            cfg = PlaknnConfig(
+                T=n + 5 if clamped else int(rng.integers(1, n + 1)),
+                mode="uniform" if i % 4 == 1 else "pointwise",
+                c1=0.1 if i % 3 == 2 else 0.5,
+            )
+            m = 600 if i == 0 else 30
+            queries = np.concatenate(
+                [rng.integers(-1, 4, size=(m // 2, dim)).astype(float),
+                 rng.normal(size=(m - m // 2, dim))]
+            )
+            index = knn_index.build(train.features)
+            detail = self._warned(
+                clamped, plaknn.classify_batch_detail, train, index, queries, cfg
+            )
+            for q, x in enumerate(queries):
+                label, expected = classify_oracle(train, index, x, cfg)
+                assert detail.labels[q] == label
+                assert detail.iterations[q] == expected.iterations
+                assert detail.disambiguated[q] == expected.disambiguated
+                if q % 10 == 0:
+                    _, trace = self._warned(clamped, plaknn.classify, train, index, x, cfg)
+                    assert trace.records == expected.records
+                    assert trace.margins.tobytes() == expected.margins.tobytes()
+                    assert trace.label == label
+                    assert trace.disambiguated == expected.disambiguated
+            cap_hits += int((detail.iterations == min(cfg.T, n)).sum())
+            disambiguated += int(detail.disambiguated.sum())
+        assert cap_hits > 0 and disambiguated > 0

@@ -372,10 +372,18 @@ _SECTION_KEYS = {
 }
 
 
+def _read_text(path: Path, error: type[ValueError]) -> str:
+    """The file's text; bytes that do not decode raise ``error``."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: unreadable text: {exc}") from None
+
+
 def _parse_sections(path: Path) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -531,7 +539,7 @@ def load_distribution(path: str | Path) -> DiscreteDistribution:
     path = Path(path)
     lines = [
         (i + 1, ln.strip())
-        for i, ln in enumerate(path.read_text().splitlines())
+        for i, ln in enumerate(_read_text(path, DataFormatError).splitlines())
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not lines or lines[0][1].split()[0] != "labels":

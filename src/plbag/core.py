@@ -22,11 +22,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
 PROB_TOL = 1e-9
+
+# A bag is one 64-bit mask, so labels run from 1 to 64 at most.
+MAX_LABELS = 64
 
 # Full bag enumeration (2^c - 1 masks) is a desk-scale tool; classifiers
 # never build it.  Keep it small enough for exact linear algebra.
@@ -54,8 +57,8 @@ class LabelSpace:
     def __post_init__(self) -> None:
         if not isinstance(self.c, int) or isinstance(self.c, bool):
             raise TypeError(f"label count must be an int, got {type(self.c).__name__}")
-        if not 2 <= self.c <= 64:
-            raise ValueError(f"label count must be in [2, 64], got {self.c}")
+        if not 2 <= self.c <= MAX_LABELS:
+            raise ValueError(f"label count must be in [2, {MAX_LABELS}], got {self.c}")
 
     @property
     def labels(self) -> range:
@@ -81,8 +84,8 @@ class Bag:
     def from_labels(cls, labels: Sequence[int] | frozenset[int]) -> "Bag":
         mask = 0
         for y in labels:
-            if not 1 <= int(y) <= 64:
-                raise ValueError(f"label {y} outside supported range 1..64")
+            if not 1 <= int(y) <= MAX_LABELS:
+                raise ValueError(f"label {y} outside supported range 1..{MAX_LABELS}")
             mask |= 1 << (int(y) - 1)
         return cls(mask)
 
@@ -482,7 +485,7 @@ def bayes_risk(d: DiscreteDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_bag_field(text: str, row: int) -> int:
+def _parse_bag_field(text: str, row: int, limit: int) -> int:
     text = text.strip()
     if not text:
         raise DataFormatError(f"row {row}: empty bag field")
@@ -495,18 +498,29 @@ def _parse_bag_field(text: str, row: int) -> int:
             y = int(part)
         except ValueError as exc:
             raise DataFormatError(f"row {row}: non-integer label {part!r}") from exc
-        if y < 1:
-            raise DataFormatError(f"row {row}: label {y} out of range")
+        # checked before the label sizes a bit shift
+        if not 1 <= y <= limit:
+            raise DataFormatError(f"row {row}: label {y} out of range 1..{limit}")
         mask |= 1 << (y - 1)
     return mask
 
 
+def _csv_records(path: Path, fh: TextIO) -> Iterator[list[str]]:
+    """The records of an open CSV file; unreadable text is a format error."""
+    try:
+        yield from csv.reader(fh)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: unreadable CSV: {exc}") from exc
+
+
 def load_dataset(path: str | Path, label_space: LabelSpace | None = None) -> PartialDataset:
     """Read a dataset CSV.  With no explicit label space, c is inferred as the
-    largest label mentioned in any bag or truth column (at least 2)."""
+    largest label mentioned in any bag or truth column (at least 2).  Labels
+    above ``label_space.c`` (or above ``MAX_LABELS``) are a format error."""
     path = Path(path)
+    limit = MAX_LABELS if label_space is None else label_space.c
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -537,12 +551,18 @@ def load_dataset(path: str | Path, label_space: LabelSpace | None = None) -> Par
                 features.append([float(v) for v in rec[:dim]])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {rownum}: bad feature value") from exc
-            masks.append(_parse_bag_field(rec[bag_col], rownum))
+            try:
+                masks.append(_parse_bag_field(rec[bag_col], rownum, limit))
+            except DataFormatError as exc:
+                raise DataFormatError(f"{path}: {exc}") from exc
             if has_truth:
                 try:
-                    truths.append(int(rec[bag_col + 1]))
+                    y = int(rec[bag_col + 1])
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: row {rownum}: bad truth value") from exc
+                if not 1 <= y <= limit:
+                    raise DataFormatError(f"{path}: row {rownum}: truth {y} out of range 1..{limit}")
+                truths.append(y)
 
     if not features:
         raise DataFormatError(f"{path}: no data rows")

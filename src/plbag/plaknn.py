@@ -76,7 +76,7 @@ class PlaknnConfig:
     d0: int | None = None
 
     def __post_init__(self) -> None:
-        if self.c1 <= 0.0:
+        if not self.c1 > 0.0:
             raise ValueError(f"c1 must be positive, got {self.c1}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import knn_index
 from .core import LabelSpace, PartialDataset, membership_to_masks
 
 
@@ -59,7 +60,7 @@ def kmeans_labels(
     for _ in range(restarts):
         centers = points[rng.choice(n, size=k, replace=False)].copy()
         assign = np.full(n, -1, dtype=np.int64)
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        d2 = knn_index.sq_distance_chunk(knn_index.build(centers), points)
         for _ in range(max_iter):
             new_assign = d2.argmin(axis=1)
             if np.array_equal(new_assign, assign):
@@ -69,7 +70,7 @@ def kmeans_labels(
                 members = assign == j
                 if members.any():
                     centers[j] = points[members].mean(axis=0)
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+            d2 = knn_index.sq_distance_chunk(knn_index.build(centers), points)
         inertia = float(d2[np.arange(n), assign].sum())
         if inertia < best_inertia:
             best_inertia = inertia

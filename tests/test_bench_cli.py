@@ -97,6 +97,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="repetitions"):
             parse_config(path)
 
+    def test_nan_c1(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[experiment]\nscenario = two_gaussians\n[plaknn]\nc1 = nan\n")
+        with pytest.raises(ConfigError, match="c1"):
+            parse_config(path)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"[experiment]\nscenario = \xff\n")
+        with pytest.raises(ConfigError, match="exp.cfg"):
+            parse_config(path)
+
     def test_source_required(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario=None, dataset=None)
@@ -268,6 +280,12 @@ class TestDistributionFile:
             "labels 2\natom\nlocation 0\nmass 1\nprobs 0.5 0.5\nbagrow 1 0.5 0\n"
         )
         with pytest.raises(DataFormatError):
+            load_distribution(path)
+
+    def test_rejects_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"labels 2\natom\xff\n")
+        with pytest.raises(DataFormatError, match="bad.txt"):
             load_distribution(path)
 
 

@@ -342,6 +342,21 @@ class TestCsvFormat:
         with pytest.raises(DataFormatError):
             load_dataset(path, LabelSpace(3))
 
+    def test_rejects_label_above_explicit_space(self, tmp_path):
+        # the label is checked before it sizes a mask or a uint64 conversion
+        path = tmp_path / "wide.csv"
+        for text in ("x1,bag\n0.0,1;100\n1.0,2\n", "x1,bag\n0.0,1;99999999999999999999\n",
+                     "x1,bag,y\n0.0,1,4\n", "x1,bag,y\n0.0,1,99999999999999999999\n"):
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match="wide.csv: row 2"):
+                load_dataset(path, LabelSpace(3))
+
+    def test_rejects_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x1,bag\n0.0,\xff\n")
+        with pytest.raises(DataFormatError, match="bad.csv"):
+            load_dataset(path)
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,bag\n0.0,0.0,1\n")

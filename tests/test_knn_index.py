@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from plbag import knn_index
+
+
+def sq_distance_oracle(index, queries):
+    """The distance kernel's former body: an explicit (m, n, d) difference tensor."""
+    queries = np.asarray(queries, dtype=np.float64)
+    diff = index.points[None, :, :] - queries[:, None, :]
+    return np.multiply(diff, diff, out=diff).sum(axis=-1)
 
 
 def neighbors(index, query, t=None):
@@ -124,3 +133,65 @@ class TestNearestOrderHelper:
                     assert np.array_equal(sqd[i - covered], one_sqd[0])
                 covered = rows.stop
             assert covered == m
+
+
+class TestDistanceKernel:
+    """``sq_distance_chunk`` must reproduce the tensor oracle byte for byte."""
+
+    # around numpy's pairwise-sum boundaries: < 8 terms, 8-lane blocks,
+    # remainders, the 128-term block and recursive splits above it
+    DIMS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 24, 127, 128, 129, 136, 257)
+
+    @staticmethod
+    def assert_same_bytes(index, queries):
+        got = knn_index.sq_distance_chunk(index, queries)
+        expected = sq_distance_oracle(index, queries)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_random_instances(self, d):
+        rng = np.random.default_rng(100 + d)
+        for scale in (1e-6, 1.0, 1e6):
+            n = int(rng.integers(1, 40))
+            widths = scale * rng.uniform(0.1, 10.0, size=d)  # unequal coordinate scales
+            index = knn_index.build(rng.normal(size=(n, d)) * widths)
+            for m in (0, 1, 5):
+                self.assert_same_bytes(index, rng.normal(size=(m, d)) * widths)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_integer_grid_ties_and_duplicates(self, d):
+        rng = np.random.default_rng(200 + d)
+        pts = rng.integers(-2, 3, size=(30, d)).astype(float)
+        pts[10:20] = pts[:10]  # duplicate points
+        index = knn_index.build(pts)
+        queries = np.vstack([pts[:3], rng.integers(-2, 3, size=(4, d))])  # queries on points
+        self.assert_same_bytes(index, queries)
+
+    def test_many_queries_across_tiles_and_blocks(self):
+        rng = np.random.default_rng(300)
+        for d in (2, 9, 17):
+            index = knn_index.build(rng.normal(size=(200, d)))
+            self.assert_same_bytes(index, rng.normal(size=(600, d)))
+
+    def test_one_row_tiles(self):
+        # n this large leaves room for one query row per tile
+        rng = np.random.default_rng(301)
+        n = knn_index._TILE_BYTES // 8 + 100
+        for d in (3, 9):
+            index = knn_index.build(rng.normal(size=(n, d)))
+            self.assert_same_bytes(index, rng.normal(size=(3, d)))
+
+    def test_no_difference_tensor(self):
+        # peak memory stays near the (m, n) output; the oracle's (m, n, d)
+        # tensor is d = 16 times that
+        rng = np.random.default_rng(302)
+        index = knn_index.build(rng.normal(size=(2000, 16)))
+        queries = rng.normal(size=(64, 16))
+        tracemalloc.start()
+        try:
+            out = knn_index.sq_distance_chunk(index, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * out.nbytes

@@ -31,6 +31,47 @@ class TestConfig:
             SynthBagConfig(n_clusters=0)
 
 
+def kmeans_oracle(points, k, rng, restarts=10, max_iter=100):
+    """``kmeans_labels`` with its former (n, k, d) difference tensors."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    k = min(k, n)
+    best_assign = None
+    best_inertia = np.inf
+    for _ in range(restarts):
+        centers = points[rng.choice(n, size=k, replace=False)].copy()
+        assign = np.full(n, -1, dtype=np.int64)
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        for _ in range(max_iter):
+            new_assign = d2.argmin(axis=1)
+            if np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for j in range(k):
+                members = assign == j
+                if members.any():
+                    centers[j] = points[members].mean(axis=0)
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        inertia = float(d2[np.arange(n), assign].sum())
+        if inertia < best_inertia:
+            best_inertia = inertia
+            best_assign = assign.copy()
+    return best_assign
+
+
+class TestKmeans:
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_matches_tensor_oracle(self, d):
+        rng = np.random.default_rng(40 + d)
+        cases = [
+            (rng.normal(size=(400, d)) * rng.uniform(0.1, 10.0, size=d), 5),
+            (rng.integers(-2, 3, size=(300, d)).astype(float), 6),  # ties and duplicates
+            (rng.normal(size=(7, d)), 9),  # k clamped to n
+        ]
+        for seed, (feats, k) in enumerate(cases):
+            got = kmeans_labels(feats, k, np.random.default_rng(seed))
+            assert np.array_equal(got, kmeans_oracle(feats, k, np.random.default_rng(seed)))
+
 class TestKmeans:
     def test_recovers_separated_blobs(self):
         rng = np.random.default_rng(1)

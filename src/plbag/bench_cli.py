@@ -525,6 +525,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 # Serialized finite-support distributions (for `bench theory`)
 # ---------------------------------------------------------------------------
 
+# Every atom holds a dense (2^c - 1, c) float64 bag table; a file may ask for
+# at most this many bytes of them in total.
+MAX_BAG_TABLE_BYTES = 1 << 25
+
 
 def load_distribution(path: str | Path) -> DiscreteDistribution:
     """Parse the plain-text atom listing format.
@@ -534,7 +538,9 @@ def load_distribution(path: str | Path) -> DiscreteDistribution:
     ``bagrow <labels;...> v1 ... vc`` line per bag with nonzero probability.
     A ``bagdefault identity`` line inside a block fills any all-zero column
     with the singleton-of-the-true-label process, which keeps files short
-    when only one label's bag behavior matters.
+    when only one label's bag behavior matters.  The atoms are counted first:
+    a file whose bag tables would exceed ``MAX_BAG_TABLE_BYTES`` in total is
+    refused before any table is built.
     """
     path = Path(path)
     lines = [
@@ -550,6 +556,13 @@ def load_distribution(path: str | Path) -> DiscreteDistribution:
         raise DataFormatError(f"{path}: malformed labels directive") from None
     if not 2 <= c <= MAX_ENUMERABLE_LABELS:
         raise DataFormatError(f"{path}: labels must be in 2..{MAX_ENUMERABLE_LABELS}, got {c}")
+    n_atoms = sum(1 for _, line in lines[1:] if line.split()[0] == "atom")
+    table_bytes = n_atoms * ((1 << c) - 1) * c * 8
+    if table_bytes > MAX_BAG_TABLE_BYTES:
+        raise DataFormatError(
+            f"{path}: {n_atoms} atoms with {c} labels need {table_bytes} bytes of bag "
+            f"tables, over the limit of {MAX_BAG_TABLE_BYTES}"
+        )
     space = LabelSpace(c)
 
     atoms: list[Atom] = []
@@ -628,20 +641,21 @@ def load_distribution(path: str | Path) -> DiscreteDistribution:
 
 def theory_report(d: DiscreteDistribution, n_probes: int = 200, seed: int = 0) -> str:
     """Key=value dump of reconstructibility, alignment and advantage."""
+    return _theory_text(d, theory.advantage_report(d), n_probes, seed)
+
+
+def _theory_text(
+    d: DiscreteDistribution, report: theory.AdvantageReport, n_probes: int = 200, seed: int = 0
+) -> str:
     lines = [f"atoms={d.n_atoms} labels={d.label_space.c}"]
     lines.append(f"dist_label_aligned={str(theory.is_label_aligned_dist(d)).lower()}")
-    report = theory.advantage_report(d)
     for idx, atom in enumerate(d.atoms):
         recon = theory.is_reconstructible(atom.baggen)
         probe = theory.is_label_aligned_process(atom.baggen, n_probes=n_probes, seed=seed)
-        e = report.entries[idx]
         lines.append(
             f"atom_index={idx} reconstructible={str(recon).lower()} "
             f"process_aligned_so_far={str(probe.aligned_so_far).lower()} "
-            f"advantage={e.advantage:.12g} "
-            f"p={'' if e.p is None else format(e.p, '.12g')} "
-            f"gamma={'' if e.gamma is None else format(e.gamma, '.12g')} "
-            f"top_labels={';'.join(str(y) for y in e.top_labels)}"
+            f"{report.entries[idx].text_fields()}"
         )
     return "\n".join(lines) + "\n"
 
@@ -682,9 +696,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_theory(args: argparse.Namespace) -> int:
     d = load_distribution(args.dist)
-    sys.stdout.write(theory_report(d))
+    report = theory.advantage_report(d)
+    sys.stdout.write(_theory_text(d, report))
     if args.csv is not None:
-        theory.advantage_report(d).write_csv(args.csv)
+        report.write_csv(args.csv)
     return 0
 
 

@@ -421,11 +421,12 @@ class DiscreteDistribution:
         dims = {a.location.shape[0] for a in atoms}
         if len(dims) != 1:
             raise ValueError("atom locations must share one dimension")
+        # equal rows are adjacent in lexicographic order (-0.0 sorts and
+        # compares equal to 0.0, NaN equals nothing)
         locs = np.stack([a.location for a in atoms])
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                if np.array_equal(locs[i], locs[j]):
-                    raise ValueError("atom locations must be pairwise distinct")
+        ordered = locs[np.lexsort(locs.T[::-1])] if locs.shape[1] else locs
+        if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):
+            raise ValueError("atom locations must be pairwise distinct")
 
     @property
     def n_atoms(self) -> int:

@@ -11,11 +11,13 @@ A distribution is *label-aligned* when, at every support point, the labels
 most frequent in bags coincide with the most probable labels.  Alignment of
 a *process* is a universally quantified statement over all label
 distributions, so only a falsifier is provided: simplex vertices, edge
-midpoints and Dirichlet samples are probed for a violation.
+midpoints and then Dirichlet samples are probed for a violation, stopping
+at the first one.
 
 The *advantage* of a support point quantifies how far the leading bag
 frequencies stay ahead of the rest over growing neighborhoods; on finite
-support it is computed exactly by enumerating the distinct ball radii.
+support it is computed exactly, from one table of per-atom bag frequencies,
+by one cumulative sweep over the distinct ball radii around each atom.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -110,18 +113,35 @@ class ProcessProbe:
     counterexample: LabelDistribution | None
 
 
-def simplex_vertices(c: int) -> list[LabelDistribution]:
-    return [LabelDistribution(np.eye(c)[i]) for i in range(c)]
-
-
-def simplex_edge_midpoints(c: int) -> list[LabelDistribution]:
+def _midpoint_rows(c: int) -> list[np.ndarray]:
     out = []
     for i in range(c):
         for j in range(i + 1, c):
             probs = np.zeros(c)
             probs[i] = probs[j] = 0.5
-            out.append(LabelDistribution(probs))
+            out.append(probs)
     return out
+
+
+def simplex_vertices(c: int) -> list[LabelDistribution]:
+    return [LabelDistribution(row) for row in np.eye(c)]
+
+
+def simplex_edge_midpoints(c: int) -> list[LabelDistribution]:
+    return [LabelDistribution(row) for row in _midpoint_rows(c)]
+
+
+def _default_probe_rows(c: int, n_probes: int, seed: int) -> Iterator[np.ndarray]:
+    """Vertices, edge midpoints, then Dirichlet rows, drawn only when reached."""
+    yield from np.eye(c)
+    yield from _midpoint_rows(c)
+    draws = np.random.default_rng(seed).dirichlet(np.ones(c), size=n_probes)
+    for row in draws:
+        yield row / row.sum()
+
+
+def _violates(marginal: np.ndarray, probs: np.ndarray) -> bool:
+    return argmax_set(label_frequencies(marginal)) != argmax_set(probs)
 
 
 def is_label_aligned_process(
@@ -133,21 +153,22 @@ def is_label_aligned_process(
     """Falsify process-level alignment by probing label distributions.
 
     The default probe set is every simplex vertex, every edge midpoint, and
-    ``n_probes`` flat-Dirichlet samples.  The first violation of alignment
-    under the induced bag marginal is returned as a counterexample.
+    ``n_probes`` flat-Dirichlet samples, tested in that order as plain
+    probability rows; the samples are drawn only once the vertices and
+    midpoints pass.  The first violation of alignment under the induced bag
+    marginal is returned as a counterexample (the caller's own object when
+    ``probes`` is given).
     """
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    c = m.c
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        probes = simplex_vertices(c) + simplex_edge_midpoints(c)
-        draws = rng.dirichlet(np.ones(c), size=n_probes)
-        probes += [LabelDistribution(row / row.sum()) for row in draws]
-    for q in probes:
-        freqs = label_frequencies(m.marginal(q))
-        if argmax_set(freqs) != q.argmax_set():
-            return ProcessProbe(False, q)
+    if probes is not None:
+        for q in probes:
+            if _violates(m.marginal(q), q.probs):
+                return ProcessProbe(False, q)
+        return ProcessProbe(True, None)
+    for row in _default_probe_rows(m.c, n_probes, seed):
+        if _violates(m.entries @ row, row):
+            return ProcessProbe(False, LabelDistribution(row))
     return ProcessProbe(True, None)
 
 
@@ -165,61 +186,93 @@ class AtomAdvantage:
     p: float | None
     gamma: float | None
 
+    def text_fields(self) -> str:
+        """``advantage=.. p=.. gamma=.. top_labels=..``, as every report prints them."""
+        return (
+            f"advantage={_g12(self.advantage)} p={_g12(self.p)} gamma={_g12(self.gamma)} "
+            f"top_labels={';'.join(str(y) for y in self.top_labels)}"
+        )
+
+
+def _g12(value: float | None) -> str:
+    return "" if value is None else format(value, ".12g")
+
+
+def _frequency_table(d: DiscreteDistribution) -> np.ndarray:
+    """(A, c) per-label bag frequencies, one row per atom."""
+    return np.stack([bag_frequencies_at(d, i) for i in range(d.n_atoms)])
+
+
+def _atom_advantage(
+    atom_index: int,
+    freqs: np.ndarray,
+    masses: np.ndarray,
+    locations: np.ndarray,
+    mass_cap: float,
+) -> AtomAdvantage:
+    """One atom's advantage as one cumulative sweep over the distinct radii.
+
+    Balls centered at the atom change content only at the distinct
+    atom-to-atom distances.  Atoms are sorted by distance (stable, so ties
+    keep their index order) and ``np.cumsum`` accumulates their masses and
+    mass-weighted frequencies in that order, the same sequential additions as
+    adding one atom at a time; indexing the sums at the last atom of each
+    radius gives every prefix ball.  gamma at a level is the running minimum
+    of the lead of the top labels over the rest, and the witness is the first
+    level with the largest ``p * gamma**2``.  Levels past the first ball of
+    mass ``mass_cap`` need no exclusion: their p is ``mass_cap`` too and their
+    gamma is no larger, so they never beat it and ``argmax`` keeps the first.
+    """
+    c = freqs.shape[1]
+    top = argmax_set(freqs[atom_index])
+    top_sorted = tuple(sorted(top))
+    if len(top) == c:
+        return AtomAdvantage(atom_index, top_sorted, 1.0, None, None)
+
+    sqd = ((locations - locations[atom_index][None, :]) ** 2).sum(axis=1)
+    order = np.argsort(sqd, kind="stable")
+    sorted_d = sqd[order]
+    ends = np.append(np.flatnonzero(np.diff(sorted_d) > 0), len(order) - 1)
+    cum_mass = np.cumsum(masses[order])[ends]
+    weighted = np.cumsum(masses[order, None] * freqs[order], axis=0)[ends]
+    ball_freqs = weighted / cum_mass[:, None]
+
+    top_idx = np.array(top_sorted) - 1
+    rest_idx = np.array([y - 1 for y in range(1, c + 1) if y not in top])
+    margins = ball_freqs[:, top_idx].min(axis=1) - ball_freqs[:, rest_idx].max(axis=1)
+    gamma = np.maximum(np.minimum.accumulate(margins), 0.0)
+    p_level = np.minimum(cum_mass, mass_cap)
+    values = p_level * gamma * gamma
+    best = int(np.argmax(values))
+    if not values[best] > 0.0:
+        return AtomAdvantage(
+            atom_index, top_sorted, 0.0, float(min(masses[atom_index], mass_cap)), 0.0
+        )
+    return AtomAdvantage(
+        atom_index, top_sorted, float(values[best]), float(p_level[best]), float(gamma[best])
+    )
+
+
+def _check_mass_cap(mass_cap: float) -> None:
+    if not 0.0 < mass_cap <= 1.0:
+        raise ValueError(f"mass_cap must be in (0, 1], got {mass_cap}")
+
 
 def advantage(
     d: DiscreteDistribution, atom_index: int, mass_cap: float = 1.0
 ) -> AtomAdvantage:
     """Exact advantage of an atom by enumeration of prefix balls.
 
-    Balls centered at the atom change content only at the distinct
-    atom-to-atom distances, so each prefix ball is scored once: gamma at
-    mass level p is the smallest lead of the top bag-frequency labels over
-    all other labels across every ball of mass up to p, and the advantage is
-    the best ``p * gamma**2`` over levels p up to ``mass_cap``.
+    gamma at mass level p is the smallest lead of the top bag-frequency
+    labels over all other labels across every ball of mass up to p, and the
+    advantage is the best ``p * gamma**2`` over levels p up to ``mass_cap``.
+    For every atom at once, :func:`advantage_report` shares the frequency
+    table instead of rebuilding it per atom.
     """
     if not 0 <= atom_index < d.n_atoms:
         raise IndexError(f"atom index {atom_index} out of range")
-    if not 0.0 < mass_cap <= 1.0:
-        raise ValueError(f"mass_cap must be in (0, 1], got {mass_cap}")
-    c = d.label_space.c
-    freqs = np.stack([bag_frequencies_at(d, i) for i in range(d.n_atoms)])
-    here = freqs[atom_index]
-    top = argmax_set(here)
-    top_sorted = tuple(sorted(top))
-    if len(top) == c:
-        return AtomAdvantage(atom_index, top_sorted, 1.0, None, None)
-
-    masses = d.masses()
-    sqd = ((d.locations() - d.atoms[atom_index].location[None, :]) ** 2).sum(axis=1)
-    order = np.argsort(sqd, kind="stable")
-    sorted_d = sqd[order]
-    boundaries = np.flatnonzero(np.diff(sorted_d) > 0)
-    prefix_ends = np.append(boundaries + 1, len(order))
-
-    top_idx = np.array(sorted(top)) - 1
-    rest_idx = np.array([y - 1 for y in range(1, c + 1) if y not in top])
-    cum_mass = 0.0
-    weighted = np.zeros(c)
-    best_val, best_p, best_gamma = 0.0, float(min(masses[atom_index], mass_cap)), 0.0
-    running_gamma = np.inf
-    prev_mass = 0.0
-    start = 0
-    for end in prefix_ends:
-        for i in order[start:end]:
-            cum_mass += float(masses[i])
-            weighted += masses[i] * freqs[i]
-        start = end
-        ball_freqs = weighted / cum_mass
-        margin = float(ball_freqs[top_idx].min() - ball_freqs[rest_idx].max())
-        running_gamma = min(running_gamma, margin)
-        if prev_mass < mass_cap:
-            p_level = min(cum_mass, mass_cap)
-            gamma = max(running_gamma, 0.0)
-            val = p_level * gamma * gamma
-            if val > best_val:
-                best_val, best_p, best_gamma = val, p_level, gamma
-        prev_mass = cum_mass
-    return AtomAdvantage(atom_index, top_sorted, best_val, best_p, best_gamma)
+    _check_mass_cap(mass_cap)
+    return _atom_advantage(atom_index, _frequency_table(d), d.masses(), d.locations(), mass_cap)
 
 
 @dataclass(frozen=True)
@@ -229,33 +282,23 @@ class AdvantageReport:
     entries: tuple[AtomAdvantage, ...]
 
     def to_text(self) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(
-                f"atom_index={e.atom_index} advantage={e.advantage:.12g} "
-                f"p={'' if e.p is None else format(e.p, '.12g')} "
-                f"gamma={'' if e.gamma is None else format(e.gamma, '.12g')} "
-                f"top_labels={';'.join(str(y) for y in e.top_labels)}"
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"atom_index={e.atom_index} {e.text_fields()}" for e in self.entries) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["atom_index", "advantage", "p", "gamma"])
             for e in self.entries:
-                writer.writerow(
-                    [
-                        e.atom_index,
-                        format(e.advantage, ".12g"),
-                        "" if e.p is None else format(e.p, ".12g"),
-                        "" if e.gamma is None else format(e.gamma, ".12g"),
-                    ]
-                )
+                writer.writerow([e.atom_index, _g12(e.advantage), _g12(e.p), _g12(e.gamma)])
 
 
 def advantage_report(d: DiscreteDistribution, mass_cap: float = 1.0) -> AdvantageReport:
-    return AdvantageReport(tuple(advantage(d, i, mass_cap) for i in range(d.n_atoms)))
+    """:func:`advantage` of every atom, from one frequency table."""
+    _check_mass_cap(mass_cap)
+    freqs, masses, locations = _frequency_table(d), d.masses(), d.locations()
+    return AdvantageReport(
+        tuple(_atom_advantage(i, freqs, masses, locations, mass_cap) for i in range(d.n_atoms))
+    )
 
 
 @dataclass(frozen=True)

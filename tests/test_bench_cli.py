@@ -1,8 +1,10 @@
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from plbag import bench_cli
 from plbag.bench_cli import (
     ConfigError,
     ExperimentConfig,
@@ -389,6 +391,31 @@ class TestLoaderBoundary:
         dist.write_text(f"labels {c}\natom\nlocation 0\nmass 1\nbagdefault identity\n")
         code, err = self._main(capsys, ["theory", "--dist", str(dist)])
         assert code == 3 and f"got {c}" in err
+
+    def test_distribution_bag_tables_bounded(self, tmp_path, capsys):
+        # 100 atoms with 12 labels would hold 39 MB of (4095, 12) bag tables
+        # from a 7 KB file; it is refused before the first table is built
+        block = "atom\nlocation {i}\nmass 0.01\nprobs 1 0 0 0 0 0 0 0 0 0 0 0\nbagdefault identity\n"
+        dist = tmp_path / "dist.txt"
+        dist.write_text("labels 12\n" + "".join(block.format(i=i) for i in range(100)))
+        tracemalloc.start()
+        try:
+            code, err = self._main(capsys, ["theory", "--dist", str(dist)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and "39312000 bytes of bag tables" in err
+        assert peak < 1_000_000
+
+    def test_distribution_bag_table_limit_is_inclusive(self, tmp_path, monkeypatch):
+        atom = MISALIGNED_DIST[MISALIGNED_DIST.index("atom") :].replace("mass 1.0", "mass 0.5")
+        dist = tmp_path / "dist.txt"
+        dist.write_text("labels 3\n" + atom + atom.replace("location 0.0", "location 1.0"))
+        monkeypatch.setattr(bench_cli, "MAX_BAG_TABLE_BYTES", 2 * 7 * 3 * 8)
+        assert load_distribution(dist).n_atoms == 2
+        monkeypatch.setattr(bench_cli, "MAX_BAG_TABLE_BYTES", 2 * 7 * 3 * 8 - 1)
+        with pytest.raises(DataFormatError, match="2 atoms with 3 labels need 336 bytes"):
+            load_distribution(dist)
 
     def test_dataset_label_above_limit(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"

@@ -253,6 +253,42 @@ class TestDistributionInvariants:
         assert bayes_rule(d) == bayes_rule(d2)
 
 
+class TestDistinctLocations:
+    @staticmethod
+    def _dist(locations) -> DiscreteDistribution:
+        m = BagGenMatrix.identity(2)
+        mass = 1.0 / len(locations)
+        return DiscreteDistribution(
+            tuple(
+                Atom(np.array(loc, dtype=float), mass, LabelDistribution(np.array([0.5, 0.5])), m)
+                for loc in locations
+            ),
+            LabelSpace(2),
+        )
+
+    def test_duplicate_far_apart_in_input_order(self):
+        # an 8 x 8 grid with one point repeated at both ends of the input; the
+        # seven other points that share its x (or y) lie between the copies
+        grid = [(float(i), float(j)) for i in range(8) for j in range(8)]
+        assert self._dist(grid).n_atoms == 64
+        dup = (3.0, 4.0)
+        rest = [grid[k] for k in np.random.default_rng(5).permutation(64) if grid[k] != dup]
+        with pytest.raises(ValueError, match="atom locations must be pairwise distinct"):
+            self._dist([dup] + rest + [dup])
+
+    def test_signed_zero_is_a_duplicate(self):
+        with pytest.raises(ValueError, match="atom locations must be pairwise distinct"):
+            self._dist([(0.0, 1.0), (3.0, 0.0), (-0.0, 1.0)])
+
+    def test_shared_coordinates_are_not_duplicates(self):
+        d = self._dist([(1.0, 2.0, 3.0), (1.0, 2.0, -3.0), (1.0, -2.0, 3.0), (-1.0, 2.0, 3.0)])
+        assert d.n_atoms == 4
+
+    def test_nan_rows_are_not_duplicates(self):
+        # NaN compares unequal to itself, as in np.array_equal
+        assert self._dist([(np.nan, 1.0), (np.nan, 1.0)]).n_atoms == 2
+
+
 class TestPartialDataset:
     def test_from_examples(self):
         examples = [

@@ -16,6 +16,9 @@ from plbag.core import (
     label_frequencies,
 )
 from plbag.theory import (
+    AdvantageReport,
+    AtomAdvantage,
+    ProcessProbe,
     RelaxedSpec,
     advantage,
     advantage_report,
@@ -43,6 +46,159 @@ def mixed_identity_full(c: int, w: float = 0.9) -> BagGenMatrix:
     """Singleton of the truth with probability w, else the full set."""
     entries = w * BagGenMatrix.identity(c).entries + (1 - w) * BagGenMatrix.constant_full(c).entries
     return BagGenMatrix(entries)
+
+
+def advantage_loop_oracle(
+    d: DiscreteDistribution, atom_index: int, mass_cap: float = 1.0
+) -> AtomAdvantage:
+    """The prefix-ball loop that ``theory.advantage`` ran before its sweep.
+
+    Restacks every atom's frequencies, then adds one atom at a time in
+    stable distance order and scores each distinct radius with Python floats.
+    The sweep must return equal entries.
+    """
+    c = d.label_space.c
+    freqs = np.stack([bag_frequencies_at(d, i) for i in range(d.n_atoms)])
+    here = freqs[atom_index]
+    top = argmax_set(here)
+    top_sorted = tuple(sorted(top))
+    if len(top) == c:
+        return AtomAdvantage(atom_index, top_sorted, 1.0, None, None)
+
+    masses = d.masses()
+    sqd = ((d.locations() - d.atoms[atom_index].location[None, :]) ** 2).sum(axis=1)
+    order = np.argsort(sqd, kind="stable")
+    sorted_d = sqd[order]
+    boundaries = np.flatnonzero(np.diff(sorted_d) > 0)
+    prefix_ends = np.append(boundaries + 1, len(order))
+
+    top_idx = np.array(sorted(top)) - 1
+    rest_idx = np.array([y - 1 for y in range(1, c + 1) if y not in top])
+    cum_mass = 0.0
+    weighted = np.zeros(c)
+    best_val, best_p, best_gamma = 0.0, float(min(masses[atom_index], mass_cap)), 0.0
+    running_gamma = np.inf
+    prev_mass = 0.0
+    start = 0
+    for end in prefix_ends:
+        for i in order[start:end]:
+            cum_mass += float(masses[i])
+            weighted += masses[i] * freqs[i]
+        start = end
+        ball_freqs = weighted / cum_mass
+        margin = float(ball_freqs[top_idx].min() - ball_freqs[rest_idx].max())
+        running_gamma = min(running_gamma, margin)
+        if prev_mass < mass_cap:
+            p_level = min(cum_mass, mass_cap)
+            gamma = max(running_gamma, 0.0)
+            val = p_level * gamma * gamma
+            if val > best_val:
+                best_val, best_p, best_gamma = val, p_level, gamma
+        prev_mass = cum_mass
+    return AtomAdvantage(atom_index, top_sorted, best_val, best_p, best_gamma)
+
+
+def probe_oracle(
+    m: BagGenMatrix,
+    n_probes: int = 1000,
+    seed: int = 0,
+    probes: list[LabelDistribution] | None = None,
+) -> ProcessProbe:
+    """``is_label_aligned_process`` as it was before its probes became lazy
+    rows: every default probe is a validated ``LabelDistribution``, built up
+    front (the Dirichlet rows included), then tested in order."""
+    c = m.c
+    if probes is None:
+        rng = np.random.default_rng(seed)
+        probes = [LabelDistribution(np.eye(c)[i]) for i in range(c)]
+        for i in range(c):
+            for j in range(i + 1, c):
+                probs = np.zeros(c)
+                probs[i] = probs[j] = 0.5
+                probes.append(LabelDistribution(probs))
+        draws = rng.dirichlet(np.ones(c), size=n_probes)
+        probes += [LabelDistribution(row / row.sum()) for row in draws]
+    for q in probes:
+        freqs = label_frequencies(m.marginal(q))
+        if argmax_set(freqs) != q.argmax_set():
+            return ProcessProbe(False, q)
+    return ProcessProbe(True, None)
+
+
+def to_text_oracle(entries) -> str:
+    """``AdvantageReport.to_text`` as it formatted each entry before the
+    per-entry fields were shared with ``bench theory``."""
+    lines = []
+    for e in entries:
+        lines.append(
+            f"atom_index={e.atom_index} advantage={e.advantage:.12g} "
+            f"p={'' if e.p is None else format(e.p, '.12g')} "
+            f"gamma={'' if e.gamma is None else format(e.gamma, '.12g')} "
+            f"top_labels={';'.join(str(y) for y in e.top_labels)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def symmetric_inclusion(rng: np.random.Generator, c: int) -> BagGenMatrix:
+    """Inclusion process with q[i, j] == q[j, i]: at every edge midpoint the
+    two labels tie in bag frequency, so vertices and midpoints pass and only
+    interior probes can falsify alignment."""
+    q = np.triu(rng.uniform(0.0, 0.45, size=(c, c)), 1)
+    return BagGenMatrix.independent_inclusion(q + q.T + np.eye(c))
+
+
+def mixed_process(rng: np.random.Generator, c: int) -> BagGenMatrix:
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return BagGenMatrix.identity(c)
+    if kind == 1:
+        return mixed_identity_full(c, float(rng.uniform(0.3, 1.0)))
+    if kind == 2:
+        return symmetric_inclusion(rng, c)
+    if kind == 3:
+        return BagGenMatrix.permutation([int(y) for y in rng.permutation(c) + 1])
+    return random_baggen(rng, c)
+
+
+def tie_heavy_distribution(
+    rng: np.random.Generator, n_atoms: int, c: int, grid: bool
+) -> DiscreteDistribution:
+    """Atoms at distinct integer-grid points (many equal distances) or
+    Gaussian points, with uniform label distributions under the identity
+    process (every label ties) and equal-mass mirror pairs whose pooled
+    frequencies tie exactly (zero margins) mixed in."""
+    dim = int(rng.integers(1, 4))
+    if grid:
+        side = max(2, int(np.ceil(n_atoms ** (1.0 / dim))) + 1)
+        cells = rng.choice(side**dim, size=n_atoms, replace=False)
+        locations = np.stack(np.unravel_index(cells, (side,) * dim), axis=1).astype(float)
+    else:
+        locations = rng.normal(size=(n_atoms, dim))
+    masses = rng.dirichlet(np.ones(n_atoms))
+    dists, processes = [], []
+    i = 0
+    while i < n_atoms:
+        kind = int(rng.integers(4))
+        if kind == 0:
+            dists.append(LabelDistribution(np.full(c, 1.0 / c)))
+            processes.append(BagGenMatrix.identity(c))
+        elif kind == 1 and i + 1 < n_atoms:
+            probs = rng.dirichlet(np.ones(c))
+            swapped = probs.copy()
+            swapped[[0, 1]] = swapped[[1, 0]]
+            dists += [LabelDistribution(probs), LabelDistribution(swapped)]
+            processes += [BagGenMatrix.identity(c)] * 2
+            masses[i + 1] = masses[i]
+            i += 1
+        else:
+            dists.append(random_label_dist(rng, c))
+            processes.append(mixed_process(rng, c))
+        i += 1
+    masses /= masses.sum()
+    atoms = tuple(
+        Atom(locations[k], float(masses[k]), dists[k], processes[k]) for k in range(n_atoms)
+    )
+    return DiscreteDistribution(atoms, LabelSpace(c))
 
 
 def advantage_oracle(d: DiscreteDistribution, atom_index: int, mass_cap: float = 1.0) -> float:
@@ -246,6 +402,181 @@ class TestAdvantage:
             rows = list(csv.reader(fh))
         assert rows[0] == ["atom_index", "advantage", "p", "gamma"]
         assert len(rows) == 5
+
+
+class TestAdvantageSweep:
+    """The cumulative sweep against the loop it replaced: equal entries and
+    equal report bytes, not approximately equal numbers."""
+
+    def test_random_distributions_match_loop(self):
+        rng = np.random.default_rng(67)
+        full_ties = deeper = capped = 0
+        for trial in range(72):
+            c = int(rng.integers(2, 7))
+            n_atoms = int(rng.integers(1, 15))
+            d = tie_heavy_distribution(rng, n_atoms, c, grid=trial % 4 != 0)
+            cap = (1.0, float(rng.uniform(0.05, 1.0)), 1e-3)[trial % 3]
+            expected = tuple(advantage_loop_oracle(d, i, cap) for i in range(n_atoms))
+            report = advantage_report(d, cap)
+            assert report.entries == expected
+            assert report.to_text().encode() == to_text_oracle(expected).encode()
+            i = int(rng.integers(n_atoms))
+            assert advantage(d, i, cap) == expected[i]
+            masses = d.masses()
+            for e in expected:
+                full_ties += e.p is None
+                deeper += e.p is not None and e.p > masses[e.atom_index]
+                capped += e.p is not None and e.p == cap < masses[e.atom_index]
+        # the cases the sweep could get wrong were exercised, not vacuous
+        assert full_ties >= 10 and deeper >= 10 and capped >= 5
+
+    def test_equal_distances_enter_one_ball(self):
+        # from the center, four atoms sit at distance 1 and four at sqrt(2);
+        # each radius must be scored once, with all of its atoms inside
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            c = int(rng.integers(2, 7))
+            locations = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+            masses = rng.dirichlet(np.ones(9))
+            atoms = tuple(
+                Atom(np.array(loc), float(m), random_label_dist(rng, c), mixed_process(rng, c))
+                for loc, m in zip(locations, masses)
+            )
+            d = DiscreteDistribution(atoms, LabelSpace(c))
+            for cap in (1.0, float(rng.uniform(0.05, 0.6))):
+                assert advantage_report(d, cap).entries == tuple(
+                    advantage_loop_oracle(d, i, cap) for i in range(9)
+                )
+
+    def test_zero_margin_ball(self):
+        # equal masses with swapped label probabilities: the pooled ball ties
+        # exactly, so gamma drops to 0 there and the witness is the atom alone
+        m = BagGenMatrix.identity(2)
+        atoms = (
+            Atom(np.array([0.0]), 0.5, LabelDistribution(np.array([0.7, 0.3])), m),
+            Atom(np.array([1.0]), 0.5, LabelDistribution(np.array([0.3, 0.7])), m),
+        )
+        d = DiscreteDistribution(atoms, LabelSpace(2))
+        entry = advantage(d, 0)
+        assert entry == advantage_loop_oracle(d, 0)
+        assert entry.p == 0.5 and entry.gamma == float(np.float64(0.7) - np.float64(0.3))
+
+    def test_equal_values_keep_the_first_level(self):
+        # dyadic numbers: the atom alone scores (1/64) * (18/64)**2 and the
+        # pooled ball 1 * (9/256)**2, the same float; the first level wins
+        m = BagGenMatrix.identity(2)
+        atoms = (
+            Atom(np.array([0.0]), 1 / 64, LabelDistribution(np.array([41 / 64, 23 / 64])), m),
+            Atom(np.array([1.0]), 63 / 64, LabelDistribution(np.array([33 / 64, 31 / 64])), m),
+        )
+        d = DiscreteDistribution(atoms, LabelSpace(2))
+        entry = advantage(d, 0)
+        assert entry == advantage_loop_oracle(d, 0)
+        assert entry == AtomAdvantage(0, (1,), 81 / 65536, 1 / 64, 18 / 64)
+
+    def test_no_positive_level_falls_back(self):
+        # labels 1 and 3 tie within PROB_TOL, label 2 sits one ulp below
+        # label 3; at mass m the ball frequencies (m * f) / m round the two
+        # onto one value, so the only open level (mass_cap = m) scores 0
+        x = 0.3 - 1e-9
+        y = float(np.nextafter(x, 0.0))
+        probs = np.array([0.3, y, x, 1.0 - 0.3 - x - y])
+        mass = next(
+            m for m in np.linspace(0.8, 0.95, 151) if (m * x) / m == (m * y) / m
+        )
+        ident = BagGenMatrix.identity(4)
+        atoms = (
+            Atom(np.array([0.0]), float(mass), LabelDistribution(probs), ident),
+            Atom(np.array([1.0]), float(1.0 - mass), random_label_dist(np.random.default_rng(0), 4), ident),
+        )
+        d = DiscreteDistribution(atoms, LabelSpace(4))
+        entry = advantage(d, 0, mass_cap=float(mass))
+        assert entry == advantage_loop_oracle(d, 0, float(mass))
+        assert entry == AtomAdvantage(0, (1, 3), 0.0, float(mass), 0.0)
+
+    def test_argument_checks(self):
+        d = aligned_point_dist()
+        with pytest.raises(IndexError):
+            advantage(d, 1)
+        for cap in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                advantage(d, 0, mass_cap=cap)
+            with pytest.raises(ValueError):
+                advantage_report(d, mass_cap=cap)
+
+
+class TestProbesAgainstOracle:
+    """Lazy probe rows against the up-front ``LabelDistribution`` probes:
+    the same verdict and the same counterexample bytes."""
+
+    @staticmethod
+    def _where(probe: ProcessProbe) -> str:
+        if probe.aligned_so_far:
+            return "aligned"
+        top = probe.counterexample.probs.max()
+        return "vertex" if top == 1.0 else "midpoint" if top == 0.5 else "dirichlet"
+
+    def test_random_processes_match_oracle(self):
+        rng = np.random.default_rng(73)
+        seen = {"aligned": 0, "vertex": 0, "midpoint": 0, "dirichlet": 0}
+        for trial in range(240):
+            c = int(rng.integers(2, 7))
+            m = deficient_baggen(rng, c) if trial % 7 == 0 else mixed_process(rng, c)
+            n_probes = int(rng.choice([1, 5, 60, 300]))
+            seed = int(rng.integers(1000))
+            got = is_label_aligned_process(m, n_probes=n_probes, seed=seed)
+            want = probe_oracle(m, n_probes=n_probes, seed=seed)
+            assert got.aligned_so_far == want.aligned_so_far
+            if want.counterexample is None:
+                assert got.counterexample is None
+            else:
+                assert got.counterexample.probs.tobytes() == want.counterexample.probs.tobytes()
+            seen[self._where(want)] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_midpoint_failure(self):
+        # inclusion with q[1, 2] != q[2, 1]: both vertices pass, the midpoint
+        # does not
+        m = BagGenMatrix.independent_inclusion(np.array([[1.0, 2 / 3], [0.0, 1.0]]))
+        probe = is_label_aligned_process(m, n_probes=100)
+        want = probe_oracle(m, n_probes=100)
+        assert probe.counterexample.probs.tobytes() == want.counterexample.probs.tobytes()
+        assert self._where(probe) == "midpoint"
+
+    def test_caller_probes_come_back_as_given(self):
+        rng = np.random.default_rng(79)
+        returned = 0
+        for _ in range(40):
+            c = int(rng.integers(2, 7))
+            m = mixed_process(rng, c)
+            probes = [random_label_dist(rng, c) for _ in range(int(rng.integers(1, 30)))]
+            got = is_label_aligned_process(m, probes=probes)
+            want = probe_oracle(m, probes=probes)
+            assert got.aligned_so_far == want.aligned_so_far
+            assert got.counterexample is want.counterexample
+            if got.counterexample is not None:
+                assert any(got.counterexample is q for q in probes)
+                returned += 1
+        assert returned >= 5
+
+    def test_caller_probes_must_match_c(self):
+        with pytest.raises(ValueError, match="disagree on c"):
+            is_label_aligned_process(BagGenMatrix.identity(3), probes=simplex_vertices(2))
+
+    def test_dirichlet_rows_drawn_only_when_reached(self, monkeypatch):
+        # a vertex fails first, so the generator is never asked for samples
+        calls = []
+        original = np.random.default_rng
+
+        def counting_rng(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        probe = is_label_aligned_process(BagGenMatrix.permutation([2, 1, 3]), n_probes=500)
+        assert not probe.aligned_so_far and calls == []
+        assert is_label_aligned_process(BagGenMatrix.identity(3), n_probes=5).aligned_so_far
+        assert len(calls) == 1
 
 
 class TestRelaxed:

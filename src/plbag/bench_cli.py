@@ -8,10 +8,15 @@ points with each configured method, and writes ``results.csv`` plus
 for a serialized finite-support distribution.
 
 Config files are flat ``key = value`` text with sections ``[experiment]``,
-``[plaknn]``, ``[synth]`` and ``[pipeline]``; unknown sections or keys are
-errors.  The meaning of the noise grid depends on the data source: for CSV
-datasets each level is the truth-removal rate, for synthetic scenarios it
-is the anchor-corruption probability used during bag generation.
+``[plaknn]``, ``[synth]`` and ``[pipeline]``.  A section's keys are the
+fields of its dataclass (``ExperimentConfig`` without its three section
+fields, ``PlaknnConfig``, ``SynthBagConfig``, ``PipelineConfig``), converted
+by their annotations; unknown sections or keys are errors.  The pipeline's
+``variant`` (``none``, ``vision`` or ``realworld``) picks its defaults.
+
+The meaning of the noise grid depends on the data source: for CSV datasets
+each level is the truth-removal rate, for synthetic scenarios it is the
+anchor-corruption probability used during bag generation.
 
 Every stochastic choice of repetition r flows from seed ``base_seed + r``,
 so reruns of the same config produce byte-identical CSV files (wall-clock
@@ -25,7 +30,7 @@ import csv
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -353,25 +358,6 @@ def emit(result: RunResult, out_dir: str | Path, timings: bool = False) -> None:
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-_SECTION_KEYS = {
-    "experiment": {
-        "scenario",
-        "dataset",
-        "methods",
-        "fixed_k",
-        "noise_grid",
-        "train_fraction",
-        "repetitions",
-        "base_seed",
-        "n_samples",
-        "timings",
-    },
-    "plaknn": {"c1", "delta", "T", "mode", "d0"},
-    "synth": {"n_clusters", "alpha_max", "noise_nu", "seed"},
-    "pipeline": {"variant", "smoothing_alpha", "smoothing_k", "density_k"},
-}
-
-
 def _read_text(path: Path, error: type[ValueError]) -> str:
     """The file's text; bytes that do not decode raise ``error``."""
     try:
@@ -381,7 +367,7 @@ def _read_text(path: Path, error: type[ValueError]) -> str:
 
 
 def _parse_sections(path: Path) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {}
+    sections: dict[str, dict[str, str]] = {name: {} for name in _SECTION_FIELDS}
     current: str | None = None
     for lineno, raw in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
         line = raw.strip()
@@ -389,9 +375,8 @@ def _parse_sections(path: Path) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SECTION_KEYS:
+            if current not in _SECTION_FIELDS:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -399,7 +384,7 @@ def _parse_sections(path: Path) -> dict[str, dict[str, str]]:
             raise ConfigError(f"{path}:{lineno}: key outside any section")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SECTION_KEYS[current]:
+        if key not in _SECTION_FIELDS[current]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -430,94 +415,73 @@ def _to_int(value: str, key: str) -> int:
         raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
 
 
+def _to_str(value: str, key: str) -> str:
+    return value
+
+
+def _to_tuple(item):
+    """Comma-separated items; empty ones are dropped."""
+    return lambda value, key: tuple(item(v.strip(), key) for v in value.split(",") if v.strip())
+
+
+# Converters keyed by field annotation (a string under postponed evaluation).
+_CONVERTERS = {
+    "int": _to_int, "int | None": _to_int, "float": _to_float, "bool": _to_bool,
+    "str": _to_str, "str | None": _to_str,
+    "tuple[str, ...]": _to_tuple(_to_str), "tuple[float, ...]": _to_tuple(_to_float),
+}
+
+_SECTION_CLASSES = {"experiment": ExperimentConfig, "plaknn": PlaknnConfig,
+                    "synth": SynthBagConfig, "pipeline": preprocess.PipelineConfig}
+
+# section -> {key: converter} in field-declaration order; the experiment
+# fields that hold the other sections are not keys
+_SECTION_FIELDS = {
+    section: {f.name: _CONVERTERS[f.type] for f in fields(cls) if f.name not in _SECTION_CLASSES}
+    for section, cls in _SECTION_CLASSES.items()
+}
+
+_PIPELINE_VARIANTS = {
+    "vision": preprocess.PipelineConfig.vision,
+    "realworld": preprocess.PipelineConfig.realworld,
+}
+
+
+def _build(section: str, factory, values: dict[str, str]):
+    """``factory`` called on the values converted in field-declaration order;
+    its ValueError names the section."""
+    keys = _SECTION_FIELDS[section]
+    kwargs = {key: convert(values[key], key) for key, convert in keys.items() if key in values}
+    try:
+        return factory(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"section [{section}]: {exc}") from exc
+
+
+def _pipeline(variant: str, **overrides) -> preprocess.PipelineConfig:
+    """The named variant's defaults with the given overrides."""
+    if variant not in _PIPELINE_VARIANTS:
+        raise ValueError(f"unknown pipeline variant {variant!r}")
+    return _PIPELINE_VARIANTS[variant](**overrides)
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse a config file into an :class:`ExperimentConfig`."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     sections = _parse_sections(path)
-
-    exp = sections.get("experiment", {})
-    kwargs: dict = {}
-    if "scenario" in exp:
-        kwargs["scenario"] = exp["scenario"]
-    if "dataset" in exp:
-        kwargs["dataset"] = exp["dataset"]
-    if "methods" in exp:
-        kwargs["methods"] = tuple(m.strip() for m in exp["methods"].split(",") if m.strip())
-    if "fixed_k" in exp:
-        kwargs["fixed_k"] = _to_int(exp["fixed_k"], "fixed_k")
-    if "noise_grid" in exp:
-        kwargs["noise_grid"] = tuple(
-            _to_float(v.strip(), "noise_grid") for v in exp["noise_grid"].split(",") if v.strip()
-        )
-    if "train_fraction" in exp:
-        kwargs["train_fraction"] = _to_float(exp["train_fraction"], "train_fraction")
-    if "repetitions" in exp:
-        kwargs["repetitions"] = _to_int(exp["repetitions"], "repetitions")
-    if "base_seed" in exp:
-        kwargs["base_seed"] = _to_int(exp["base_seed"], "base_seed")
-    if "n_samples" in exp:
-        kwargs["n_samples"] = _to_int(exp["n_samples"], "n_samples")
-    if "timings" in exp:
-        kwargs["timings"] = _to_bool(exp["timings"], "timings")
-
-    pl = sections.get("plaknn", {})
-    plaknn_kwargs: dict = {}
-    if "c1" in pl:
-        plaknn_kwargs["c1"] = _to_float(pl["c1"], "c1")
-    if "delta" in pl:
-        plaknn_kwargs["delta"] = _to_float(pl["delta"], "delta")
-    if "T" in pl:
-        plaknn_kwargs["T"] = _to_int(pl["T"], "T")
-    if "mode" in pl:
-        plaknn_kwargs["mode"] = pl["mode"]
-    if "d0" in pl:
-        plaknn_kwargs["d0"] = _to_int(pl["d0"], "d0")
-    try:
-        kwargs["plaknn"] = PlaknnConfig(**plaknn_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"section [plaknn]: {exc}") from exc
-
-    sy = sections.get("synth", {})
-    synth_kwargs: dict = {}
-    if "n_clusters" in sy:
-        synth_kwargs["n_clusters"] = _to_int(sy["n_clusters"], "n_clusters")
-    if "alpha_max" in sy:
-        synth_kwargs["alpha_max"] = _to_float(sy["alpha_max"], "alpha_max")
-    if "noise_nu" in sy:
-        synth_kwargs["noise_nu"] = _to_float(sy["noise_nu"], "noise_nu")
-    if "seed" in sy:
-        synth_kwargs["seed"] = _to_int(sy["seed"], "seed")
-    try:
-        kwargs["synth"] = SynthBagConfig(**synth_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"section [synth]: {exc}") from exc
-
-    pipe = sections.get("pipeline", {})
-    variant = pipe.get("variant", "none")
-    if variant == "none":
+    # the experiment values are converted first and validated last
+    kwargs = _build("experiment", dict, sections["experiment"])
+    kwargs["plaknn"] = _build("plaknn", PlaknnConfig, sections["plaknn"])
+    kwargs["synth"] = _build("synth", SynthBagConfig, sections["synth"])
+    pipe = sections["pipeline"]
+    if pipe.get("variant", "none") == "none":
         if set(pipe) - {"variant"}:
             raise ConfigError("pipeline keys given but variant is 'none'")
         kwargs["pipeline"] = None
     else:
-        overrides: dict = {}
-        if "smoothing_alpha" in pipe:
-            overrides["smoothing_alpha"] = _to_float(pipe["smoothing_alpha"], "smoothing_alpha")
-        if "smoothing_k" in pipe:
-            overrides["smoothing_k"] = _to_int(pipe["smoothing_k"], "smoothing_k")
-        if "density_k" in pipe:
-            overrides["density_k"] = _to_int(pipe["density_k"], "density_k")
-        try:
-            if variant == "vision":
-                kwargs["pipeline"] = preprocess.PipelineConfig.vision(**overrides)
-            elif variant == "realworld":
-                kwargs["pipeline"] = preprocess.PipelineConfig.realworld(**overrides)
-            else:
-                raise ConfigError(f"unknown pipeline variant {variant!r}")
-        except ValueError as exc:
-            raise ConfigError(f"section [pipeline]: {exc}") from exc
-
+        kwargs["pipeline"] = _build("pipeline", _pipeline, pipe)
     return ExperimentConfig(**kwargs)
 
 

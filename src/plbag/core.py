@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
@@ -129,9 +130,13 @@ def canonical_bag_masks(c: int) -> np.ndarray:
     return np.arange(1, (1 << c), dtype=np.uint64)
 
 
+@functools.cache
 def bag_membership_matrix(c: int) -> np.ndarray:
-    """Boolean matrix of shape (2^c - 1, c): row j marks the labels in mask j+1."""
-    return masks_to_membership(canonical_bag_masks(c), c)
+    """Boolean matrix of shape (2^c - 1, c): row j marks the labels in mask j+1.
+
+    Built once per c and returned read-only.
+    """
+    return _freeze(masks_to_membership(canonical_bag_masks(c), c))
 
 
 def masks_to_membership(masks: np.ndarray, c: int) -> np.ndarray:
@@ -255,6 +260,8 @@ class LabelDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or probs.shape[0] < 2:
             raise ValueError("label distribution needs at least two entries")
+        if not np.isfinite(probs).all():
+            raise ValueError("label probabilities must be finite")
         if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
             raise ValueError("label probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > PROB_TOL:
@@ -299,6 +306,8 @@ class BagGenMatrix:
             raise ValueError(
                 f"expected {(1 << c) - 1} bag rows for c={c}, got {n_bags}"
             )
+        if not np.isfinite(entries).all():
+            raise ValueError("bag probabilities must be finite")
         if np.any(entries < -1e-12) or np.any(entries > 1.0 + 1e-12):
             raise ValueError("bag probabilities must lie in [0, 1]")
         col_sums = entries.sum(axis=0)
@@ -364,16 +373,6 @@ class BagGenMatrix:
             entries[:, i] = inc.prod(axis=1)
         return cls(entries)
 
-    @classmethod
-    def from_rows(cls, c: int, rows: dict[int, Sequence[float]]) -> "BagGenMatrix":
-        """Build from sparse rows keyed by bag mask; missing rows are zero."""
-        entries = np.zeros(((1 << c) - 1, c))
-        for mask, row in rows.items():
-            if not 1 <= mask <= (1 << c) - 1:
-                raise ValueError(f"bag mask {mask} outside 1..{(1 << c) - 1}")
-            entries[mask - 1, :] = np.asarray(row, dtype=np.float64)
-        return cls(entries)
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -388,6 +387,8 @@ class Atom:
         loc = np.asarray(self.location, dtype=np.float64)
         if loc.ndim != 1:
             raise ValueError("atom locations must be vectors")
+        if not np.isfinite(loc).all():
+            raise ValueError("atom locations must be finite")
         object.__setattr__(self, "location", _freeze(loc))
         if not 0.0 < self.mass <= 1.0:
             raise ValueError("atom mass must lie in (0, 1]")
@@ -422,7 +423,7 @@ class DiscreteDistribution:
         if len(dims) != 1:
             raise ValueError("atom locations must share one dimension")
         # equal rows are adjacent in lexicographic order (-0.0 sorts and
-        # compares equal to 0.0, NaN equals nothing)
+        # compares equal to 0.0)
         locs = np.stack([a.location for a in atoms])
         ordered = locs[np.lexsort(locs.T[::-1])] if locs.shape[1] else locs
         if np.any((ordered[1:] == ordered[:-1]).all(axis=1)):

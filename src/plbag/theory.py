@@ -127,10 +127,6 @@ def simplex_vertices(c: int) -> list[LabelDistribution]:
     return [LabelDistribution(row) for row in np.eye(c)]
 
 
-def simplex_edge_midpoints(c: int) -> list[LabelDistribution]:
-    return [LabelDistribution(row) for row in _midpoint_rows(c)]
-
-
 def _default_probe_rows(c: int, n_probes: int, seed: int) -> Iterator[np.ndarray]:
     """Vertices, edge midpoints, then Dirichlet rows, drawn only when reached."""
     yield from np.eye(c)

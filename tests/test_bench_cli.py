@@ -1,6 +1,8 @@
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,50 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+    @staticmethod
+    def _error(tmp_path, text: str) -> str:
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        return str(info.value)
+
+    def test_values_convert_in_field_order(self, tmp_path):
+        # repetitions comes first in the file, fixed_k first in ExperimentConfig
+        text = "[experiment]\nscenario = two_gaussians\nrepetitions = many\nfixed_k = lots\n"
+        assert self._error(tmp_path, text) == "key 'fixed_k': expected an integer, got 'lots'"
+
+    def test_synth_is_built_before_pipeline(self, tmp_path):
+        text = "[pipeline]\nvariant = none\nsmoothing_k = 3\n[synth]\nn_clusters = 0\n"
+        assert self._error(tmp_path, text) == "section [synth]: n_clusters must be >= 1, got 0"
+
+    def test_variant_none_rejects_keys_before_converting(self, tmp_path):
+        text = "[experiment]\nscenario = two_gaussians\n[pipeline]\nvariant = none\nsmoothing_k = x\n"
+        assert self._error(tmp_path, text) == "pipeline keys given but variant is 'none'"
+
+    def test_error_prefixes(self, tmp_path):
+        text = "[experiment]\nscenario = two_gaussians\n[pipeline]\nvariant = grayscale\n"
+        expected = "section [pipeline]: unknown pipeline variant 'grayscale'"
+        assert self._error(tmp_path, text) == expected
+        text = "[experiment]\nscenario = two_gaussians\nfixed_k = 0\n"
+        assert self._error(tmp_path, text) == "fixed_k must be >= 1, got 0"
+
+    def test_readme_block_lists_every_key_with_its_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "exp.cfg"
+        path.write_text(block)
+        assert parse_config(path) == ExperimentConfig(scenario="two_gaussians")
+        for keys in bench_cli._SECTION_FIELDS.values():
+            for key in keys:
+                assert re.search(rf"\b{key} = ", block), key
+
+    @pytest.mark.parametrize("key", ["plaknn", "synth", "pipeline"])
+    def test_section_fields_are_not_experiment_keys(self, tmp_path, key):
+        text = f"[experiment]\nscenario = two_gaussians\n{key} = x\n"
+        message = self._error(tmp_path, text)
+        assert message.endswith(f":3: unknown key {key!r} in section [experiment]")
 
 
 def tiny_config(**overrides):
@@ -375,7 +421,8 @@ class TestNeighborCountsAgainstSplit:
 
 
 class TestLoaderBoundary:
-    """Label counts out of range end in exit 3 with one line, no traceback."""
+    """Label counts out of range and non-finite numbers end in exit 3 with
+    one line, no traceback."""
 
     @staticmethod
     def _main(capsys, argv):
@@ -416,6 +463,25 @@ class TestLoaderBoundary:
         monkeypatch.setattr(bench_cli, "MAX_BAG_TABLE_BYTES", 2 * 7 * 3 * 8 - 1)
         with pytest.raises(DataFormatError, match="2 atoms with 3 labels need 336 bytes"):
             load_distribution(dist)
+
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            ("atom\nlocation 0\nmass 1\nprobs nan nan\nbagdefault identity\n",
+             "label probabilities must be finite"),
+            ("atom\nlocation 0\nmass 1\nprobs 1 0\nbagdefault identity\nbagrow 1 nan 0\n",
+             "bag probabilities must be finite"),
+            ("atom\nlocation nan\nmass 0.5\nprobs 1 0\nbagdefault identity\n"
+             "atom\nlocation 1\nmass 0.5\nprobs 0 1\nbagdefault identity\n",
+             "atom locations must be finite"),
+        ],
+        ids=["probs", "bagrow", "location"],
+    )
+    def test_distribution_non_finite(self, tmp_path, capsys, atoms, message):
+        dist = tmp_path / "dist.txt"
+        dist.write_text("labels 2\n" + atoms)
+        code, err = self._main(capsys, ["theory", "--dist", str(dist)])
+        assert code == 3 and message in err
 
     def test_dataset_label_above_limit(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"

@@ -284,9 +284,10 @@ class TestDistinctLocations:
         d = self._dist([(1.0, 2.0, 3.0), (1.0, 2.0, -3.0), (1.0, -2.0, 3.0), (-1.0, 2.0, 3.0)])
         assert d.n_atoms == 4
 
-    def test_nan_rows_are_not_duplicates(self):
-        # NaN compares unequal to itself, as in np.array_equal
-        assert self._dist([(np.nan, 1.0), (np.nan, 1.0)]).n_atoms == 2
+    def test_nan_location_is_rejected(self):
+        # the rows never reach the duplicate check, where NaN equals nothing
+        with pytest.raises(ValueError, match="atom locations must be finite"):
+            self._dist([(np.nan, 1.0), (np.nan, 1.0)])
 
 
 class TestPartialDataset:

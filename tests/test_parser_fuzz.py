@@ -5,6 +5,11 @@ Every call must either return or raise the parser's own error type
 distributions), which ``bench`` maps to exit 2 or 3 with one line.  Inputs
 mix the formats' own tokens, so most examples get past the first line, with
 arbitrary text and bytes.
+
+``parse_config`` derives its keys and conversions from the config
+dataclasses; ``parse_config_oracle`` spells every key out by hand, as the
+parser once did.  On every config input both must return equal configs or
+raise ``ConfigError`` with the same message.
 """
 
 import tempfile
@@ -13,8 +18,11 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plbag.bench_cli import ConfigError, load_distribution, parse_config
+from plbag import preprocess
+from plbag.bench_cli import ConfigError, ExperimentConfig, load_distribution, parse_config
 from plbag.core import DataFormatError, LabelSpace, load_dataset
+from plbag.plaknn import PlaknnConfig
+from plbag.synth import SynthBagConfig
 
 FUZZ = settings(
     derandomize=True,
@@ -107,10 +115,271 @@ def config_text(draw) -> bytes:
     return draw(_mutated(lines, CONFIG_TOKEN))
 
 
+_ORACLE_KEYS = {
+    "experiment": {
+        "scenario",
+        "dataset",
+        "methods",
+        "fixed_k",
+        "noise_grid",
+        "train_fraction",
+        "repetitions",
+        "base_seed",
+        "n_samples",
+        "timings",
+    },
+    "plaknn": {"c1", "delta", "T", "mode", "d0"},
+    "synth": {"n_clusters", "alpha_max", "noise_nu", "seed"},
+    "pipeline": {"variant", "smoothing_alpha", "smoothing_k", "density_k"},
+}
+
+
+def _oracle_sections(path: Path) -> dict[str, dict[str, str]]:
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: unreadable text: {exc}") from None
+    sections: dict[str, dict[str, str]] = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in _ORACLE_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        if current is None:
+            raise ConfigError(f"{path}:{lineno}: key outside any section")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _ORACLE_KEYS[current]:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        sections[current][key] = value.strip()
+    return sections
+
+
+def _bool(value: str, key: str) -> bool:
+    low = value.lower()
+    if low in ("true", "1", "yes"):
+        return True
+    if low in ("false", "0", "no"):
+        return False
+    raise ConfigError(f"key {key!r}: expected a boolean, got {value!r}")
+
+
+def _float(value: str, key: str) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
+
+
+def _int(value: str, key: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
+
+
+def parse_config_oracle(path) -> ExperimentConfig:
+    """One ``if`` per key, in the order the dataclasses declare them."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file {path} does not exist")
+    sections = _oracle_sections(path)
+
+    exp = sections.get("experiment", {})
+    kwargs: dict = {}
+    if "scenario" in exp:
+        kwargs["scenario"] = exp["scenario"]
+    if "dataset" in exp:
+        kwargs["dataset"] = exp["dataset"]
+    if "methods" in exp:
+        kwargs["methods"] = tuple(m.strip() for m in exp["methods"].split(",") if m.strip())
+    if "fixed_k" in exp:
+        kwargs["fixed_k"] = _int(exp["fixed_k"], "fixed_k")
+    if "noise_grid" in exp:
+        kwargs["noise_grid"] = tuple(
+            _float(v.strip(), "noise_grid") for v in exp["noise_grid"].split(",") if v.strip()
+        )
+    if "train_fraction" in exp:
+        kwargs["train_fraction"] = _float(exp["train_fraction"], "train_fraction")
+    if "repetitions" in exp:
+        kwargs["repetitions"] = _int(exp["repetitions"], "repetitions")
+    if "base_seed" in exp:
+        kwargs["base_seed"] = _int(exp["base_seed"], "base_seed")
+    if "n_samples" in exp:
+        kwargs["n_samples"] = _int(exp["n_samples"], "n_samples")
+    if "timings" in exp:
+        kwargs["timings"] = _bool(exp["timings"], "timings")
+
+    pl = sections.get("plaknn", {})
+    plaknn_kwargs: dict = {}
+    if "c1" in pl:
+        plaknn_kwargs["c1"] = _float(pl["c1"], "c1")
+    if "delta" in pl:
+        plaknn_kwargs["delta"] = _float(pl["delta"], "delta")
+    if "T" in pl:
+        plaknn_kwargs["T"] = _int(pl["T"], "T")
+    if "mode" in pl:
+        plaknn_kwargs["mode"] = pl["mode"]
+    if "d0" in pl:
+        plaknn_kwargs["d0"] = _int(pl["d0"], "d0")
+    try:
+        kwargs["plaknn"] = PlaknnConfig(**plaknn_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"section [plaknn]: {exc}") from exc
+
+    sy = sections.get("synth", {})
+    synth_kwargs: dict = {}
+    if "n_clusters" in sy:
+        synth_kwargs["n_clusters"] = _int(sy["n_clusters"], "n_clusters")
+    if "alpha_max" in sy:
+        synth_kwargs["alpha_max"] = _float(sy["alpha_max"], "alpha_max")
+    if "noise_nu" in sy:
+        synth_kwargs["noise_nu"] = _float(sy["noise_nu"], "noise_nu")
+    if "seed" in sy:
+        synth_kwargs["seed"] = _int(sy["seed"], "seed")
+    try:
+        kwargs["synth"] = SynthBagConfig(**synth_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"section [synth]: {exc}") from exc
+
+    pipe = sections.get("pipeline", {})
+    variant = pipe.get("variant", "none")
+    if variant == "none":
+        if set(pipe) - {"variant"}:
+            raise ConfigError("pipeline keys given but variant is 'none'")
+        kwargs["pipeline"] = None
+    else:
+        overrides: dict = {}
+        if "smoothing_alpha" in pipe:
+            overrides["smoothing_alpha"] = _float(pipe["smoothing_alpha"], "smoothing_alpha")
+        if "smoothing_k" in pipe:
+            overrides["smoothing_k"] = _int(pipe["smoothing_k"], "smoothing_k")
+        if "density_k" in pipe:
+            overrides["density_k"] = _int(pipe["density_k"], "density_k")
+        try:
+            if variant == "vision":
+                kwargs["pipeline"] = preprocess.PipelineConfig.vision(**overrides)
+            elif variant == "realworld":
+                kwargs["pipeline"] = preprocess.PipelineConfig.realworld(**overrides)
+            else:
+                raise ConfigError(f"unknown pipeline variant {variant!r}")
+        except ValueError as exc:
+            raise ConfigError(f"section [pipeline]: {exc}") from exc
+
+    return ExperimentConfig(**kwargs)
+
+
+def _outcome(parser, path: Path):
+    try:
+        return parser(path)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+def _agree(data: bytes) -> bool:
+    """Both parsers give the same outcome on ``data``; True if it parsed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_bytes(data)
+        got = _outcome(parse_config, path)
+        assert got == _outcome(parse_config_oracle, path)
+    return isinstance(got, ExperimentConfig)
+
+
+def _floats(lo: float, hi: float) -> st.SearchStrategy[str]:
+    return st.floats(lo, hi).map(repr)
+
+
+def _ints(lo: int, hi: int) -> st.SearchStrategy[str]:
+    return st.integers(lo, hi).map(str)
+
+
+def _joined(item: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.lists(item, min_size=1, max_size=3).map(",".join)
+
+
+VALID_VALUES = {
+    "experiment": {
+        "scenario": st.sampled_from(["two_gaussians", "gaussian_clusters"]),
+        "methods": _joined(st.sampled_from(["plaknn", "aknn", "fixed_k"])),
+        "fixed_k": _ints(1, 30),
+        "noise_grid": _joined(_floats(0.0, 1.0)),
+        "train_fraction": _floats(0.05, 0.95),
+        "repetitions": _ints(1, 50),
+        "base_seed": _ints(0, 10**6),
+        "n_samples": _ints(10, 5000),
+        "timings": st.sampled_from(["true", "false", "yes", "no", "1", "0", "TRUE"]),
+    },
+    "plaknn": {
+        "c1": _floats(0.01, 5.0),
+        "delta": _floats(0.01, 0.99),
+        "T": _ints(1, 500),
+        "mode": st.sampled_from(["pointwise", "uniform"]),
+        "d0": _ints(1, 20),
+    },
+    "synth": {
+        "n_clusters": _ints(1, 10),
+        "alpha_max": _floats(0.0, 1.0),
+        "noise_nu": _floats(0.0, 1.0),
+        "seed": _ints(0, 100),
+    },
+    "pipeline": {
+        "variant": st.sampled_from(["vision", "realworld", "vision", "realworld", "none"]),
+        "smoothing_alpha": _floats(0.0, 1.0),
+        "smoothing_k": _ints(1, 100),
+        "density_k": _ints(1, 200),
+    },
+}
+
+# values that fail conversion or validation, for about one key in twenty
+BAD_VALUE = st.one_of(NUMBERS, st.sampled_from(["many", "other", "", "0.0,,2", "nan"]))
+
+
+@st.composite
+def well_formed_config(draw) -> bytes:
+    """Every section with a random subset of its keys, shuffled, mostly valid."""
+    sections = draw(st.permutations(list(VALID_VALUES)))
+    lines = []
+    for section in sections:
+        lines.append(f"[{section}]")
+        keys = draw(st.lists(st.sampled_from(list(VALID_VALUES[section])), unique=True))
+        if section == "experiment" and "scenario" not in keys:
+            keys.append("scenario")
+        if section == "pipeline" and "variant" not in keys and draw(st.booleans()):
+            keys = []
+        for key in draw(st.permutations(keys)):
+            bad = draw(st.integers(0, 19)) == 0
+            value = draw(BAD_VALUE if bad else VALID_VALUES[section][key])
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines).encode()
+
+
 @FUZZ
 @given(st.one_of(config_text(), _raw()))
 def test_parse_config_fuzz(data):
-    _parse(parse_config, data, ConfigError)
+    _agree(data)
+
+
+def test_parse_config_matches_oracle_on_well_formed_input():
+    parsed = []
+
+    @FUZZ
+    @given(well_formed_config())
+    def check(data):
+        parsed.append(_agree(data))
+
+    check()
+    assert sum(parsed) >= len(parsed) / 4, f"{sum(parsed)} of {len(parsed)} parsed"
 
 
 # -- dataset CSV ------------------------------------------------------------

@@ -7,8 +7,9 @@ frequency exceeds ``1/c`` by the elimination threshold and then predicts it;
 unlike the margin-elimination classifier it looks only at the leading
 frequency, never at gaps between labels.
 
-Both rules are vectorized over :func:`knn_index.neighbor_blocks`; the
-single-query forms are one-row batch calls.
+Both rules are vectorized over :func:`knn_index.order_blocks`, which
+searches or slices a precomputed neighbor order; the single-query forms are
+one-row batch calls.
 """
 
 from __future__ import annotations
@@ -35,16 +36,19 @@ def fixed_k_batch(
     index: knn_index.NeighborIndex,
     queries: np.ndarray,
     k: int,
+    *,
+    order: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`fixed_k_classify` for every row of ``queries``."""
+    """:func:`fixed_k_classify` for every row of ``queries``; ``order`` as in
+    :func:`knn_index.order_blocks`."""
     _require_matching_index(train, index)
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in 1..{train.n}, got {k}")
     queries = np.asarray(queries, dtype=np.float64)
     memb = train.membership_matrix()
     labels = np.empty(queries.shape[0], dtype=np.int64)
-    for rows, order, _ in knn_index.neighbor_blocks(index, queries, k):
-        labels[rows] = np.argmax(memb[order].sum(axis=1), axis=1) + 1
+    for rows, block in knn_index.order_blocks(index, queries, k, order):
+        labels[rows] = np.argmax(memb[block].sum(axis=1), axis=1) + 1
     return labels
 
 
@@ -53,10 +57,13 @@ def _aknn(
     index: knn_index.NeighborIndex,
     queries: np.ndarray,
     config: PlaknnConfig,
+    *,
+    order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and qualification steps (0: none within the cap) per query.
 
     Labels are scanned one at a time so temporaries stay (block, T).
+    ``order`` as in :func:`knn_index.order_blocks`.
     """
     t_cap, deltas = _schedule(train, index, config)
     queries = np.asarray(queries, dtype=np.float64)
@@ -65,12 +72,12 @@ def _aknn(
     ks = np.arange(1, t_cap + 1, dtype=np.float64)
     labels = np.empty(queries.shape[0], dtype=np.int64)
     steps = np.empty(queries.shape[0], dtype=np.int64)
-    for rows, order, _ in knn_index.neighbor_blocks(index, queries, t_cap):
-        first = np.full(order.shape[0], t_cap)  # t_cap: no hit yet
-        best = np.zeros(order.shape[0], dtype=np.int64)
-        at_cap = np.empty((order.shape[0], c), dtype=np.int64)
+    for rows, block in knn_index.order_blocks(index, queries, t_cap, order):
+        first = np.full(block.shape[0], t_cap)  # t_cap: no hit yet
+        best = np.zeros(block.shape[0], dtype=np.int64)
+        at_cap = np.empty((block.shape[0], c), dtype=np.int64)
         for y in range(c):
-            counts = np.cumsum(memb[order, y], axis=1)
+            counts = np.cumsum(memb[block, y], axis=1)
             qualified = counts / ks - 1.0 / c >= deltas
             hit = np.where(qualified.any(axis=1), np.argmax(qualified, axis=1), t_cap)
             best = np.where(hit < first, y, best)
@@ -116,6 +123,9 @@ def aknn_batch(
     index: knn_index.NeighborIndex,
     queries: np.ndarray,
     config: PlaknnConfig,
+    *,
+    order: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`aknn_classify` for every row of ``queries``."""
-    return _aknn(train, index, queries, config)[0]
+    """:func:`aknn_classify` for every row of ``queries``; ``order`` as in
+    :func:`knn_index.order_blocks`."""
+    return _aknn(train, index, queries, config, order=order)[0]

@@ -20,18 +20,28 @@ anchor-corruption probability used during bag generation.
 
 Every stochastic choice of repetition r flows from seed ``base_seed + r``,
 so reruns of the same config produce byte-identical CSV files (wall-clock
-timings are only written when ``timings = true``).
+timings are only written when ``timings = true``).  The noise level changes
+only the training bags, so a repetition builds the rest once and shares it
+across noise levels and methods: the split and scenario sample, the k-means
+clustering of ``make_bags`` scenarios, the pipeline fit and transform, the
+neighbor index, and one neighbor search of the test points at the deepest
+neighbor count any method needs.  Each noise level then draws its bags from
+the generator state the shared steps left, which is exactly what a fresh
+repetition at that level would draw, and each method classifies from a
+prefix of the shared search.  ``wall_time_ms`` covers one method's
+classification and excludes the shared work.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +64,8 @@ from .synth import (
     AnalyticScenario,
     SynthBagConfig,
     analytic_scenario,
+    bag_clusters,
+    draw_bags,
     make_bags,
     remove_truth_noise,
 )
@@ -155,43 +167,46 @@ def _split(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarra
     return perm[:n_train], perm[n_train:]
 
 
-def _prepare_rep(
+def _split_rep(
     config: ExperimentConfig,
     source: PartialDataset | AnalyticScenario,
-    noise: float,
-    rep: int,
-) -> tuple[PartialDataset, np.ndarray, np.ndarray]:
-    """Build (train dataset, test features, test truths) for one repetition."""
-    seed = config.base_seed + rep
-    rng = np.random.default_rng(seed)
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, Callable[[float], PartialDataset], np.ndarray, np.ndarray]:
+    """Split one repetition into (training features, training set per noise
+    level, test features, test truths).
+
+    Everything but the bags is drawn once: the split, the scenario sample
+    and the k-means clustering.  Each noise level's bags continue the
+    generator from the same post-split state, so they equal what a fresh
+    repetition at that noise level would draw.
+    """
     if isinstance(source, PartialDataset):
         train_idx, test_idx = _split(source.n, config.train_fraction, rng)
-        train = source.subset(train_idx)
-        if noise > 0.0:
-            train = remove_truth_noise(train, noise, seed=int(rng.integers(2**63)))
-        test_x = source.features[test_idx]
-        test_y = source.truths[test_idx]
-    else:
-        x, y = source.sample_points(config.n_samples, rng)
-        train_idx, test_idx = _split(config.n_samples, config.train_fraction, rng)
-        if source.has_bag_process:
-            masks = source.bag_masks_for(x[train_idx], y[train_idx], rng, noise_nu=noise)
-            train = PartialDataset(x[train_idx], masks, source.label_space, truths=y[train_idx])
-        else:
-            train = make_bags(
-                x[train_idx],
-                y[train_idx],
-                source.label_space,
-                replace(config.synth, noise_nu=noise, seed=int(rng.integers(2**63))),
-            )
-        test_x = x[test_idx]
-        test_y = y[test_idx]
+        clean = source.subset(train_idx)
+        noise_seed = int(rng.integers(2**63))
 
-    if config.pipeline is not None:
-        fitted = preprocess.fit(train.features, config.pipeline)
-        train = train.with_features(fitted.transformed_train)
-        test_x = preprocess.transform(fitted, test_x)
-    return train, test_x, test_y
+        def bags(noise: float) -> PartialDataset:
+            return remove_truth_noise(clean, noise, seed=noise_seed) if noise > 0.0 else clean
+
+        return clean.features, bags, source.features[test_idx], source.truths[test_idx]
+
+    x, y = source.sample_points(config.n_samples, rng)
+    train_idx, test_idx = _split(config.n_samples, config.train_fraction, rng)
+    train_x, train_y = x[train_idx], y[train_idx]
+    if source.has_bag_process:
+
+        def bags(noise: float) -> PartialDataset:
+            masks = source.bag_masks_for(train_x, train_y, copy.deepcopy(rng), noise_nu=noise)
+            return PartialDataset(train_x, masks, source.label_space, truths=train_y)
+
+    else:
+        synth = replace(config.synth, seed=int(rng.integers(2**63)))
+        clustered = bag_clusters(train_x, train_y, source.label_space, synth)
+
+        def bags(noise: float) -> PartialDataset:
+            return draw_bags(clustered, replace(synth, noise_nu=noise))
+
+    return train_x, bags, x[test_idx], y[test_idx]
 
 
 def _classify_with(
@@ -200,47 +215,65 @@ def _classify_with(
     train: PartialDataset,
     index: knn_index.NeighborIndex,
     test_x: np.ndarray,
+    order: np.ndarray,
 ) -> tuple[np.ndarray, float | None]:
     if method == "plaknn":
-        detail = classify_batch_detail(train, index, test_x, config.plaknn)
+        detail = classify_batch_detail(train, index, test_x, config.plaknn, order=order)
         return detail.labels, float(detail.iterations.mean())
     if method == "aknn":
-        return aknn_batch(train, index, test_x, config.plaknn), None
-    return fixed_k_batch(train, index, test_x, config.fixed_k), None
+        return aknn_batch(train, index, test_x, config.plaknn, order=order), None
+    return fixed_k_batch(train, index, test_x, config.fixed_k, order=order), None
 
 
-def _run_job(
+def _run_rep(
     config: ExperimentConfig,
     source: PartialDataset | AnalyticScenario,
-    noise: float,
     rep: int,
     dump_predictions: bool,
 ) -> tuple[list[ResultRow], list[PredictionRow]]:
-    train, test_x, test_y = _prepare_rep(config, source, noise, rep)
-    index = knn_index.build(train.features)
+    """Every (noise level, method) job of repetition ``rep``.
+
+    The split, the features, the pipeline, the index and one neighbor
+    search of the test points are shared by all jobs; only the bags depend
+    on the noise level.
+    """
+    seed = config.base_seed + rep
+    features, bags, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
+    if config.pipeline is not None:
+        fitted = preprocess.fit(features, config.pipeline)
+        features = fitted.transformed_train
+        test_x = preprocess.transform(fitted, test_x)
+    index = knn_index.build(features)
+    # deep enough for every method: each one cuts its own prefix
+    depth = max(config.fixed_k if m == "fixed_k" else config.plaknn.T for m in config.methods)
+    order = knn_index.nearest_orders(index, test_x, depth)
     rows: list[ResultRow] = []
     preds: list[PredictionRow] = []
-    for method in config.methods:
-        started = time.perf_counter()
-        labels, mean_iters = _classify_with(method, config, train, index, test_x)
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        rows.append(
-            ResultRow(
-                method=method,
-                noise=noise,
-                repetition=rep,
-                seed=config.base_seed + rep,
-                n_train=train.n,
-                error_rate=float((labels != test_y).mean()),
-                mean_iterations=mean_iters,
-                wall_time_ms=wall_ms,
+    for noise in config.noise_grid:
+        train = bags(noise)
+        if config.pipeline is not None:
+            train = train.with_features(features)
+        for method in config.methods:
+            started = time.perf_counter()
+            labels, mean_iters = _classify_with(method, config, train, index, test_x, order)
+            wall_ms = (time.perf_counter() - started) * 1000.0
+            rows.append(
+                ResultRow(
+                    method=method,
+                    noise=noise,
+                    repetition=rep,
+                    seed=seed,
+                    n_train=train.n,
+                    error_rate=float((labels != test_y).mean()),
+                    mean_iterations=mean_iters,
+                    wall_time_ms=wall_ms,
+                )
             )
-        )
-        if dump_predictions:
-            preds.extend(
-                PredictionRow(method, noise, rep, i, int(test_y[i]), int(labels[i]))
-                for i in range(test_y.shape[0])
-            )
+            if dump_predictions:
+                preds.extend(
+                    PredictionRow(method, noise, rep, i, int(test_y[i]), int(labels[i]))
+                    for i in range(test_y.shape[0])
+                )
     return rows, preds
 
 
@@ -270,18 +303,15 @@ def run(
     dump_predictions: bool = False,
     threads: int = 1,
 ) -> RunResult:
-    """Execute the full (noise x repetition) grid and summarize it."""
+    """Execute the full (noise x repetition) grid and summarize it.
+
+    Repetitions run one after another; ``threads`` is accepted for
+    compatibility and has no effect.
+    """
     source = _load_source(config)
     n = source.n if isinstance(source, PartialDataset) else config.n_samples
     _check_neighbor_counts(config, _n_train(n, config.train_fraction))
-    jobs = [(noise, rep) for noise in config.noise_grid for rep in range(config.repetitions)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(
-                pool.map(lambda j: _run_job(config, source, j[0], j[1], dump_predictions), jobs)
-            )
-    else:
-        outputs = [_run_job(config, source, noise, rep, dump_predictions) for noise, rep in jobs]
+    outputs = [_run_rep(config, source, rep, dump_predictions) for rep in range(config.repetitions)]
 
     rows = [row for out, _ in outputs for row in out]
     rows.sort(key=lambda r: (r.method, r.noise, r.repetition))
@@ -677,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--dump-predictions", action="store_true")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="emit a generated dataset as CSV")

@@ -5,7 +5,11 @@ original training index, which makes every downstream classifier run
 reproducible.  :func:`neighbor_blocks` is the one retrieval path: it walks a
 batch of queries in fixed-size blocks and yields each query's nearest
 training indices in that order, so every consumer sees the same neighbors
-whether it asks for one query or many.
+whether it asks for one query or many.  :func:`nearest_orders` collects
+those blocks into one (m, t) order, and :func:`order_blocks` hands a
+caller either fresh blocks or row blocks of such an order cut to the first
+t columns: prefixes are exact because the (distance, index) order is total,
+so one search at the largest t serves every smaller one.
 
 Distances come from :func:`sq_distance_chunk`, a coordinate-wise kernel over
 the index's transposed points: it squares one coordinate's differences at a
@@ -200,3 +204,42 @@ def neighbor_blocks(
         sqd = np.take_along_axis(d2, order, axis=1)
         del d2
         yield rows, order, sqd
+
+
+def nearest_orders(index: NeighborIndex, queries: np.ndarray, t: int) -> np.ndarray:
+    """The (m, min(t, n)) neighbor order of every query: the ``order``
+    blocks of :func:`neighbor_blocks` stacked."""
+    blocks = [order for _, order, _ in neighbor_blocks(index, queries, t)]
+    if not blocks:
+        return np.empty((0, min(t, index.n)), dtype=np.int64)
+    return np.concatenate(blocks)
+
+
+def order_blocks(
+    index: NeighborIndex, queries: np.ndarray, t: int, order: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, order)`` blocks of the ``min(t, n)`` nearest training indices.
+
+    With ``order=None`` the blocks come from :func:`neighbor_blocks`.
+    Otherwise ``order`` is a precomputed (m, >= min(t, n)) order of the same
+    queries, as :func:`nearest_orders` returns it, and each block is its
+    first ``min(t, n)`` columns; queries of the wrong shape, a wrong row
+    count or too few columns raise ``ValueError`` before any block is
+    yielded.
+    """
+    if order is None:
+        return ((rows, block) for rows, block, _ in neighbor_blocks(index, queries, t))
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
+        raise ValueError("queries must be an (m, d) matrix matching the index dimension")
+    t = min(t, index.n)
+    m = queries.shape[0]
+    order = np.asarray(order)
+    if order.ndim != 2 or order.shape[0] != m or order.shape[1] < t:
+        raise ValueError(
+            f"order of shape {order.shape} does not give {t} neighbors for each of {m} queries"
+        )
+    return (
+        (slice(start, min(start + _BLOCK, m)), order[start : start + _BLOCK, :t])
+        for start in range(0, m, _BLOCK)
+    )

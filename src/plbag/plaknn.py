@@ -11,7 +11,7 @@ to eliminating all others wins.
 The rule lives in :func:`_step` (one step's margins and eliminations) and
 :func:`_eliminate` (the step loop over a block of queries, O(c) state per
 query).  :func:`classify_batch` runs the kernel once per
-:func:`knn_index.neighbor_blocks` block; :func:`classify` runs it on one query
+:func:`knn_index.order_blocks` block; :func:`classify` runs it on one query
 and rebuilds the full :class:`EliminationTrace` from the counts with a single
 vectorized :func:`_step` call, so both return the same labels by construction.
 """
@@ -50,8 +50,8 @@ def threshold(
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if c < 2:
         raise ValueError(f"c must be >= 2, got {c}")
-    if c1 <= 0.0:
-        raise ValueError(f"c1 must be positive, got {c1}")
+    if not 0.0 < c1 < math.inf:
+        raise ValueError(f"c1 must be finite and positive, got {c1}")
     if d0 is not None and d0 < 1:
         raise ValueError(f"d0 must be >= 1, got {d0}")
     scale = 1.0 if d0 is None else float(d0)
@@ -76,8 +76,8 @@ class PlaknnConfig:
     d0: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.c1 > 0.0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
+        if not 0.0 < self.c1 < math.inf:
+            raise ValueError(f"c1 must be finite and positive, got {self.c1}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.T < 1:
@@ -310,7 +310,15 @@ def classify_batch_detail(
     index: knn_index.NeighborIndex,
     queries: np.ndarray,
     config: PlaknnConfig,
+    *,
+    order: np.ndarray | None = None,
 ) -> BatchResult:
+    """Labels, iterations and disambiguated flags for a batch of queries.
+
+    ``order``, when given, is a precomputed neighbor order of ``queries``
+    with at least ``min(T, n)`` columns (see :func:`knn_index.order_blocks`);
+    the result is the same as searching.
+    """
     t_cap, deltas = _schedule(train, index, config)
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != train.dim:
@@ -320,6 +328,6 @@ def classify_batch_detail(
     labels = np.empty(m_total, dtype=np.int64)
     iterations = np.empty(m_total, dtype=np.int64)
     disambiguated = np.zeros(m_total, dtype=bool)
-    for rows, order, _ in knn_index.neighbor_blocks(index, queries, t_cap):
-        labels[rows], iterations[rows], disambiguated[rows], _ = _eliminate(memb[order], deltas)
+    for rows, block in knn_index.order_blocks(index, queries, t_cap, order):
+        labels[rows], iterations[rows], disambiguated[rows], _ = _eliminate(memb[block], deltas)
     return BatchResult(labels, iterations, disambiguated)

@@ -7,7 +7,9 @@ Two families live here:
   probability of admitting every incorrect label into the bag, and an
   optional corruption rate swaps the anchor label for a uniform one before
   the bag is generated.  The anchor always enters the bag; the original
-  truth column is kept for evaluation.
+  truth column is kept for evaluation.  Its clustering step
+  (:func:`bag_clusters`) and drawing step (:func:`draw_bags`) are public
+  so that many draws can share one clustering.
 
 * :class:`AnalyticScenario` wraps small 2D Gaussian-mixture models whose
   posterior, bag-frequency field and Bayes risk are available in closed or
@@ -17,6 +19,7 @@ Two families live here:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -99,6 +102,62 @@ def sample_bag_masks(
     return membership_to_masks(include)
 
 
+@dataclass(frozen=True)
+class BagClusters:
+    """The clustering step of :func:`make_bags`.
+
+    Holds the checked features and truths, the k-means cluster id of every
+    example and the generator as k-means left it.  :func:`draw_bags` draws
+    from a copy of that generator, so one clustering serves any number of
+    draws, each continuing the same stream.
+    """
+
+    features: np.ndarray
+    truths: np.ndarray
+    label_space: LabelSpace
+    clusters: np.ndarray
+    rng: np.random.Generator
+
+
+def bag_clusters(
+    features: np.ndarray,
+    truths: np.ndarray,
+    label_space: LabelSpace,
+    config: SynthBagConfig,
+) -> BagClusters:
+    """Check the inputs and cluster the features, seeded by ``config.seed``."""
+    features = np.asarray(features, dtype=np.float64)
+    truths = np.asarray(truths, dtype=np.int64)
+    c = label_space.c
+    if features.ndim != 2 or features.shape[0] == 0:
+        raise ValueError("features must be a nonempty (n, d) matrix")
+    if truths.shape != (features.shape[0],):
+        raise ValueError("one truth per example is required")
+    if np.any((truths < 1) | (truths > c)):
+        raise ValueError("truth labels must lie in 1..c")
+    rng = np.random.default_rng(config.seed)
+    clusters = kmeans_labels(features, config.n_clusters, rng)
+    return BagClusters(features, truths, label_space, clusters, rng)
+
+
+def draw_bags(clustered: BagClusters, config: SynthBagConfig) -> PartialDataset:
+    """Draw the bags of :func:`make_bags` after its clustering step.
+
+    Uses ``config.alpha_max`` and ``config.noise_nu``; the seed and the
+    cluster count were spent by :func:`bag_clusters`.
+    """
+    rng = copy.deepcopy(clustered.rng)
+    c = clustered.label_space.c
+    n = clustered.truths.shape[0]
+    n_clusters = int(clustered.clusters.max()) + 1
+    alphas = rng.uniform(0.0, config.alpha_max, size=(c, n_clusters))
+    corrupted = rng.random(n) < config.noise_nu
+    uniform_labels = rng.integers(1, c + 1, size=n)
+    anchors = np.where(corrupted, uniform_labels, clustered.truths)
+    masks = sample_bag_masks(anchors, clustered.clusters, alphas, rng, c)
+    return PartialDataset(clustered.features, masks, clustered.label_space, truths=clustered.truths)
+
+
 def make_bags(
     features: np.ndarray,
     truths: np.ndarray,
@@ -110,28 +169,10 @@ def make_bags(
     With corruption probability ``noise_nu`` the anchor used for bag
     generation is a uniform draw over all c labels (the original label
     included); the anchor, corrupted or not, is always in the bag.  The
-    returned dataset keeps the original truths.
+    returned dataset keeps the original truths.  This is
+    :func:`bag_clusters` followed by :func:`draw_bags`.
     """
-    features = np.asarray(features, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.int64)
-    c = label_space.c
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("features must be a nonempty (n, d) matrix")
-    if truths.shape != (features.shape[0],):
-        raise ValueError("one truth per example is required")
-    if np.any((truths < 1) | (truths > c)):
-        raise ValueError("truth labels must lie in 1..c")
-
-    rng = np.random.default_rng(config.seed)
-    n = features.shape[0]
-    clusters = kmeans_labels(features, config.n_clusters, rng)
-    n_clusters = int(clusters.max()) + 1
-    alphas = rng.uniform(0.0, config.alpha_max, size=(c, n_clusters))
-    corrupted = rng.random(n) < config.noise_nu
-    uniform_labels = rng.integers(1, c + 1, size=n)
-    anchors = np.where(corrupted, uniform_labels, truths)
-    masks = sample_bag_masks(anchors, clusters, alphas, rng, c)
-    return PartialDataset(features, masks, label_space, truths=truths)
+    return draw_bags(bag_clusters(features, truths, label_space, config), config)
 
 
 def remove_truth_noise(dataset: PartialDataset, rate: float, seed: int) -> PartialDataset:

@@ -175,6 +175,56 @@ class TestAknnOracle:
             assert any(step is not None for _, step in expected)
 
 
+class TestPrecomputedOrder:
+    """``order=`` from ``knn_index.nearest_orders`` at a larger depth gives
+    what searching gives, in all three batch functions."""
+
+    @pytest.mark.filterwarnings("ignore:iteration cap")
+    @pytest.mark.parametrize("n, T", [(40, 60), (300, 35)], ids=["T_above_n", "T_below_n"])
+    def test_order_matches_search(self, n, T):
+        rng = np.random.default_rng(n)
+        train = random_partial_dataset(rng, n, 2, 4)
+        index = knn_index.build(train.features)
+        queries = rng.normal(size=(600, 2))  # three blocks, the last one partial
+        cfg = PlaknnConfig(T=T)
+        order = knn_index.nearest_orders(index, queries, T + 5)
+        searched = plaknn.classify_batch_detail(train, index, queries, cfg)
+        given = plaknn.classify_batch_detail(train, index, queries, cfg, order=order)
+        assert np.array_equal(given.labels, searched.labels)
+        assert np.array_equal(given.iterations, searched.iterations)
+        assert np.array_equal(given.disambiguated, searched.disambiguated)
+        assert np.array_equal(
+            baselines.aknn_batch(train, index, queries, cfg, order=order),
+            baselines.aknn_batch(train, index, queries, cfg),
+        )
+        for k in (1, 7, min(T, n)):
+            assert np.array_equal(
+                baselines.fixed_k_batch(train, index, queries, k, order=order),
+                baselines.fixed_k_batch(train, index, queries, k),
+            )
+
+    def test_bad_order_shapes(self):
+        rng = np.random.default_rng(2)
+        train = random_partial_dataset(rng, 50, 2, 3)
+        index = knn_index.build(train.features)
+        queries = rng.normal(size=(20, 2))
+        cfg = PlaknnConfig(T=10)
+        order = knn_index.nearest_orders(index, queries, 10)
+        for bad in (order[:-1], order[:, :9], order[0], np.vstack([order, order])):
+            with pytest.raises(ValueError, match="order of shape"):
+                plaknn.classify_batch_detail(train, index, queries, cfg, order=bad)
+            with pytest.raises(ValueError, match="order of shape"):
+                baselines.aknn_batch(train, index, queries, cfg, order=bad)
+        with pytest.raises(ValueError, match="order of shape"):
+            baselines.fixed_k_batch(train, index, queries, 11, order=order)
+        with pytest.raises(ValueError, match="index dimension"):
+            baselines.fixed_k_batch(train, index, queries[:, :1], 4, order=order)
+        assert np.array_equal(
+            baselines.fixed_k_batch(train, index, queries, 4, order=order),
+            baselines.fixed_k_batch(train, index, queries, 4),
+        )
+
+
 class TestThresholdCrossingContrast:
     """Deterministic crossing-point comparison of the two adaptive rules.
 

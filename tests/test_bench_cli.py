@@ -1,15 +1,21 @@
+import inspect
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from plbag import bench_cli
+from plbag import bench_cli, knn_index, preprocess
+from plbag.baselines import aknn_batch, fixed_k_batch
 from plbag.bench_cli import (
     ConfigError,
     ExperimentConfig,
+    PredictionRow,
     ResultRow,
     RunResult,
     SummaryRow,
@@ -20,8 +26,9 @@ from plbag.bench_cli import (
     run,
     theory_report,
 )
-from plbag.core import DataFormatError, load_dataset
-from plbag.plaknn import PlaknnConfig
+from plbag.core import DataFormatError, LabelSpace, PartialDataset, load_dataset, save_dataset
+from plbag.plaknn import PlaknnConfig, classify_batch_detail
+from plbag.synth import SynthBagConfig, make_bags, remove_truth_noise
 
 
 FULL_CONFIG = """
@@ -504,3 +511,229 @@ class TestPredictionDump:
         lines = (out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "method,noise,repetition,index,truth,predicted"
         assert len(lines) > 1
+
+
+# ---------------------------------------------------------------------------
+# The job-by-job grid: every (noise, repetition) job draws its split, sample,
+# k-means clustering and pipeline afresh, and every method searches the
+# neighbors of the test points on its own.
+# ---------------------------------------------------------------------------
+
+
+def prepare_rep_oracle(config, source, noise, rep):
+    """(train dataset, test features, test truths) of one job."""
+    seed = config.base_seed + rep
+    rng = np.random.default_rng(seed)
+    if isinstance(source, PartialDataset):
+        train_idx, test_idx = bench_cli._split(source.n, config.train_fraction, rng)
+        train = source.subset(train_idx)
+        if noise > 0.0:
+            train = remove_truth_noise(train, noise, seed=int(rng.integers(2**63)))
+        test_x = source.features[test_idx]
+        test_y = source.truths[test_idx]
+    else:
+        x, y = source.sample_points(config.n_samples, rng)
+        train_idx, test_idx = bench_cli._split(config.n_samples, config.train_fraction, rng)
+        if source.has_bag_process:
+            masks = source.bag_masks_for(x[train_idx], y[train_idx], rng, noise_nu=noise)
+            train = PartialDataset(x[train_idx], masks, source.label_space, truths=y[train_idx])
+        else:
+            train = make_bags(
+                x[train_idx],
+                y[train_idx],
+                source.label_space,
+                replace(config.synth, noise_nu=noise, seed=int(rng.integers(2**63))),
+            )
+        test_x = x[test_idx]
+        test_y = y[test_idx]
+    if config.pipeline is not None:
+        fitted = preprocess.fit(train.features, config.pipeline)
+        train = train.with_features(fitted.transformed_train)
+        test_x = preprocess.transform(fitted, test_x)
+    return train, test_x, test_y
+
+
+def run_job_oracle(config, source, noise, rep, dump_predictions):
+    train, test_x, test_y = prepare_rep_oracle(config, source, noise, rep)
+    index = knn_index.build(train.features)
+    rows, preds = [], []
+    for method in config.methods:
+        started = time.perf_counter()
+        if method == "plaknn":
+            detail = classify_batch_detail(train, index, test_x, config.plaknn)
+            labels, mean_iters = detail.labels, float(detail.iterations.mean())
+        elif method == "aknn":
+            labels, mean_iters = aknn_batch(train, index, test_x, config.plaknn), None
+        else:
+            labels, mean_iters = fixed_k_batch(train, index, test_x, config.fixed_k), None
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        rows.append(
+            ResultRow(
+                method, noise, rep, config.base_seed + rep, train.n,
+                float((labels != test_y).mean()), mean_iters, wall_ms,
+            )
+        )
+        if dump_predictions:
+            preds.extend(
+                PredictionRow(method, noise, rep, i, int(test_y[i]), int(labels[i]))
+                for i in range(test_y.shape[0])
+            )
+    return rows, preds
+
+
+def run_oracle(config, dump_predictions=False):
+    """The grid run one (noise, repetition) job at a time."""
+    source = bench_cli._load_source(config)
+    n = source.n if isinstance(source, PartialDataset) else config.n_samples
+    bench_cli._check_neighbor_counts(config, bench_cli._n_train(n, config.train_fraction))
+    jobs = [(noise, rep) for noise in config.noise_grid for rep in range(config.repetitions)]
+    outputs = [run_job_oracle(config, source, noise, rep, dump_predictions) for noise, rep in jobs]
+    rows = [row for out, _ in outputs for row in out]
+    rows.sort(key=lambda r: (r.method, r.noise, r.repetition))
+    predictions = None
+    if dump_predictions:
+        predictions = [p for _, out in outputs for p in out]
+        predictions.sort(key=lambda p: (p.method, p.noise, p.repetition, p.index))
+    summary = []
+    for method in config.methods:
+        for noise in config.noise_grid:
+            errs = [r.error_rate for r in rows if r.method == method and r.noise == noise]
+            mean = float(np.mean(errs))
+            std = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0
+            summary.append(SummaryRow(method, noise, mean, std, len(errs)))
+    return RunResult(rows=rows, summary=summary, predictions=predictions)
+
+
+def write_csv_dataset(path, n=160, dim=3, c=4, seed=11):
+    rng = np.random.default_rng(seed)
+    truths = rng.integers(1, c + 1, size=n)
+    features = 1.5 * rng.standard_normal((c, dim))[truths - 1] + rng.standard_normal((n, dim))
+    data = make_bags(features, truths, LabelSpace(c), SynthBagConfig(n_clusters=3, seed=seed))
+    save_dataset(data, path)
+    return str(path)
+
+
+ALL_METHODS = ("plaknn", "aknn", "fixed_k")
+
+DIFFERENTIAL_CASES = {
+    "csv": lambda csv: ExperimentConfig(
+        dataset=csv, methods=ALL_METHODS, fixed_k=6, noise_grid=(0.0, 0.3),
+        repetitions=2, base_seed=4, plaknn=PlaknnConfig(T=40),
+    ),
+    "csv_realworld": lambda csv: ExperimentConfig(
+        dataset=csv, methods=ALL_METHODS, fixed_k=5, noise_grid=(0.0, 0.2),
+        repetitions=2, base_seed=9, plaknn=PlaknnConfig(T=30),
+        pipeline=preprocess.PipelineConfig.realworld(density_k=20),
+    ),
+    "two_gaussians": lambda csv: ExperimentConfig(
+        scenario="two_gaussians", methods=ALL_METHODS, fixed_k=5,
+        noise_grid=(0.0, 0.2, 0.5), repetitions=2, base_seed=1, n_samples=120,
+        plaknn=PlaknnConfig(T=25),
+    ),
+    "relaxed_two_gaussians": lambda csv: ExperimentConfig(
+        scenario="relaxed_two_gaussians", methods=ALL_METHODS, fixed_k=5,
+        noise_grid=(0.0, 0.1, 0.4), repetitions=2, base_seed=2, n_samples=120,
+        plaknn=PlaknnConfig(T=25),
+    ),
+    "gaussian_clusters": lambda csv: ExperimentConfig(
+        scenario="gaussian_clusters", methods=ALL_METHODS, fixed_k=7,
+        noise_grid=(0.0, 0.3), repetitions=3, base_seed=5, n_samples=200,
+        plaknn=PlaknnConfig(T=40), synth=SynthBagConfig(n_clusters=4, alpha_max=0.5),
+    ),
+    "fixed_k_above_T": lambda csv: ExperimentConfig(
+        scenario="gaussian_clusters", methods=("fixed_k",), fixed_k=30,
+        noise_grid=(0.0, 0.3), repetitions=2, base_seed=6, n_samples=150,
+        plaknn=PlaknnConfig(T=5),
+    ),
+}
+
+
+def strip_walls(rows):
+    return [replace(r, wall_time_ms=0.0) for r in rows]
+
+
+class TestRunAgainstOracle:
+    """``run`` shares one split, pipeline, clustering and neighbor search per
+    repetition; its results equal the job-by-job oracle's."""
+
+    @staticmethod
+    def assert_same(config):
+        got = run(config, dump_predictions=True)
+        want = run_oracle(config, dump_predictions=True)
+        assert strip_walls(got.rows) == strip_walls(want.rows)
+        assert got.summary == want.summary
+        assert got.predictions == want.predictions
+        return got
+
+    @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+    def test_same_results(self, tmp_path, case):
+        config = DIFFERENTIAL_CASES[case](write_csv_dataset(tmp_path / "data.csv"))
+        result = self.assert_same(config)
+        assert len(result.rows) == len(config.methods) * len(config.noise_grid) * config.repetitions
+
+    def test_T_above_training_split(self, tmp_path):
+        config = ExperimentConfig(
+            scenario="two_gaussians", methods=ALL_METHODS, fixed_k=4,
+            noise_grid=(0.0, 0.4), repetitions=2, base_seed=3, n_samples=40,
+            plaknn=PlaknnConfig(T=100),
+        )
+        with pytest.warns(RuntimeWarning, match="T=100 exceeds the 32"):
+            self.assert_same(config)
+
+
+class TestBenchmarkEntryPoint:
+    """``run`` calls ``bench_cli.classify_batch_detail`` once per (noise,
+    repetition) with bindable train, index, queries and config, and the
+    queries are that job's test points."""
+
+    def test_one_call_per_job_with_the_jobs_test_points(self, tmp_path, monkeypatch):
+        csv = write_csv_dataset(tmp_path / "data.csv")
+        config = ExperimentConfig(
+            dataset=csv, methods=ALL_METHODS, noise_grid=(0.0, 0.5), repetitions=3,
+            base_seed=8, plaknn=PlaknnConfig(T=20),
+        )
+        original = bench_cli.classify_batch_detail
+        signature = inspect.signature(original)
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench_cli, "classify_batch_detail", recorder)
+        run(config)
+        source = load_dataset(csv)
+        jobs = {}
+        for noise in config.noise_grid:
+            for rep in range(config.repetitions):
+                train, test_x, _ = prepare_rep_oracle(config, source, noise, rep)
+                jobs[noise, rep] = (train.bag_masks, test_x)
+        seen = []
+        for args in calls:
+            assert {"train", "index", "queries", "config"} <= set(args)
+            assert args["config"] == config.plaknn
+            assert args["index"].n == args["train"].n
+            matches = [
+                job for job, (masks, test_x) in jobs.items()
+                if np.array_equal(args["train"].bag_masks, masks)
+                and np.array_equal(args["queries"], test_x)
+            ]
+            assert len(matches) == 1
+            seen.extend(matches)
+        assert sorted(seen) == sorted(jobs)
+
+
+class TestInfiniteC1:
+    @pytest.mark.parametrize("value", ["inf", "1e999"])
+    def test_run_exits_2_with_one_line(self, tmp_path, capsys, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 1\n"
+            f"[plaknn]\nc1 = {value}\n"
+        )
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert "c1 must be finite and positive" in err
+        assert not (tmp_path / "out").exists()

@@ -135,6 +135,22 @@ class TestNearestOrderHelper:
             assert covered == m
 
 
+class TestNearestOrders:
+    def test_stacks_blocks_and_prefixes_are_exact(self):
+        # integer grid: many tied distances, broken by index
+        rng = np.random.default_rng(9)
+        points = rng.integers(0, 4, size=(90, 2)).astype(float)
+        index = knn_index.build(points)
+        queries = rng.integers(0, 4, size=(600, 2)).astype(float)
+        wide = knn_index.nearest_orders(index, queries, 50)
+        blocks = [order for _, order, _ in knn_index.neighbor_blocks(index, queries, 50)]
+        assert np.array_equal(wide, np.concatenate(blocks))
+        for t in (1, 9, 50):
+            assert np.array_equal(wide[:, :t], knn_index.nearest_orders(index, queries, t))
+        assert knn_index.nearest_orders(index, queries, 500).shape == (600, 90)
+        assert knn_index.nearest_orders(index, queries[:0], 5).shape == (0, 5)
+
+
 class TestDistanceKernel:
     """``sq_distance_chunk`` must reproduce the tensor oracle byte for byte."""
 

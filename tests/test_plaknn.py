@@ -118,6 +118,14 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold(1, 1, 0.1, 1)
 
+    @pytest.mark.parametrize("c1", [0.0, -1.0, math.inf, math.nan])
+    def test_c1_must_be_finite_and_positive(self, c1):
+        # an infinite c1 makes every threshold infinite: nothing is ever eliminated
+        with pytest.raises(ValueError, match="c1 must be finite and positive"):
+            threshold(10, 1, 0.1, 2, c1)
+        with pytest.raises(ValueError, match="c1 must be finite and positive"):
+            PlaknnConfig(c1=c1)
+
 
 class TestConfig:
     def test_defaults(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from plbag.core import LabelSpace, masks_to_membership
 from plbag.synth import (
     SynthBagConfig,
     analytic_scenario,
+    bag_clusters,
+    draw_bags,
     kmeans_labels,
     make_bags,
     normal_cdf,
@@ -140,6 +143,30 @@ class TestMakeBags:
     def test_truth_out_of_range(self):
         with pytest.raises(ValueError):
             make_bags(np.zeros((2, 1)), np.array([1, 9]), LabelSpace(3), SynthBagConfig())
+
+
+class TestBagSteps:
+    """The clustering step followed by the drawing step is make_bags, and one
+    clustering serves any number of draws."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+    def test_steps_equal_make_bags(self, seed):
+        rng = np.random.default_rng(seed)
+        feats = cluster_features(rng, 150)
+        truths = rng.integers(1, 5, size=150)
+        space = LabelSpace(4)
+        cfg = SynthBagConfig(n_clusters=4, alpha_max=0.7, seed=seed)
+        clustered = bag_clusters(feats, truths, space, cfg)
+        for noise in (0.3, 0.0, 1.0, 0.3):
+            want = make_bags(feats, truths, space, replace(cfg, noise_nu=noise))
+            got = draw_bags(clustered, replace(cfg, noise_nu=noise))
+            assert got.bag_masks.tobytes() == want.bag_masks.tobytes()
+            assert got.features.tobytes() == want.features.tobytes()
+            assert np.array_equal(got.truths, want.truths)
+
+    def test_clustering_step_checks_inputs(self):
+        with pytest.raises(ValueError, match="truth labels"):
+            bag_clusters(np.zeros((2, 1)), np.array([1, 9]), LabelSpace(3), SynthBagConfig())
 
 
 class TestBagSamplerStatistics:

@@ -2,9 +2,14 @@
 
 Each ``bench run`` directory under ``golden/`` holds a ``config.cfg`` and the
 ``results.csv``, ``summary.csv`` and ``predictions.csv`` that ``bench run
---dump-predictions`` wrote for it.  A refactor that changes any label,
-iteration count or error rate changes these bytes.  Dataset paths in the
-configs are relative to ``golden/``.
+--dump-predictions`` wrote for it, with the summary lines it printed
+(``stdout.txt``).  A refactor that changes any label, iteration count or
+error rate, or the way a number is printed, changes these bytes.  The runs
+start in ``golden/``, so dataset paths in the configs are relative to it.
+
+``golden/synth`` holds two ``bench synth`` configs with the datasets they
+wrote: ``two_gaussians`` (the scenario's own bag process, with anchor noise)
+and ``gaussian_clusters`` (the cluster-varying ``make_bags`` process).
 
 ``golden/theory`` holds a small distribution file with the report that
 ``bench theory --csv`` printed for it (``report.txt``) and the CSV it wrote
@@ -19,26 +24,40 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plbag.bench_cli import emit, main, parse_config, run
+from plbag.bench_cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = ("two_gaussians", "relaxed_two_gaussians", "gaussian_clusters", "vision_csv")
-OUTPUTS = ("results.csv", "summary.csv", "predictions.csv")
+OUTPUTS = ("results.csv", "summary.csv", "predictions.csv", "stdout.txt")
 THEORY = GOLDEN / "theory"
+SYNTH = GOLDEN / "synth"
+SYNTH_CASES = ("two_gaussians", "gaussian_clusters")
+
+
+def _main(argv: list[str]) -> bytes:
+    """What ``bench`` prints for ``argv`` when started in ``golden/``."""
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv) == 0
+    finally:
+        os.chdir(cwd)
+    return stdout.getvalue().encode()
 
 
 def _run_case(name: str, out: Path) -> None:
-    config = parse_config(GOLDEN / name / "config.cfg")
-    if config.dataset is not None:
-        config = replace(config, dataset=str(GOLDEN / config.dataset))
-    emit(run(config, dump_predictions=True), out)
+    """``bench run --dump-predictions`` of ``name``'s config into ``out``."""
+    argv = ["run", "--config", f"{name}/config.cfg", "--out", str(out), "--dump-predictions"]
+    (out / "stdout.txt").write_bytes(_main(argv))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -46,6 +65,18 @@ def test_outputs_match_golden(name, tmp_path):
     _run_case(name, tmp_path)
     for fname in OUTPUTS:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+
+
+def _run_synth(name: str, out: Path) -> None:
+    """``bench synth`` of ``synth/<name>.cfg`` into ``out/<name>.csv``."""
+    _main(["synth", "--config", f"synth/{name}.cfg", "--out", str(out / f"{name}.csv")])
+
+
+@pytest.mark.parametrize("name", SYNTH_CASES)
+def test_synth_matches_golden(name, tmp_path):
+    _run_synth(name, tmp_path)
+    fname = f"{name}.csv"
+    assert (tmp_path / fname).read_bytes() == (SYNTH / fname).read_bytes()
 
 
 def _run_theory(out: Path) -> None:
@@ -82,6 +113,8 @@ def regenerate() -> None:
     _write_vision_dataset(GOLDEN / "vision_csv" / "bags.csv")
     for name in CASES:
         _run_case(name, GOLDEN / name)
+    for name in SYNTH_CASES:
+        _run_synth(name, SYNTH)
     _run_theory(THEORY)
 
 

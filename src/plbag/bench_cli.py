@@ -37,11 +37,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import operator
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,6 +72,9 @@ from .synth import (
 )
 
 METHODS = ("plaknn", "aknn", "fixed_k")
+
+# Largest scenario sample: a (256, 80,000) float64 distance block is 164 MB.
+MAX_SAMPLES = 100_000
 
 
 class ConfigError(ValueError):
@@ -110,8 +114,10 @@ class ExperimentConfig:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.scenario is not None and self.n_samples < 10:
-            raise ConfigError(f"n_samples must be >= 10, got {self.n_samples}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.scenario is not None and not 10 <= self.n_samples <= MAX_SAMPLES:
+            raise ConfigError(f"n_samples must be in 10..{MAX_SAMPLES}, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -334,6 +340,23 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
+# Output cells keyed by field annotation (a string under postponed evaluation).
+_CELLS = {"float": _fmt, "float | None": lambda v: "" if v is None else _fmt(v),
+          "int": lambda v: v, "str": lambda v: v}
+
+
+def _table(cls: type, rows: list, timings: bool = False) -> Iterator[list]:
+    """The field names of the row dataclass ``cls``, then the cells of each row;
+    ``wall_time_ms`` cells are empty unless ``timings`` is set."""
+    names = [f.name for f in fields(cls)]
+    yield names
+    cells = [_CELLS[f.type] for f in fields(cls)]
+    if not timings and "wall_time_ms" in names:
+        cells[names.index("wall_time_ms")] = lambda v: ""
+    for values in map(operator.attrgetter(*names), rows):
+        yield [cell(v) for cell, v in zip(cells, values)]
+
+
 def emit(result: RunResult, out_dir: str | Path, timings: bool = False) -> None:
     """Write results.csv and summary.csv (and predictions.csv when dumped).
 
@@ -342,46 +365,12 @@ def emit(result: RunResult, out_dir: str | Path, timings: bool = False) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "results.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "method",
-                "noise",
-                "repetition",
-                "seed",
-                "n_train",
-                "error_rate",
-                "mean_iterations",
-                "wall_time_ms",
-            ]
-        )
-        for r in result.rows:
-            writer.writerow(
-                [
-                    r.method,
-                    _fmt(r.noise),
-                    r.repetition,
-                    r.seed,
-                    r.n_train,
-                    _fmt(r.error_rate),
-                    "" if r.mean_iterations is None else _fmt(r.mean_iterations),
-                    _fmt(r.wall_time_ms) if timings else "",
-                ]
-            )
-    with (out / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "noise", "mean_error", "std_error", "n_reps"])
-        for s in result.summary:
-            writer.writerow([s.method, _fmt(s.noise), _fmt(s.mean_error), _fmt(s.std_error), s.n_reps])
-    if result.predictions is not None:
-        with (out / "predictions.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["method", "noise", "repetition", "index", "truth", "predicted"])
-            for p in result.predictions:
-                writer.writerow(
-                    [p.method, _fmt(p.noise), p.repetition, p.index, p.truth, p.predicted]
-                )
+    for name, cls, rows in [("results.csv", ResultRow, result.rows),
+                            ("summary.csv", SummaryRow, result.summary),
+                            ("predictions.csv", PredictionRow, result.predictions)]:
+        if rows is not None:
+            with (out / name).open("w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(_table(cls, rows, timings))
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +652,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     result = run(config, dump_predictions=args.dump_predictions, threads=args.threads)
     emit(result, args.out, timings=config.timings)
-    for s in result.summary:
-        print(
-            f"method={s.method} noise={_fmt(s.noise)} mean_error={_fmt(s.mean_error)} "
-            f"std_error={_fmt(s.std_error)} n_reps={s.n_reps}"
-        )
+    header, *lines = _table(SummaryRow, result.summary)
+    for cells in lines:
+        print(" ".join(f"{name}={cell}" for name, cell in zip(header, cells)))
     return 0
 
 
@@ -676,12 +663,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if config.scenario is None:
         raise ConfigError("bench synth needs a scenario in [experiment]")
     scenario = analytic_scenario(config.scenario)
-    rng = np.random.default_rng(config.base_seed)
-    x, y = scenario.sample_points(config.n_samples, rng)
     if scenario.has_bag_process:
-        masks = scenario.bag_masks_for(x, y, rng, noise_nu=config.synth.noise_nu)
-        data = PartialDataset(x, masks, scenario.label_space, truths=y)
+        data = scenario.sample(config.n_samples, config.base_seed, config.synth.noise_nu)
     else:
+        x, y = scenario.sample_points(config.n_samples, np.random.default_rng(config.base_seed))
         data = make_bags(x, y, scenario.label_space, config.synth)
     save_dataset(data, args.out)
     print(f"wrote {data.n} examples to {args.out}")

@@ -19,6 +19,7 @@ vectorized :func:`_step` call, so both return the same labels by construction.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import compress
@@ -26,7 +27,7 @@ from itertools import compress
 import numpy as np
 
 from . import knn_index
-from .core import LabelSpace, PartialDataset
+from .core import MAX_LABELS, LabelSpace, PartialDataset
 
 
 def threshold(
@@ -40,7 +41,8 @@ def threshold(
 
     With ``d0`` given, the ``ln n`` term is scaled by ``d0`` (the VC dimension
     of balls in the feature space), which makes the guarantee hold uniformly
-    over queries instead of per query.  Natural logarithms throughout.
+    over queries instead of per query.  Natural logarithms throughout.  A
+    threshold that overflows the float range raises ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -52,11 +54,14 @@ def threshold(
         raise ValueError(f"c must be >= 2, got {c}")
     if not 0.0 < c1 < math.inf:
         raise ValueError(f"c1 must be finite and positive, got {c1}")
-    if d0 is not None and d0 < 1:
-        raise ValueError(f"d0 must be >= 1, got {d0}")
+    if d0 is not None and not 1 <= d0 <= sys.float_info.max:
+        raise ValueError(f"d0 must be in [1, {sys.float_info.max}], got {d0}")
     scale = 1.0 if d0 is None else float(d0)
     # ln(c) - ln(delta) is ln(c / delta) without the division's rounding
-    return c1 * math.sqrt((scale * math.log(n) + math.log(c) - math.log(delta)) / k)
+    value = c1 * math.sqrt((scale * math.log(n) + math.log(c) - math.log(delta)) / k)
+    if value == math.inf:
+        raise ValueError(f"c1 = {c1} and d0 = {d0} overflow the threshold at n = {n}, k = {k}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,9 @@ class PlaknnConfig:
             raise ValueError(f"mode must be 'pointwise' or 'uniform', got {self.mode!r}")
         if self.d0 is not None and self.d0 < 1:
             raise ValueError(f"d0 must be >= 1, got {self.d0}")
+        # the largest threshold: one neighbor, the most labels, and as many points
+        # and dimensions as an array can hold
+        self.threshold(sys.maxsize, 1, MAX_LABELS, sys.maxsize)
 
     def resolve_d0(self, dim: int) -> int | None:
         if self.mode == "pointwise":

@@ -45,6 +45,8 @@ class SynthBagConfig:
             raise ValueError(f"alpha_max must be in [0, 1], got {self.alpha_max}")
         if not 0.0 <= self.noise_nu <= 1.0:
             raise ValueError(f"noise_nu must be in [0, 1], got {self.noise_nu}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def kmeans_labels(

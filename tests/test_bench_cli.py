@@ -1,14 +1,22 @@
+import contextlib
+import csv
 import inspect
+import io
+import math
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from plbag import bench_cli, knn_index, preprocess
 from plbag.baselines import aknn_batch, fixed_k_batch
@@ -737,3 +745,156 @@ class TestInfiniteC1:
         assert err.count("\n") == 1 and err.startswith("config error:")
         assert "c1 must be finite and positive" in err
         assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# The output writers spelled out column by column, as ``emit`` and
+# ``bench run`` once wrote them.
+# ---------------------------------------------------------------------------
+
+
+def _fmt_oracle(value):
+    return format(value, ".6g")
+
+
+def emit_oracle(result, out_dir, timings=False):
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with (out / "results.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            [
+                "method",
+                "noise",
+                "repetition",
+                "seed",
+                "n_train",
+                "error_rate",
+                "mean_iterations",
+                "wall_time_ms",
+            ]
+        )
+        for r in result.rows:
+            writer.writerow(
+                [
+                    r.method,
+                    _fmt_oracle(r.noise),
+                    r.repetition,
+                    r.seed,
+                    r.n_train,
+                    _fmt_oracle(r.error_rate),
+                    "" if r.mean_iterations is None else _fmt_oracle(r.mean_iterations),
+                    _fmt_oracle(r.wall_time_ms) if timings else "",
+                ]
+            )
+    with (out / "summary.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["method", "noise", "mean_error", "std_error", "n_reps"])
+        for s in result.summary:
+            writer.writerow(
+                [s.method, _fmt_oracle(s.noise), _fmt_oracle(s.mean_error),
+                 _fmt_oracle(s.std_error), s.n_reps]
+            )
+    if result.predictions is not None:
+        with (out / "predictions.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["method", "noise", "repetition", "index", "truth", "predicted"])
+            for p in result.predictions:
+                writer.writerow(
+                    [p.method, _fmt_oracle(p.noise), p.repetition, p.index, p.truth, p.predicted]
+                )
+
+
+def summary_lines_oracle(summary):
+    """What ``bench run`` prints for ``summary``."""
+    return "".join(
+        f"method={s.method} noise={_fmt_oracle(s.noise)} mean_error={_fmt_oracle(s.mean_error)} "
+        f"std_error={_fmt_oracle(s.std_error)} n_reps={s.n_reps}\n"
+        for s in summary
+    )
+
+
+# floats a cell must print as the oracle does, ints among them
+CELL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 1e21, 0.1, 1 / 3, 5e-324]),
+    st.floats(),
+    st.integers(-(10**30), 10**30),
+)
+CELL_INTS = st.integers(-(2**64), 2**64)
+CELL_STRS = st.sampled_from(["plaknn", "aknn", "fixed_k", "", "a,b", 'q"t', "x y"])
+
+RUN_RESULTS = st.builds(
+    RunResult,
+    rows=st.lists(
+        st.builds(ResultRow, CELL_STRS, CELL_FLOATS, CELL_INTS, CELL_INTS, CELL_INTS,
+                  CELL_FLOATS, st.none() | CELL_FLOATS, CELL_FLOATS),
+        max_size=6,
+    ),
+    summary=st.lists(
+        st.builds(SummaryRow, CELL_STRS, CELL_FLOATS, CELL_FLOATS, CELL_FLOATS, CELL_INTS),
+        max_size=6,
+    ),
+    predictions=st.none() | st.lists(
+        st.builds(PredictionRow, CELL_STRS, CELL_FLOATS, CELL_INTS, CELL_INTS, CELL_INTS, CELL_INTS),
+        max_size=6,
+    ),
+)
+
+
+class TestEmitAgainstOracle:
+    """``bench run`` derives its CSV columns and summary keys from the row
+    dataclasses; the files and printed lines equal the oracle's bytes."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(result=RUN_RESULTS, timings=st.booleans())
+    def test_same_bytes(self, result, timings):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "exp.cfg"
+            cfg.write_text(f"[experiment]\nscenario = two_gaussians\ntimings = {timings}\n")
+            stdout = io.StringIO()
+            with mock.patch.object(bench_cli, "run", lambda *args, **kwargs: result), \
+                    contextlib.redirect_stdout(stdout):
+                assert main(["run", "--config", str(cfg), "--out", str(tmp / "got")]) == 0
+            emit_oracle(result, tmp / "want", timings)
+            assert stdout.getvalue() == summary_lines_oracle(result.summary)
+            names = sorted(p.name for p in (tmp / "want").iterdir())
+            assert sorted(p.name for p in (tmp / "got").iterdir()) == names
+            for name in names:
+                assert (tmp / "got" / name).read_bytes() == (tmp / "want" / name).read_bytes()
+
+
+class TestConfigBounds:
+    """Config values that once ended in a traceback (an allocation sized by
+    ``n_samples``, a negative seed for ``default_rng``, a ``d0`` that
+    overflows the threshold) end in exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("run", "n_samples = 10000000000000\n", "n_samples must be in 10..100000"),
+            ("synth", "n_samples = 10000000000000\n", "n_samples must be in 10..100000"),
+            ("run", "base_seed = -5\n", "base_seed must be >= 0, got -5"),
+            ("synth", "[synth]\nseed = -1\n", "seed must be >= 0, got -1"),
+            ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 400}\n", "d0 must be in [1, "),
+            ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 308}\n", "overflow the threshold"),
+        ],
+        ids=["run_n_samples", "synth_n_samples", "run_base_seed", "synth_seed", "d0_1e400",
+             "d0_1e308"],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\nscenario = two_gaussians\nrepetitions = 1\n" + text
+        )
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_sample_is_accepted(self):
+        config = ExperimentConfig(scenario="two_gaussians", n_samples=bench_cli.MAX_SAMPLES)
+        assert config.n_samples == 100_000

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,32 @@ class TestThreshold:
             threshold(10, 1, 0.1, 2, c1)
         with pytest.raises(ValueError, match="c1 must be finite and positive"):
             PlaknnConfig(c1=c1)
+
+    @pytest.mark.parametrize(
+        "c1, d0, message",
+        [
+            (0.5, 10**400, "d0 must be in"),
+            (0.5, 10**308, "overflow the threshold"),
+            (1e308, None, "overflow the threshold"),
+        ],
+        ids=["d0_1e400", "d0_1e308", "c1_1e308"],
+    )
+    def test_overflow_raises(self, c1, d0, message):
+        # an infinite threshold eliminates nothing, and a d0 past the float
+        # range has no float value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            threshold(50, 1, 0.1, 2, c1, d0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlaknnConfig(c1=c1, mode="uniform", d0=d0)
+
+    def test_config_checks_the_largest_threshold(self):
+        # d0 = 1e307 keeps the threshold finite at n = 10**6 but not at the
+        # largest n an array can hold, so the config refuses it
+        assert threshold(10**6, 1, 0.1, 2, 0.5, 10**307) < math.inf
+        with pytest.raises(ValueError, match="overflow the threshold"):
+            PlaknnConfig(mode="uniform", d0=10**307)
+        assert PlaknnConfig(mode="uniform", d0=10**300).threshold(10**6, 1, 2) < math.inf
+        assert PlaknnConfig(mode="pointwise", d0=10**400).resolve_d0(2) is None
 
 
 class TestConfig:

@@ -7,6 +7,10 @@ Each ``bench run`` directory under ``golden/`` holds a ``config.cfg`` and the
 error rate, or the way a number is printed, changes these bytes.  The runs
 start in ``golden/``, so dataset paths in the configs are relative to it.
 
+``realworld_csv`` runs the ``realworld`` pipeline on integer-grid features
+in which most rows repeat exactly, so every neighbor search of the pipeline
+meets exact duplicates.
+
 ``golden/synth`` holds two ``bench synth`` configs with the datasets they
 wrote: ``two_gaussians`` (the scenario's own bag process, with anchor noise)
 and ``gaussian_clusters`` (the cluster-varying ``make_bags`` process).
@@ -34,7 +38,7 @@ import pytest
 from plbag.bench_cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = ("two_gaussians", "relaxed_two_gaussians", "gaussian_clusters", "vision_csv")
+CASES = ("two_gaussians", "relaxed_two_gaussians", "gaussian_clusters", "vision_csv", "realworld_csv")
 OUTPUTS = ("results.csv", "summary.csv", "predictions.csv", "stdout.txt")
 THEORY = GOLDEN / "theory"
 SYNTH = GOLDEN / "synth"
@@ -109,8 +113,25 @@ def _write_vision_dataset(path: Path) -> None:
     save_dataset(data, path)
 
 
+def _write_realworld_dataset(path: Path) -> None:
+    """Three classes on an integer grid in 3 dimensions, so most feature rows
+    repeat exactly, with cluster-varying bags."""
+    from plbag.core import LabelSpace, save_dataset
+    from plbag.synth import SynthBagConfig, make_bags
+
+    rng = np.random.default_rng(30)
+    means = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    truths = rng.integers(1, 4, size=150)
+    features = np.round(means[truths - 1] + 0.8 * rng.standard_normal((150, 3))) + 0.0
+    data = make_bags(
+        features, truths, LabelSpace(3), SynthBagConfig(n_clusters=3, alpha_max=0.5, seed=31)
+    )
+    save_dataset(data, path)
+
+
 def regenerate() -> None:
     _write_vision_dataset(GOLDEN / "vision_csv" / "bags.csv")
+    _write_realworld_dataset(GOLDEN / "realworld_csv" / "bags.csv")
     for name in CASES:
         _run_case(name, GOLDEN / name)
     for name in SYNTH_CASES:

@@ -12,7 +12,7 @@ Config files are flat ``key = value`` text with sections ``[experiment]``,
 fields of its dataclass (``ExperimentConfig`` without its three section
 fields, ``PlaknnConfig``, ``SynthBagConfig``, ``PipelineConfig``), converted
 by their annotations; unknown sections or keys are errors.  The pipeline's
-``variant`` (``none``, ``vision`` or ``realworld``) picks its defaults.
+``variant`` is ``none`` or a ``PipelineConfig.for_variant`` name.
 
 The meaning of the noise grid depends on the data source: for CSV datasets
 each level is the truth-removal rate, for synthetic scenarios it is the
@@ -105,11 +105,18 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must be distinct, got {self.methods}")
         if self.fixed_k < 1:
             raise ConfigError(f"fixed_k must be >= 1, got {self.fixed_k}")
+        if not self.noise_grid:
+            raise ConfigError("at least one noise level is required")
         for v in self.noise_grid:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"noise level {v} outside [0, 1]")
+        # a set holds 0.0 and -0.0 once
+        if len(set(self.noise_grid)) < len(self.noise_grid):
+            raise ConfigError(f"noise levels must be distinct, got {self.noise_grid}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.repetitions < 1:
@@ -246,7 +253,10 @@ def _run_rep(
     seed = config.base_seed + rep
     features, bags, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
     if config.pipeline is not None:
-        fitted = preprocess.fit(features, config.pipeline)
+        try:
+            fitted = preprocess.fit(features, config.pipeline)
+        except ValueError as exc:
+            raise DataFormatError(f"feature pipeline, repetition {rep}: {exc}") from exc
         features = fitted.transformed_train
         test_x = preprocess.transform(fitted, test_x)
     index = knn_index.build(features)
@@ -460,11 +470,6 @@ _SECTION_FIELDS = {
     for section, cls in _SECTION_CLASSES.items()
 }
 
-_PIPELINE_VARIANTS = {
-    "vision": preprocess.PipelineConfig.vision,
-    "realworld": preprocess.PipelineConfig.realworld,
-}
-
 
 def _build(section: str, factory, values: dict[str, str]):
     """``factory`` called on the values converted in field-declaration order;
@@ -475,13 +480,6 @@ def _build(section: str, factory, values: dict[str, str]):
         return factory(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"section [{section}]: {exc}") from exc
-
-
-def _pipeline(variant: str, **overrides) -> preprocess.PipelineConfig:
-    """The named variant's defaults with the given overrides."""
-    if variant not in _PIPELINE_VARIANTS:
-        raise ValueError(f"unknown pipeline variant {variant!r}")
-    return _PIPELINE_VARIANTS[variant](**overrides)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -500,7 +498,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError("pipeline keys given but variant is 'none'")
         kwargs["pipeline"] = None
     else:
-        kwargs["pipeline"] = _build("pipeline", _pipeline, pipe)
+        kwargs["pipeline"] = _build("pipeline", preprocess.PipelineConfig.for_variant, pipe)
     return ExperimentConfig(**kwargs)
 
 

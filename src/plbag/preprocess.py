@@ -1,12 +1,19 @@
 """Feature pipelines for Euclidean nearest-neighbor retrieval.
 
-Both variants share the same chain: a first transform (mean centering for
-the ``vision`` variant, an elementwise signed cube root for ``realworld``),
+Both variants share one chain: a first transform (mean centering for the
+``vision`` variant, an elementwise signed cube root for ``realworld``),
 unit normalization, Gaussian-weighted smoothing over each point's nearest
 neighbors with a re-normalization, and finally a division by the local
 density radius (mean distance to the density neighbors) that counters
 hubness.  Every statistic is fitted on training data only; test vectors are
 smoothed and density-scaled against the already-smoothed training matrix.
+
+Every neighbor search drops the first of a query's k + 1 nearest reference
+rows when it lies at distance 0, and the last otherwise.  In ``fit`` that
+first row is the query itself or a lower-index exact duplicate with the same
+distances and vector, so no row is its own neighbor; the exception is rows
+whose coordinates differ only by gaps below about 1.5e-162, whose squared
+distance underflows to 0 (fitted entries below 1e-160 may then differ).
 """
 
 from __future__ import annotations
@@ -17,6 +24,12 @@ import numpy as np
 
 from . import knn_index
 
+# Each variant's defaults; PipelineConfig.for_variant applies overrides.
+_VARIANTS = {
+    "vision": dict(smoothing_alpha=0.25, smoothing_k=10, density_k=50),
+    "realworld": dict(smoothing_alpha=0.1, smoothing_k=10, density_k=100),
+}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -26,24 +39,19 @@ class PipelineConfig:
     density_k: int = 50
 
     def __post_init__(self) -> None:
-        if self.variant not in ("vision", "realworld"):
-            raise ValueError(f"variant must be 'vision' or 'realworld', got {self.variant!r}")
+        if self.variant not in _VARIANTS:
+            raise ValueError(f"variant must be one of {tuple(_VARIANTS)}, got {self.variant!r}")
         if not 0.0 <= self.smoothing_alpha <= 1.0:
             raise ValueError(f"smoothing_alpha must be in [0, 1], got {self.smoothing_alpha}")
         if self.smoothing_k < 1 or self.density_k < 1:
             raise ValueError("neighbor counts must be >= 1")
 
     @classmethod
-    def vision(cls, **overrides) -> "PipelineConfig":
-        base = dict(variant="vision", smoothing_alpha=0.25, smoothing_k=10, density_k=50)
-        base.update(overrides)
-        return cls(**base)
-
-    @classmethod
-    def realworld(cls, **overrides) -> "PipelineConfig":
-        base = dict(variant="realworld", smoothing_alpha=0.1, smoothing_k=10, density_k=100)
-        base.update(overrides)
-        return cls(**base)
+    def for_variant(cls, variant: str, **overrides) -> "PipelineConfig":
+        """The named variant's defaults with the given overrides."""
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown pipeline variant {variant!r}")
+        return cls(variant, **{**_VARIANTS[variant], **overrides})
 
 
 @dataclass(frozen=True)
@@ -73,15 +81,15 @@ def _signed_cube_root(x: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_distances(
-    reference: np.ndarray, queries: np.ndarray, k: int, exclude: str
+    reference: np.ndarray, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """k nearest reference rows per query: (indices, Euclidean distances).
 
-    ``exclude="self"`` drops the same-index row (training-side searches,
-    where queries are the reference).  ``exclude="one_zero"`` drops the
-    lowest-index exact-zero-distance row, if any (test-side searches), so a
-    test point that coincides with a training point sees exactly the
-    neighbor set that training point saw and gets the identical transform.
+    Of the k + 1 nearest rows the first is dropped when it lies at distance
+    0, else the last.  A query equal to a reference row gets that row's
+    neighbors; a reference row is not its own neighbor, since an exact
+    duplicate dropped in its place has the same distances and vector (bar
+    coordinate gaps below ~1.5e-162, whose squared distance underflows to 0).
     Among rows tied at the k-th distance the lowest index wins.
     """
     m = queries.shape[0]
@@ -89,14 +97,9 @@ def _neighbor_distances(
     dist = np.empty((m, k))
     index = knn_index.build(reference)
     for rows, order, sqd in knn_index.neighbor_blocks(index, queries, k + 1):
-        if exclude == "self":
-            drop = order == np.arange(rows.start, rows.stop)[:, None]
-        else:
-            drop = np.zeros(order.shape, dtype=bool)
-            drop[:, 0] = sqd[:, 0] == 0.0
-        drop[~drop.any(axis=1), -1] = True
-        idx[rows] = order[~drop].reshape(-1, k)
-        dist[rows] = np.sqrt(sqd[~drop]).reshape(-1, k)
+        zero = sqd[:, :1] == 0.0
+        idx[rows] = np.where(zero, order[:, 1:], order[:, :-1])
+        dist[rows] = np.sqrt(np.where(zero, sqd[:, 1:], sqd[:, :-1]))
     return idx, dist
 
 
@@ -108,19 +111,14 @@ def gaussian_weights(dist: np.ndarray, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _smooth(
-    vectors: np.ndarray,
-    reference: np.ndarray,
-    alpha: float,
-    k: int,
-    exclude: str,
-) -> np.ndarray:
+def _smooth(vectors: np.ndarray, reference: np.ndarray, config: PipelineConfig) -> np.ndarray:
     """Convex combination of each vector with the Gaussian-weighted mean of
-    its k nearest reference vectors; bandwidth is the per-point median
-    neighbor distance."""
+    its ``smoothing_k`` nearest reference vectors, weighted by
+    ``smoothing_alpha``; bandwidth is the per-point median neighbor distance."""
+    alpha = config.smoothing_alpha
     if alpha == 0.0:
-        return vectors.copy()
-    idx, dist = _neighbor_distances(reference, vectors, k, exclude)
+        return vectors
+    idx, dist = _neighbor_distances(reference, vectors, config.smoothing_k)
     sigma = np.median(dist, axis=1)
     out = np.empty_like(vectors)
     for i in range(vectors.shape[0]):
@@ -129,11 +127,17 @@ def _smooth(
     return out
 
 
-def _density_radii(
-    reference: np.ndarray, queries: np.ndarray, k: int, exclude: str
-) -> np.ndarray:
-    _, dist = _neighbor_distances(reference, queries, k, exclude)
-    return dist.mean(axis=1)
+def _chain(
+    x: np.ndarray, config: PipelineConfig, mean: np.ndarray | None, reference: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The smoothed unit rows of ``x`` and their density radii, both taken
+    against ``reference`` (the smoothed training matrix), or against the
+    rows themselves when ``reference`` is None."""
+    x = x - mean if config.variant == "vision" else _signed_cube_root(x)
+    x = _unit_rows(x)
+    x = _unit_rows(_smooth(x, x if reference is None else reference, config))
+    _, dist = _neighbor_distances(x if reference is None else reference, x, config.density_k)
+    return x, dist.mean(axis=1)
 
 
 def fit(train_features: np.ndarray, config: PipelineConfig) -> FittedPipeline:
@@ -143,23 +147,12 @@ def fit(train_features: np.ndarray, config: PipelineConfig) -> FittedPipeline:
         raise ValueError("train features must be an (n, d) matrix")
     if not np.all(np.isfinite(x)):
         raise ValueError("train features must be finite")
-    n = x.shape[0]
-    if n <= config.smoothing_k or n <= config.density_k:
-        raise ValueError(
-            f"need more than {max(config.smoothing_k, config.density_k)} training points, got {n}"
-        )
+    k = max(config.smoothing_k, config.density_k)
+    if x.shape[0] <= k:
+        raise ValueError(f"need more than {k} training points, got {x.shape[0]}")
 
-    if config.variant == "vision":
-        mean = x.mean(axis=0)
-        x = x - mean
-    else:
-        mean = None
-        x = _signed_cube_root(x)
-    x = _unit_rows(x)
-    x = _smooth(x, x, config.smoothing_alpha, config.smoothing_k, exclude="self")
-    x = _unit_rows(x)
-
-    radii = _density_radii(x, x, config.density_k, exclude="self")
+    mean = x.mean(axis=0) if config.variant == "vision" else None
+    x, radii = _chain(x, config, mean, None)
     positive = radii[radii > 0.0]
     if positive.size == 0:
         raise ValueError("all training points coincide; density scaling is undefined")
@@ -167,7 +160,7 @@ def fit(train_features: np.ndarray, config: PipelineConfig) -> FittedPipeline:
     safe = np.where(radii > 0.0, radii, fallback)
     return FittedPipeline(
         config=config,
-        mean=None if mean is None else mean.copy(),
+        mean=mean,
         smoothed_train=x,
         density_radii=safe,
         density_fallback=fallback,
@@ -180,14 +173,6 @@ def transform(pipeline: FittedPipeline, test_features: np.ndarray) -> np.ndarray
     x = np.asarray(test_features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != pipeline.smoothed_train.shape[1]:
         raise ValueError("test features must match the training dimension")
-    cfg = pipeline.config
-    if cfg.variant == "vision":
-        x = x - pipeline.mean
-    else:
-        x = _signed_cube_root(x)
-    x = _unit_rows(x)
-    x = _smooth(x, pipeline.smoothed_train, cfg.smoothing_alpha, cfg.smoothing_k, exclude="one_zero")
-    x = _unit_rows(x)
-    radii = _density_radii(pipeline.smoothed_train, x, cfg.density_k, exclude="one_zero")
+    x, radii = _chain(x, pipeline.config, pipeline.mean, pipeline.smoothed_train)
     safe = np.where(radii > 0.0, radii, pipeline.density_fallback)
     return x / safe[:, None]

@@ -631,7 +631,7 @@ DIFFERENTIAL_CASES = {
     "csv_realworld": lambda csv: ExperimentConfig(
         dataset=csv, methods=ALL_METHODS, fixed_k=5, noise_grid=(0.0, 0.2),
         repetitions=2, base_seed=9, plaknn=PlaknnConfig(T=30),
-        pipeline=preprocess.PipelineConfig.realworld(density_k=20),
+        pipeline=preprocess.PipelineConfig.for_variant("realworld", density_k=20),
     ),
     "two_gaussians": lambda csv: ExperimentConfig(
         scenario="two_gaussians", methods=ALL_METHODS, fixed_k=5,
@@ -898,3 +898,53 @@ class TestConfigBounds:
     def test_largest_sample_is_accepted(self):
         config = ExperimentConfig(scenario="two_gaussians", n_samples=bench_cli.MAX_SAMPLES)
         assert config.n_samples == 100_000
+
+
+class TestDistinctGrid:
+    """Repeated methods or noise levels would repeat summary rows over
+    duplicated errors, and an empty noise grid would write header-only
+    CSVs; each ends in exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("methods = plaknn,plaknn\nnoise_grid = 0.0,0.0\n", "methods must be distinct"),
+            ("methods = plaknn,aknn,plaknn\n", "methods must be distinct"),
+            ("noise_grid = 0.0,0.2,0.0\n", "noise levels must be distinct"),
+            ("noise_grid = 0.0,-0.0\n", "noise levels must be distinct"),
+            ("noise_grid =\n", "at least one noise level is required"),
+        ],
+        ids=["methods_and_noise", "methods", "noise", "signed_zero", "empty_noise_grid"],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[experiment]\nscenario = two_gaussians\nrepetitions = 2\n" + text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestPipelineDataError:
+    """Unit normalization maps one-feature rows to +1 or -1, so every
+    training point has density radius 0; the pipeline's refusal ends in
+    exit 3 with one line under either variant."""
+
+    @pytest.mark.parametrize("variant", ["vision", "realworld"])
+    def test_exit_3_with_one_line(self, tmp_path, capsys, variant):
+        x = np.random.default_rng(3).normal(size=300)
+        y = 1 + (x > 0)
+        data = tmp_path / "one.csv"
+        rows = "".join(f"{v!r},{t},{t}\n" for v, t in zip(x.tolist(), y.tolist()))
+        data.write_text("x1,bag,y\n" + rows)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"[experiment]\ndataset = {data}\nrepetitions = 1\n[pipeline]\nvariant = {variant}\n"
+        )
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("data error:")
+        assert "density scaling is undefined" in err

@@ -268,9 +268,9 @@ def parse_config_oracle(path) -> ExperimentConfig:
             overrides["density_k"] = _int(pipe["density_k"], "density_k")
         try:
             if variant == "vision":
-                kwargs["pipeline"] = preprocess.PipelineConfig.vision(**overrides)
+                kwargs["pipeline"] = preprocess.PipelineConfig.for_variant("vision", **overrides)
             elif variant == "realworld":
-                kwargs["pipeline"] = preprocess.PipelineConfig.realworld(**overrides)
+                kwargs["pipeline"] = preprocess.PipelineConfig.for_variant("realworld", **overrides)
             else:
                 raise ConfigError(f"unknown pipeline variant {variant!r}")
         except ValueError as exc:

@@ -11,6 +11,11 @@ start in ``golden/``, so dataset paths in the configs are relative to it.
 in which most rows repeat exactly, so every neighbor search of the pipeline
 meets exact duplicates.
 
+``vision_small_k`` runs the ``vision`` pipeline in 12 dimensions with
+neighbor counts (``smoothing_k``, ``density_k``, ``T``, ``fixed_k``) small
+against its 400 training rows, some of them exact repeats, so that every
+neighbor search of the run takes ``knn_index``'s prefiltered path.
+
 ``golden/synth`` holds two ``bench synth`` configs with the datasets they
 wrote: ``two_gaussians`` (the scenario's own bag process, with anchor noise)
 and ``gaussian_clusters`` (the cluster-varying ``make_bags`` process).
@@ -38,7 +43,14 @@ import pytest
 from plbag.bench_cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = ("two_gaussians", "relaxed_two_gaussians", "gaussian_clusters", "vision_csv", "realworld_csv")
+CASES = (
+    "two_gaussians",
+    "relaxed_two_gaussians",
+    "gaussian_clusters",
+    "vision_csv",
+    "realworld_csv",
+    "vision_small_k",
+)
 OUTPUTS = ("results.csv", "summary.csv", "predictions.csv", "stdout.txt")
 THEORY = GOLDEN / "theory"
 SYNTH = GOLDEN / "synth"
@@ -129,9 +141,28 @@ def _write_realworld_dataset(path: Path) -> None:
     save_dataset(data, path)
 
 
+def _write_small_k_dataset(path: Path) -> None:
+    """Five Gaussian classes in 12 dimensions, 40 of the 500 rows repeated
+    exactly, with cluster-varying bags."""
+    from plbag.core import LabelSpace, save_dataset
+    from plbag.synth import SynthBagConfig, make_bags
+
+    rng = np.random.default_rng(40)
+    means = 1.2 * rng.standard_normal((5, 12))
+    truths = rng.integers(1, 6, size=500)
+    features = means[truths - 1] + rng.standard_normal((500, 12))
+    features[460:] = features[:40]
+    truths[460:] = truths[:40]
+    data = make_bags(
+        features, truths, LabelSpace(5), SynthBagConfig(n_clusters=4, alpha_max=0.5, seed=41)
+    )
+    save_dataset(data, path)
+
+
 def regenerate() -> None:
     _write_vision_dataset(GOLDEN / "vision_csv" / "bags.csv")
     _write_realworld_dataset(GOLDEN / "realworld_csv" / "bags.csv")
+    _write_small_k_dataset(GOLDEN / "vision_small_k" / "bags.csv")
     for name in CASES:
         _run_case(name, GOLDEN / name)
     for name in SYNTH_CASES:

@@ -16,6 +16,51 @@ the index's transposed points: it squares one coordinate's differences at a
 time for a tile of query rows and adds the squares up in numpy's pairwise
 order, so each value equals ``((p - q) ** 2).sum(-1)`` bit for bit without
 an (m, n, d) difference tensor.
+
+Searches for few neighbors, ``t * 32 <= n`` in ``d >= 8`` dimensions, first
+rule most points out through the expanded form (Johnson, Douze, Jegou,
+"Billion-scale similarity search with GPUs", arXiv:1702.08734).  For a tile
+of query rows one GEMM gives x(p) = |p|^2 - 2 q.p, the squared distance less
+the query's own |q|^2.  With y_t the t-th smallest x of a query, only the
+points with x(p) <= y_t + 2E are rescored, with the kernel's expression
+``((p - q) ** 2).sum(-1)``, and one lexsort takes the t nearest of them in
+(distance, index) order, so ``order`` and ``sqd`` equal the full search's
+bytes.  The rule comes from timings on one core: with t/n <= 1/32 and
+d >= 8 the prefiltered search took 0.15-0.86 of the full one's time on
+Gaussian, unit-norm, clustered and integer-grid points (0.24 and 0.39 for
+2,400 x 2,400 searches at t = 11 and 51 in 16 dimensions); at d <= 4, or
+at t/n = 1/6, it gained less or lost.
+
+The bound.  Let u = 2^-53, g_k = k u / (1 - k u) and eta = 2^-1022, the
+most that one operation can lose below the normal range, with gradual
+underflow or flushed to zero.  For a query q and a point p let S(p) be the
+exact |p - q|^2, D(p) the kernel's value, c = |q|^2, and x(p) the exact sum
+of the two computed terms of the expanded value, before its own rounding.
+
+(a) Each GEMM entry (BLAS computes each one as a dot product) and each
+    squared norm is a dot product of length d.  In any summation order,
+    with or without FMA, it errs by at most
+    g_d sum |x_i y_i| plus eta per operation.  With a >= |q| and
+    b >= max |p| this gives |x(p) - (S(p) - c)| <= E1 = g_d (2ab + b^2) + 8 d eta.
+(b) The kernel's d subtractions, d squares and d - 1 additions give
+    |D(p) - S(p)| <= g_{d+2} S(p) + 4 d eta.
+(c) The t points whose rounded x is at most y_t have x <= y_t + u |y_t| + eta,
+    so by (a) S <= M = y_t + u |y_t| + eta + c + E1 for each of them, and
+    by (b) the t-th smallest kernel distance D_t <= (1 + g_{d+2}) M + 4 d eta.
+(d) So a point with D(p) <= D_t has S(p) <= M + 2K by (b), with
+    K = (g_{d+2} M + 4 d eta) / (1 - g_{d+2}), and by (a)
+    x(p) <= y_t + u |y_t| + eta + 2 E1 + 2K = y_t + 2E.  Rounding is
+    monotone, so its rounded x is at most the rounded y_t + 2E.
+
+Every point at distance D_t or less, ties included, is therefore a
+candidate.  E is evaluated in floats with a relative margin of 2^-40, far
+above the rounding of its own few operations.  The bound assumes no
+overflow and no input read as zero: a block with a squared norm above
+2^1000 (or not finite) or a subnormal coordinate (which a
+denormals-are-zero mode would drop) takes the full search.  So does a tile
+whose candidates exceed an eighth of its pairs, where rescoring costs more
+than the kernel: a common offset much larger than the spread of the points
+makes E large against their distances.
 """
 
 from __future__ import annotations
@@ -33,6 +78,21 @@ _TILE_BYTES = 256 * 1024
 # numpy's pairwise summation adds at most this many terms in one 8-lane loop
 # and splits longer runs in two.
 _PAIRWISE_BLOCK = 128
+# Dispatch rule of the prefilter: t * _PREFILTER_RATIO <= n and d >= _PREFILTER_MIN_DIM.
+_PREFILTER_RATIO = 32
+_PREFILTER_MIN_DIM = 8
+# Unit roundoff of float64, and its smallest normal number: the most one
+# operation can lose below the normal range, with gradual underflow or
+# flushed to zero.
+_U = 2.0**-53
+_ETA = 2.0**-1022
+# The bound covers squared norms up to this, far from overflow.
+_SQ_NORM_LIMIT = 2.0**1000
+# Relative margin on the bound's own float arithmetic (a few ulps at most).
+_MARGIN = 1.0 + 2.0**-40
+# A tile with more candidates than 1 / _DENSE of its pairs costs more to
+# rescore than the full kernel does (large common offsets, many near-ties).
+_DENSE = 8
 
 
 class NeighborIndex:
@@ -77,9 +137,7 @@ def sq_distance_chunk(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
     any other order, and the expanded ``|p|^2 - 2 p.q + |q|^2`` form above
     all, rounds differently and can reorder neighbors at near-ties.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != index.dim:
-        raise ValueError("queries must be an (m, d) matrix matching the index dimension")
+    queries = _checked_queries(index, np.asarray(queries, dtype=np.float64))
     m, n = queries.shape[0], index.n
     out = np.empty((m, n))
     rows = max(1, _TILE_BYTES // (8 * n))
@@ -190,20 +248,152 @@ def neighbor_blocks(
 
     ``order[i]`` holds the ``min(t, n)`` nearest training indices of query
     ``rows.start + i`` under (distance, index) order and ``sqd[i]`` their
-    squared distances.  The block's (block, n) distance matrix is freed
-    before the yield, so callers never hold it while they work.
+    squared distances, each equal to ``((points[j] - query) ** 2).sum(-1)``
+    bit for bit.  The block's (block, n) distance matrix is freed before the
+    yield, so callers never hold it while they work.
+
+    Dispatch depends on (t, n, d) alone: a search with ``t * 32 <= n`` in
+    ``d >= 8`` dimensions rescores only the points that the expanded form
+    cannot rule out (:func:`_prefiltered`; the module docstring states the
+    bound and its proof), and every other search computes the full distance
+    matrix (:func:`_exact`).  A prefiltered search still takes the full
+    path for a block with a squared norm above ``2**1000`` or a subnormal
+    coordinate, and for a tile whose candidates exceed an eighth of its
+    pairs.  Both paths return the same bytes.
     """
     queries = np.asarray(queries, dtype=np.float64)
     t = min(t, index.n)
+    point_sq = None
+    if t * _PREFILTER_RATIO <= index.n and index.dim >= _PREFILTER_MIN_DIM:
+        point_sq = _safe_sq_norms(index.points)
     for start in range(0, queries.shape[0], _BLOCK):
         rows = slice(start, min(start + _BLOCK, queries.shape[0]))
-        d2 = sq_distance_chunk(index, queries[rows])
-        order = np.empty((d2.shape[0], t), dtype=np.int64)
-        for i in range(d2.shape[0]):
-            order[i] = nearest_order(d2[i], t)
-        sqd = np.take_along_axis(d2, order, axis=1)
-        del d2
+        q = _checked_queries(index, queries[rows])
+        query_sq = None if point_sq is None else _safe_sq_norms(q)
+        if query_sq is None:
+            order, sqd = _exact(index, q, t)
+        else:
+            order, sqd = _prefiltered(index, q, t, point_sq, query_sq)
         yield rows, order, sqd
+
+
+def _checked_queries(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
+    """``queries``, after checking that they are an (m, d) matrix."""
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
+        raise ValueError("queries must be an (m, d) matrix matching the index dimension")
+    return queries
+
+
+def _exact(index: NeighborIndex, queries: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sqd)`` of the ``t`` nearest points from the full distance matrix."""
+    d2 = sq_distance_chunk(index, queries)
+    order = np.empty((d2.shape[0], t), dtype=np.int64)
+    for i in range(d2.shape[0]):
+        order[i] = nearest_order(d2[i], t)
+    return order, np.take_along_axis(d2, order, axis=1)
+
+
+def _safe_sq_norms(x: np.ndarray) -> np.ndarray | None:
+    """Squared row norms of ``x``, or None when the bound does not cover it:
+    a squared norm above ``_SQ_NORM_LIMIT`` (or not finite) or a subnormal
+    coordinate."""
+    sq = np.einsum("ij,ij->i", x, x)
+    if not np.all(sq <= _SQ_NORM_LIMIT):
+        return None
+    if np.any((np.abs(x) < _ETA) & (x != 0.0)):
+        return None
+    return sq
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _candidate_limit(
+    cutoff: np.ndarray, query_sq: np.ndarray, point_sq_max: float, d: int
+) -> np.ndarray:
+    """``cutoff + 2 E``, one per query (see the module docstring).
+
+    ``cutoff`` holds each query's t-th smallest expanded value, ``query_sq``
+    the queries' computed squared norms and ``point_sq_max`` the largest
+    computed squared norm of a point.
+    """
+    g = _gamma(d)
+    a2 = query_sq / (1.0 - g) + 4 * d * _ETA  # >= |q|^2
+    b2 = point_sq_max / (1.0 - g) + 4 * d * _ETA  # >= max |p|^2
+    expanded = g * (2.0 * np.sqrt(a2) * np.sqrt(b2) + b2) + 8 * d * _ETA  # E1
+    rounding = _U * np.abs(cutoff) + _ETA
+    reach = np.maximum(cutoff + rounding + a2 + expanded, 0.0)  # M
+    k = _gamma(d + 2)
+    kernel = (k * reach + 4 * d * _ETA) / (1.0 - k)
+    return cutoff + (rounding + 2.0 * (expanded + kernel)) * _MARGIN
+
+
+def _prefiltered(
+    index: NeighborIndex, queries: np.ndarray, t: int, point_sq: np.ndarray, query_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sqd)`` of the ``t`` nearest points, tile by tile: equal to
+    :func:`_exact` byte for byte.  A tile whose candidates exceed
+    ``1 / _DENSE`` of its pairs goes through :func:`_exact` instead."""
+    m, n = queries.shape[0], index.n
+    rows = max(1, _TILE_BYTES // (8 * n))
+    expanded = np.empty((min(rows, m), n))
+    ranked = np.empty_like(expanded)
+    order = np.empty((m, t), dtype=np.int64)
+    sqd = np.empty((m, t))
+    point_sq_max = float(point_sq.max())
+    for start in range(0, m, rows):
+        tile = slice(start, min(start + rows, m))
+        q = queries[tile]
+        keep = _candidates(
+            index, q, t, point_sq, query_sq[tile], point_sq_max,
+            expanded[: q.shape[0]], ranked[: q.shape[0]],
+        )
+        if np.count_nonzero(keep) * _DENSE > keep.size:
+            order[tile], sqd[tile] = _exact(index, q, t)
+        else:
+            order[tile], sqd[tile] = _rescored(index.points, q, keep, t)
+    return order, sqd
+
+
+def _candidates(
+    index: NeighborIndex,
+    queries: np.ndarray,
+    t: int,
+    point_sq: np.ndarray,
+    query_sq: np.ndarray,
+    point_sq_max: float,
+    expanded: np.ndarray,
+    ranked: np.ndarray,
+) -> np.ndarray:
+    """(rows, n) mask of the points each query keeps: expanded value at most
+    the t-th smallest plus 2 E.  ``expanded`` and ``ranked`` are (rows, n)
+    scratch buffers."""
+    # |p|^2 - 2 q.p: the expanded squared distance less the query's |q|^2
+    np.matmul(-2.0 * queries, index.columns, out=expanded)
+    expanded += point_sq
+    np.copyto(ranked, expanded)
+    ranked.partition(t - 1, axis=1)
+    limit = _candidate_limit(ranked[:, t - 1], query_sq, point_sq_max, index.dim)
+    return expanded <= limit[:, None]
+
+
+def _rescored(
+    points: np.ndarray, queries: np.ndarray, keep: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sqd)`` of the ``t`` nearest kept points of each query, by
+    their kernel distances in (distance, index) order."""
+    i, j = np.nonzero(keep)
+    dist = np.empty(i.shape[0])
+    step = max(1, _TILE_BYTES // (8 * points.shape[1]))
+    for s in range(0, i.shape[0], step):
+        diff = points[j[s : s + step]] - queries[i[s : s + step]]
+        dist[s : s + step] = np.multiply(diff, diff, out=diff).sum(-1)
+    pick = np.lexsort((j, dist, i))
+    counts = np.bincount(i, minlength=keep.shape[0])
+    pick = pick[(np.cumsum(counts) - counts)[:, None] + np.arange(t)]
+    return j[pick], dist[pick]
 
 
 def nearest_orders(index: NeighborIndex, queries: np.ndarray, t: int) -> np.ndarray:
@@ -229,9 +419,7 @@ def order_blocks(
     """
     if order is None:
         return ((rows, block) for rows, block, _ in neighbor_blocks(index, queries, t))
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != index.dim:
-        raise ValueError("queries must be an (m, d) matrix matching the index dimension")
+    queries = _checked_queries(index, np.asarray(queries, dtype=np.float64))
     t = min(t, index.n)
     m = queries.shape[0]
     order = np.asarray(order)

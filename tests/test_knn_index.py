@@ -211,3 +211,177 @@ class TestDistanceKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * out.nbytes
+
+
+def prefiltered_search(index, queries, t):
+    """The prefilter's candidates and rescoring for every query, without the
+    dense-tile fallback of ``_prefiltered``."""
+    point_sq = knn_index._safe_sq_norms(index.points)
+    query_sq = knn_index._safe_sq_norms(queries)
+    assert point_sq is not None and query_sq is not None
+    expanded = np.empty((queries.shape[0], index.n))
+    keep = knn_index._candidates(
+        index, queries, t, point_sq, query_sq, float(point_sq.max()),
+        expanded, np.empty_like(expanded),
+    )
+    return knn_index._rescored(index.points, queries, keep, t)
+
+
+def assert_same_search(index, queries, t):
+    """Prefiltered and tiled searches give the full search's order and bytes."""
+    order, sqd = knn_index._exact(index, queries, t)
+    point_sq = knn_index._safe_sq_norms(index.points)
+    tiled = knn_index._prefiltered(index, queries, t, point_sq, knn_index._safe_sq_norms(queries))
+    for got_order, got_sqd in (prefiltered_search(index, queries, t), tiled):
+        assert np.array_equal(got_order, order), (index.dim, t)
+        assert got_sqd.tobytes() == sqd.tobytes(), (index.dim, t)
+
+
+class TestPrefilter:
+    """The prefiltered search against the full one, through the private
+    functions: ``order`` equal and ``sqd`` equal byte for byte."""
+
+    def test_every_dimension_and_neighbor_count(self):
+        rng = np.random.default_rng(400)
+        for d in range(1, 65):
+            n = int(rng.integers(2, 40))
+            points = rng.normal(size=(n, d))
+            points[n // 2 :: 3] = points[: len(points[n // 2 :: 3])]  # exact duplicates
+            queries = np.vstack([rng.normal(size=(4, d)), points[:2]])
+            index = knn_index.build(points)
+            for t in range(1, n + 1):
+                assert_same_search(index, queries, t)
+
+    @pytest.mark.parametrize("d", [8, 16, 33])
+    def test_random_points_and_integer_grid_ties(self, d):
+        rng = np.random.default_rng(410 + d)
+        gaussian = rng.normal(size=(300, d))
+        grid = rng.integers(-1, 2, size=(300, d)).astype(float)  # many exact ties
+        for points in (gaussian, grid):
+            points[200:260] = points[:60]
+            index = knn_index.build(points)
+            queries = np.vstack([points[:10], points[250:255], rng.normal(size=(20, d))])
+            for t in (1, 2, 9, 51, 150, 300):
+                assert_same_search(index, queries, t)
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 16])
+    def test_one_ulp_near_ties_at_the_cutoff(self, d):
+        # points on the axes at 1 - ulp/2, 1, 1 + ulp and 1 + 2 ulp from the
+        # origin: squared distances tie exactly or differ by an ulp or two
+        rng = np.random.default_rng(420 + d)
+        radii = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+        radii = np.append(radii, np.nextafter(radii[-1], 2.0))
+        n = 200
+        points = np.zeros((n, d))
+        sign = rng.choice([-1.0, 1.0], size=n)
+        points[np.arange(n), rng.integers(0, d, size=n)] = sign * rng.choice(radii, size=n)
+        queries = np.vstack([np.zeros(d), 1e-12 * rng.normal(size=(5, d))])
+        index = knn_index.build(points)
+        for t in (1, 7, 40, 60, 110, 200):
+            assert_same_search(index, queries, t)
+
+    @pytest.mark.parametrize("noise", [1.0, 1e-3])
+    def test_common_offset(self, noise):
+        # |q|^2 and |p|^2 near 1e16 d cancel to distances near noise^2 d
+        rng = np.random.default_rng(430)
+        for d in (1, 2, 3, 8, 16, 64):
+            index = knn_index.build(1e8 + noise * rng.normal(size=(250, d)))
+            queries = 1e8 + noise * rng.normal(size=(30, d))
+            for t in (1, 5, 20):
+                assert_same_search(index, queries, t)
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160, 1e-162, 1e-170])
+    def test_tiny_magnitudes(self, scale):
+        # squares near or below the normal range: the absolute term carries E
+        rng = np.random.default_rng(440)
+        for d in (1, 4, 16):
+            index = knn_index.build(scale * rng.normal(size=(200, d)))
+            queries = scale * rng.normal(size=(20, d))
+            for t in (1, 6, 30):
+                assert_same_search(index, queries, t)
+
+    def test_slack_covers_the_error_spread(self):
+        # Points whose exact distances nearly tie are ranked by the rounding
+        # errors of the expanded form alone, so the slack 2E must cover the
+        # spread of those errors: a nearest point with a high error must
+        # survive a cutoff set by one with a low error.  In one dimension
+        # near 1e8 each product rounds once and the final sum is exact
+        # (all terms are even integers below 2**54), so the errors are the
+        # ones the bound counts, whatever the BLAS.
+        from fractions import Fraction
+
+        rng = np.random.default_rng(450)
+        points = 1e8 + 1e-3 * rng.normal(size=(300, 1))
+        queries = 1e8 + 1e-3 * rng.normal(size=(10, 1))
+        index = knn_index.build(points)
+        point_sq = knn_index._safe_sq_norms(points)
+        query_sq = knn_index._safe_sq_norms(queries)
+        expanded = np.empty((10, 300))
+        ranked = np.empty_like(expanded)
+        knn_index._candidates(
+            index, queries, 1, point_sq, query_sq, float(point_sq.max()), expanded, ranked
+        )
+        cutoff = ranked[:, 0]
+        slack = knn_index._candidate_limit(cutoff, query_sq, float(point_sq.max()), 1) - cutoff
+        for i, q in enumerate(queries[:, 0].tolist()):
+            errors = [
+                Fraction(e) - (Fraction(p) ** 2 - 2 * Fraction(q) * Fraction(p))
+                for e, p in zip(expanded[i].tolist(), points[:, 0].tolist())
+            ]
+            assert max(errors) - min(errors) <= slack[i]
+
+    def test_dispatch_rule(self, monkeypatch):
+        calls = []
+        real = knn_index._prefiltered
+
+        def recording(index, queries, t, *norms):
+            calls.append((t, index.n, index.dim))
+            return real(index, queries, t, *norms)
+
+        monkeypatch.setattr(knn_index, "_prefiltered", recording)
+        rng = np.random.default_rng(460)
+        cases = [(1, 32, 8, True), (2, 64, 8, True), (2, 63, 8, False), (1, 100, 7, False),
+                 (3, 96, 20, True), (9, 200, 12, False)]
+        for t, n, d, expected in cases:
+            index = knn_index.build(rng.normal(size=(n, d)))
+            queries = rng.normal(size=(300, d))  # two blocks
+            blocks = list(knn_index.neighbor_blocks(index, queries, t))
+            assert (len(calls) == 2) == expected
+            assert np.array_equal(np.concatenate([b[1] for b in blocks]),
+                                  knn_index._exact(index, queries, t)[0])
+            calls.clear()
+
+    def test_norms_out_of_range_take_the_full_search(self):
+        rng = np.random.default_rng(470)
+        points = rng.normal(size=(100, 8))
+        assert knn_index._safe_sq_norms(points) is not None
+        huge = points.copy()
+        huge[3, 2] = 1e152  # squared norm 1e304, above 2**1000
+        subnormal = points.copy()
+        subnormal[5, 0] = 5e-324
+        nan = points[:4].copy()
+        nan[1, 1] = np.nan
+        for x in (huge, subnormal, nan):
+            assert knn_index._safe_sq_norms(x) is None
+        for points, queries in ((huge, rng.normal(size=(20, 8))), (points, subnormal[:20])):
+            index = knn_index.build(points)
+            (_, order, sqd), = knn_index.neighbor_blocks(index, queries, 3)
+            expected_order, expected_sqd = knn_index._exact(index, queries, 3)
+            assert np.array_equal(order, expected_order)
+            assert sqd.tobytes() == expected_sqd.tobytes()
+
+    def test_tiles_bound_memory(self):
+        # the candidates of one 256-query block come from tiles of about
+        # _TILE_BYTES; the full path holds a (256, n) matrix, 32 times that
+        rng = np.random.default_rng(480)
+        index = knn_index.build(rng.normal(size=(8192, 16)))
+        queries = rng.normal(size=(256, 16))
+        point_sq = knn_index._safe_sq_norms(index.points)
+        query_sq = knn_index._safe_sq_norms(queries)
+        tracemalloc.start()
+        try:
+            knn_index._prefiltered(index, queries, 11, point_sq, query_sq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * knn_index._TILE_BYTES

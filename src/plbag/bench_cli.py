@@ -293,14 +293,28 @@ def _run_rep(
     return rows, preds
 
 
-def _check_neighbor_counts(config: ExperimentConfig, n_train: int) -> None:
-    """Reject neighbor counts that a training split of n_train points cannot supply."""
+def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: int) -> None:
+    """Reject neighbor counts that a training split of n_train points cannot
+    supply, and thresholds under which no label can ever be eliminated.
+
+    A label's count gap over k neighbors is at most k, so a threshold above 1
+    eliminates nothing; thresholds fall as k grows, so the one at the
+    largest k decides.
+    """
     if "fixed_k" in config.methods and config.fixed_k > n_train:
         raise ConfigError(f"fixed_k = {config.fixed_k} exceeds the {n_train} training points")
     if config.pipeline is not None:
         k = max(config.pipeline.smoothing_k, config.pipeline.density_k)
         if k >= n_train:
             raise ConfigError(f"pipeline needs more than {k} training points, got {n_train}")
+    if {"plaknn", "aknn"} & set(config.methods):
+        k = min(config.plaknn.T, n_train)
+        value = config.plaknn.threshold(n_train, k, c, dim)
+        if value > 1.0:
+            raise ConfigError(
+                f"[plaknn] the threshold at k = {k} is {value:.6g} > 1, so no label can"
+                " ever be eliminated; lower c1 or d0"
+            )
 
 
 def _load_source(config: ExperimentConfig) -> PartialDataset | AnalyticScenario:
@@ -321,12 +335,17 @@ def run(
 ) -> RunResult:
     """Execute the full (noise x repetition) grid and summarize it.
 
-    Repetitions run one after another; ``threads`` is accepted for
-    compatibility and has no effect.
+    Repetitions run one after another; ``threads`` must be at least 1 and
+    has no other effect.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     source = _load_source(config)
-    n = source.n if isinstance(source, PartialDataset) else config.n_samples
-    _check_neighbor_counts(config, _n_train(n, config.train_fraction))
+    if isinstance(source, PartialDataset):
+        n, dim = source.n, source.dim
+    else:
+        n, dim = config.n_samples, source.means.shape[1]
+    _check_neighbor_counts(config, _n_train(n, config.train_fraction), source.label_space.c, dim)
     outputs = [_run_rep(config, source, rep, dump_predictions) for rep in range(config.repetitions)]
 
     rows = [row for out, _ in outputs for row in out]
@@ -690,7 +709,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--dump-predictions", action="store_true")
-    p_run.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
+    p_run.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect")
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="emit a generated dataset as CSV")

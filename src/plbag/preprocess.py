@@ -24,7 +24,8 @@ import numpy as np
 
 from . import knn_index
 
-# Each variant's defaults; PipelineConfig.for_variant applies overrides.
+# Each variant's defaults: PipelineConfig fills unset neighbor counts from
+# its variant's row, and PipelineConfig.for_variant also its alpha.
 _VARIANTS = {
     "vision": dict(smoothing_alpha=0.25, smoothing_k=10, density_k=50),
     "realworld": dict(smoothing_alpha=0.1, smoothing_k=10, density_k=100),
@@ -35,12 +36,15 @@ _VARIANTS = {
 class PipelineConfig:
     variant: str
     smoothing_alpha: float
-    smoothing_k: int = 10
-    density_k: int = 50
+    smoothing_k: int | None = None
+    density_k: int | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {tuple(_VARIANTS)}, got {self.variant!r}")
+        for name in ("smoothing_k", "density_k"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, _VARIANTS[self.variant][name])
         if not 0.0 <= self.smoothing_alpha <= 1.0:
             raise ValueError(f"smoothing_alpha must be in [0, 1], got {self.smoothing_alpha}")
         if self.smoothing_k < 1 or self.density_k < 1:

@@ -592,8 +592,12 @@ def run_job_oracle(config, source, noise, rep, dump_predictions):
 def run_oracle(config, dump_predictions=False):
     """The grid run one (noise, repetition) job at a time."""
     source = bench_cli._load_source(config)
-    n = source.n if isinstance(source, PartialDataset) else config.n_samples
-    bench_cli._check_neighbor_counts(config, bench_cli._n_train(n, config.train_fraction))
+    if isinstance(source, PartialDataset):
+        n, dim = source.n, source.dim
+    else:
+        n, dim = config.n_samples, source.means.shape[1]
+    n_train = bench_cli._n_train(n, config.train_fraction)
+    bench_cli._check_neighbor_counts(config, n_train, source.label_space.c, dim)
     jobs = [(noise, rep) for noise in config.noise_grid for rep in range(config.repetitions)]
     outputs = [run_job_oracle(config, source, noise, rep, dump_predictions) for noise, rep in jobs]
     rows = [row for out, _ in outputs for row in out]
@@ -868,7 +872,8 @@ class TestEmitAgainstOracle:
 class TestConfigBounds:
     """Config values that once ended in a traceback (an allocation sized by
     ``n_samples``, a negative seed for ``default_rng``, a ``d0`` that
-    overflows the threshold) end in exit 2 with one line."""
+    overflows the threshold) or in a run that could never eliminate a label
+    end in exit 2 with one line."""
 
     @pytest.mark.parametrize(
         "command, text, message",
@@ -879,9 +884,12 @@ class TestConfigBounds:
             ("synth", "[synth]\nseed = -1\n", "seed must be >= 0, got -1"),
             ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 400}\n", "d0 must be in [1, "),
             ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 308}\n", "overflow the threshold"),
+            # thresholds above 1 up to k = T = 10 eliminate nothing
+            ("run", "n_samples = 60\nmethods = plaknn\n[plaknn]\nT = 10\nc1 = 100\n",
+             "no label can ever be eliminated"),
         ],
         ids=["run_n_samples", "synth_n_samples", "run_base_seed", "synth_seed", "d0_1e400",
-             "d0_1e308"],
+             "d0_1e308", "c1_never_eliminates"],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "exp.cfg"
@@ -894,6 +902,17 @@ class TestConfigBounds:
         assert err.count("\n") == 1 and err.startswith("config error:")
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one(self, tmp_path, capsys, threads):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 1\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"config error: threads must be >= 1, got {threads}\n"
+        assert not out.exists()
 
     def test_largest_sample_is_accepted(self):
         config = ExperimentConfig(scenario="two_gaussians", n_samples=bench_cli.MAX_SAMPLES)

@@ -36,6 +36,15 @@ class TestConfig:
         real = PipelineConfig.for_variant("realworld")
         assert (real.smoothing_alpha, real.smoothing_k, real.density_k) == (0.1, 10, 100)
 
+    @pytest.mark.parametrize("variant", ["vision", "realworld"])
+    def test_constructor_agrees_with_for_variant(self, variant):
+        for alpha in (0.0, 0.1, 0.25):
+            direct = PipelineConfig(variant, alpha)
+            assert direct == PipelineConfig.for_variant(variant, smoothing_alpha=alpha)
+            assert PipelineConfig(variant, alpha, density_k=7) == PipelineConfig.for_variant(
+                variant, smoothing_alpha=alpha, density_k=7
+            )
+
     def test_overrides(self):
         cfg = PipelineConfig.for_variant("vision", smoothing_alpha=0.0, density_k=3)
         assert cfg.smoothing_alpha == 0.0 and cfg.density_k == 3

@@ -26,10 +26,9 @@ points with x(p) <= y_t + 2E are rescored, with the kernel's expression
 ``((p - q) ** 2).sum(-1)``, and one lexsort takes the t nearest of them in
 (distance, index) order, so ``order`` and ``sqd`` equal the full search's
 bytes.  The rule comes from timings on one core: with t/n <= 1/32 and
-d >= 8 the prefiltered search took 0.15-0.86 of the full one's time on
-Gaussian, unit-norm, clustered and integer-grid points (0.24 and 0.39 for
-2,400 x 2,400 searches at t = 11 and 51 in 16 dimensions); at d <= 4, or
-at t/n = 1/6, it gained less or lost.
+d >= 8 the prefiltered search took 0.18-0.72 of the full one's time on
+Gaussian, unit-norm, clustered and integer-grid points; at d <= 4, or at
+t/n = 1/16, it took up to 1.03 of it.
 
 The bound.  Let u = 2^-53, g_k = k u / (1 - k u) and eta = 2^-1022, the
 most that one operation can lose below the normal range, with gradual
@@ -60,7 +59,8 @@ overflow and no input read as zero: a block with a squared norm above
 denormals-are-zero mode would drop) takes the full search.  So does a tile
 whose candidates exceed an eighth of its pairs, where rescoring costs more
 than the kernel: a common offset much larger than the spread of the points
-makes E large against their distances.
+makes E large against their distances (at 1e8 against a spread of 1 the
+search then takes 1.15-1.3 times as long as the full one).
 """
 
 from __future__ import annotations
@@ -249,17 +249,20 @@ def neighbor_blocks(
     ``order[i]`` holds the ``min(t, n)`` nearest training indices of query
     ``rows.start + i`` under (distance, index) order and ``sqd[i]`` their
     squared distances, each equal to ``((points[j] - query) ** 2).sum(-1)``
-    bit for bit.  The block's (block, n) distance matrix is freed before the
-    yield, so callers never hold it while they work.
+    bit for bit.  The block's distance matrices are freed before the yield,
+    so callers never hold them while they work.
 
-    Dispatch depends on (t, n, d) alone: a search with ``t * 32 <= n`` in
-    ``d >= 8`` dimensions rescores only the points that the expanded form
-    cannot rule out (:func:`_prefiltered`; the module docstring states the
-    bound and its proof), and every other search computes the full distance
-    matrix (:func:`_exact`).  A prefiltered search still takes the full
-    path for a block with a squared norm above ``2**1000`` or a subnormal
-    coordinate, and for a tile whose candidates exceed an eighth of its
-    pairs.  Both paths return the same bytes.
+    Dispatch depends on (t, n, d) alone.  A search with ``t * 32 <= n`` in
+    ``d >= 8`` dimensions is prefiltered (:func:`_prefiltered`): it rescores
+    only the points whose expanded value |p|^2 - 2 q.p lies within 2E of the
+    query's t-th smallest, where E bounds the expanded form's rounding error
+    for any BLAS summation order, with or without FMA, plus an absolute
+    term for underflow (the module docstring gives the bound and its
+    proof).  Every other search computes the full distance matrix
+    (:func:`_exact`), and so does a prefiltered search for a block with a
+    squared norm above ``2**1000`` or a subnormal coordinate and for a tile
+    whose candidates exceed an eighth of its pairs.  Both paths return the
+    same bytes.
     """
     queries = np.asarray(queries, dtype=np.float64)
     t = min(t, index.n)

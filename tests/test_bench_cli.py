@@ -906,7 +906,9 @@ class TestConfigBounds:
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_threads_below_one(self, tmp_path, capsys, threads):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 1\n")
+        cfg.write_text(
+            "[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 1\n"
+        )
         out = tmp_path / "out"
         code = main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads])
         err = capsys.readouterr().err

@@ -38,9 +38,9 @@ of the two computed terms of the expanded value, before its own rounding.
 
 (a) Each GEMM entry (BLAS computes each one as a dot product) and each
     squared norm is a dot product of length d.  In any summation order,
-    with or without FMA, it errs by at most
-    g_d sum |x_i y_i| plus eta per operation.  With a >= |q| and
-    b >= max |p| this gives |x(p) - (S(p) - c)| <= E1 = g_d (2ab + b^2) + 8 d eta.
+    with or without FMA, it errs by at most g_d sum |x_i y_i| plus eta per
+    operation.  With a >= |q| and b >= max |p| this gives
+    |x(p) - (S(p) - c)| <= E1 = g_d (2ab + b^2) + 8 d eta.
 (b) The kernel's d subtractions, d squares and d - 1 additions give
     |D(p) - S(p)| <= g_{d+2} S(p) + 4 d eta.
 (c) The t points whose rounded x is at most y_t have x <= y_t + u |y_t| + eta,

@@ -83,6 +83,18 @@ def test_outputs_match_golden(name, tmp_path):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
 
 
+def test_small_k_searches_are_all_prefiltered(tmp_path, monkeypatch):
+    from plbag import knn_index
+
+    def full_search(*args):
+        raise AssertionError("a neighbor search took the full path")
+
+    monkeypatch.setattr(knn_index, "_exact", full_search)
+    _run_case("vision_small_k", tmp_path)
+    golden = GOLDEN / "vision_small_k" / "results.csv"
+    assert (tmp_path / "results.csv").read_bytes() == golden.read_bytes()
+
+
 def _run_synth(name: str, out: Path) -> None:
     """``bench synth`` of ``synth/<name>.cfg`` into ``out/<name>.csv``."""
     _main(["synth", "--config", f"synth/{name}.cfg", "--out", str(out / f"{name}.csv")])

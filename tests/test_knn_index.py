@@ -351,7 +351,7 @@ class TestPrefilter:
                                   knn_index._exact(index, queries, t)[0])
             calls.clear()
 
-    def test_norms_out_of_range_take_the_full_search(self):
+    def test_norms_out_of_range_take_the_full_search(self, monkeypatch):
         rng = np.random.default_rng(470)
         points = rng.normal(size=(100, 8))
         assert knn_index._safe_sq_norms(points) is not None
@@ -363,6 +363,11 @@ class TestPrefilter:
         nan[1, 1] = np.nan
         for x in (huge, subnormal, nan):
             assert knn_index._safe_sq_norms(x) is None
+
+        def prefiltered(*args):
+            raise AssertionError("prefiltered outside the bound's range")
+
+        monkeypatch.setattr(knn_index, "_prefiltered", prefiltered)
         for points, queries in ((huge, rng.normal(size=(20, 8))), (points, subnormal[:20])):
             index = knn_index.build(points)
             (_, order, sqd), = knn_index.neighbor_blocks(index, queries, 3)

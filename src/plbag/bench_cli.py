@@ -25,11 +25,13 @@ only the training bags, so a repetition builds the rest once and shares it
 across noise levels and methods: the split and scenario sample, the k-means
 clustering of ``make_bags`` scenarios, the pipeline fit and transform, the
 neighbor index, and one neighbor search of the test points at the deepest
-neighbor count any method needs.  Each noise level then draws its bags from
-the generator state the shared steps left, which is exactly what a fresh
-repetition at that level would draw, and each method classifies from a
-prefix of the shared search.  ``wall_time_ms`` covers one method's
-classification and excludes the shared work.
+neighbor count any method needs.  Each noise level draws its bags from the
+generator state the shared steps left, which is exactly what a fresh
+repetition at that level would draw.  The search then walks the test points
+one query block at a time, and every (noise level, method) job classifies
+each block from a prefix of that block's order, so a repetition holds one
+block's order, never one for all test points.  ``wall_time_ms`` sums one
+job's classification over the blocks and excludes the shared work.
 """
 
 from __future__ import annotations
@@ -73,7 +75,13 @@ from .synth import (
 
 METHODS = ("plaknn", "aknn", "fixed_k")
 
-# Largest scenario sample: a (256, 80,000) float64 distance block is 164 MB.
+# Largest scenario sample.  Besides O(n d) arrays (the sample, the index, the
+# bags of each noise level, the per-job labels of the test points), a
+# repetition holds one 256-query block at a time: its (256, n_train) float64
+# distances, its (256, depth) order and distances with depth <= n_train, and
+# the classifiers' (256, depth) temporaries and (256, depth, c) boolean bag
+# rows.  At 80,000 training points each 8-byte array is at most 164 MB, and
+# the bag rows of gaussian_clusters (c = 10) are 205 MB.
 MAX_SAMPLES = 100_000
 
 
@@ -227,15 +235,16 @@ def _classify_with(
     config: ExperimentConfig,
     train: PartialDataset,
     index: knn_index.NeighborIndex,
-    test_x: np.ndarray,
+    queries: np.ndarray,
     order: np.ndarray,
-) -> tuple[np.ndarray, float | None]:
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Labels of ``queries`` and, for plaknn, their iteration counts."""
     if method == "plaknn":
-        detail = classify_batch_detail(train, index, test_x, config.plaknn, order=order)
-        return detail.labels, float(detail.iterations.mean())
+        detail = classify_batch_detail(train, index, queries, config.plaknn, order=order)
+        return detail.labels, detail.iterations
     if method == "aknn":
-        return aknn_batch(train, index, test_x, config.plaknn, order=order), None
-    return fixed_k_batch(train, index, test_x, config.fixed_k, order=order), None
+        return aknn_batch(train, index, queries, config.plaknn, order=order), None
+    return fixed_k_batch(train, index, queries, config.fixed_k, order=order), None
 
 
 def _run_rep(
@@ -248,7 +257,8 @@ def _run_rep(
 
     The split, the features, the pipeline, the index and one neighbor
     search of the test points are shared by all jobs; only the bags depend
-    on the noise level.
+    on the noise level.  The search runs one query block at a time, and
+    every job classifies each block before the next one is searched.
     """
     seed = config.base_seed + rep
     features, bags, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
@@ -260,37 +270,36 @@ def _run_rep(
         features = fitted.transformed_train
         test_x = preprocess.transform(fitted, test_x)
     index = knn_index.build(features)
-    # deep enough for every method: each one cuts its own prefix
-    depth = max(config.fixed_k if m == "fixed_k" else config.plaknn.T for m in config.methods)
-    order = knn_index.nearest_orders(index, test_x, depth)
-    rows: list[ResultRow] = []
-    preds: list[PredictionRow] = []
+    jobs = []
     for noise in config.noise_grid:
         train = bags(noise)
         if config.pipeline is not None:
             train = train.with_features(features)
-        for method in config.methods:
+        jobs.extend((noise, method, train) for method in config.methods)
+    labels = np.empty((len(jobs), test_y.shape[0]), dtype=np.int64)
+    iterations = np.empty_like(labels)
+    wall_ms = [0.0] * len(jobs)
+    # deep enough for every method: each one cuts its own prefix
+    depth = max(config.fixed_k if m == "fixed_k" else config.plaknn.T for m in config.methods)
+    for rows, order, _ in knn_index.neighbor_blocks(index, test_x, depth):
+        for j, (_, method, train) in enumerate(jobs):
             started = time.perf_counter()
-            labels, mean_iters = _classify_with(method, config, train, index, test_x, order)
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            rows.append(
-                ResultRow(
-                    method=method,
-                    noise=noise,
-                    repetition=rep,
-                    seed=seed,
-                    n_train=train.n,
-                    error_rate=float((labels != test_y).mean()),
-                    mean_iterations=mean_iters,
-                    wall_time_ms=wall_ms,
-                )
+            labels[j, rows], iters = _classify_with(method, config, train, index, test_x[rows], order)
+            wall_ms[j] += (time.perf_counter() - started) * 1000.0
+            if iters is not None:
+                iterations[j, rows] = iters
+    results: list[ResultRow] = []
+    preds: list[PredictionRow] = []
+    for j, (noise, method, train) in enumerate(jobs):
+        mean_iters = float(iterations[j].mean()) if method == "plaknn" else None
+        error = float((labels[j] != test_y).mean())
+        results.append(ResultRow(method, noise, rep, seed, train.n, error, mean_iters, wall_ms[j]))
+        if dump_predictions:
+            preds.extend(
+                PredictionRow(method, noise, rep, i, int(test_y[i]), int(labels[j, i]))
+                for i in range(test_y.shape[0])
             )
-            if dump_predictions:
-                preds.extend(
-                    PredictionRow(method, noise, rep, i, int(test_y[i]), int(labels[i]))
-                    for i in range(test_y.shape[0])
-                )
-    return rows, preds
+    return results, preds
 
 
 def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: int) -> None:

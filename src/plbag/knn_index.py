@@ -5,11 +5,12 @@ original training index, which makes every downstream classifier run
 reproducible.  :func:`neighbor_blocks` is the one retrieval path: it walks a
 batch of queries in fixed-size blocks and yields each query's nearest
 training indices in that order, so every consumer sees the same neighbors
-whether it asks for one query or many.  :func:`nearest_orders` collects
-those blocks into one (m, t) order, and :func:`order_blocks` hands a
-caller either fresh blocks or row blocks of such an order cut to the first
-t columns: prefixes are exact because the (distance, index) order is total,
-so one search at the largest t serves every smaller one.
+whether it asks for one query or many.  :func:`order_blocks` hands a
+caller either fresh blocks or row blocks of a precomputed order cut to the
+first t columns: prefixes are exact because the (distance, index) order is
+total, so one search at the largest t serves every smaller one, and a
+caller that holds one block's order at that depth can run every consumer on
+that block before the next one is searched.
 
 Distances come from :func:`sq_distance_chunk`, a coordinate-wise kernel over
 the index's transposed points: it squares one coordinate's differences at a
@@ -250,7 +251,8 @@ def neighbor_blocks(
     ``rows.start + i`` under (distance, index) order and ``sqd[i]`` their
     squared distances, each equal to ``((points[j] - query) ** 2).sum(-1)``
     bit for bit.  The block's distance matrices are freed before the yield,
-    so callers never hold them while they work.
+    so callers never hold them while they work.  A block with a non-finite
+    query raises ``ValueError`` when it is reached.
 
     Dispatch depends on (t, n, d) alone.  A search with ``t * 32 <= n`` in
     ``d >= 8`` dimensions is prefiltered (:func:`_prefiltered`): it rescores
@@ -272,6 +274,9 @@ def neighbor_blocks(
     for start in range(0, queries.shape[0], _BLOCK):
         rows = slice(start, min(start + _BLOCK, queries.shape[0]))
         q = _checked_queries(index, queries[rows])
+        if not np.all(np.isfinite(q)):
+            bad = rows.start + int(np.argmin(np.isfinite(q).all(axis=1)))
+            raise ValueError(f"queries must be finite; query {bad} is not")
         query_sq = None if point_sq is None else _safe_sq_norms(q)
         if query_sq is None:
             order, sqd = _exact(index, q, t)
@@ -399,15 +404,6 @@ def _rescored(
     return j[pick], dist[pick]
 
 
-def nearest_orders(index: NeighborIndex, queries: np.ndarray, t: int) -> np.ndarray:
-    """The (m, min(t, n)) neighbor order of every query: the ``order``
-    blocks of :func:`neighbor_blocks` stacked."""
-    blocks = [order for _, order, _ in neighbor_blocks(index, queries, t)]
-    if not blocks:
-        return np.empty((0, min(t, index.n)), dtype=np.int64)
-    return np.concatenate(blocks)
-
-
 def order_blocks(
     index: NeighborIndex, queries: np.ndarray, t: int, order: np.ndarray | None = None
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -415,10 +411,10 @@ def order_blocks(
 
     With ``order=None`` the blocks come from :func:`neighbor_blocks`.
     Otherwise ``order`` is a precomputed (m, >= min(t, n)) order of the same
-    queries, as :func:`nearest_orders` returns it, and each block is its
-    first ``min(t, n)`` columns; queries of the wrong shape, a wrong row
-    count or too few columns raise ``ValueError`` before any block is
-    yielded.
+    queries, such as the ``order`` that :func:`neighbor_blocks` yields for a
+    block of them at a larger t, and each block is its first ``min(t, n)``
+    columns; queries of the wrong shape, a wrong row count or too few
+    columns raise ``ValueError`` before any block is yielded.
     """
     if order is None:
         return ((rows, block) for rows, block, _ in neighbor_blocks(index, queries, t))

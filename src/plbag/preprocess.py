@@ -30,6 +30,9 @@ _VARIANTS = {
     "vision": dict(smoothing_alpha=0.25, smoothing_k=10, density_k=50),
     "realworld": dict(smoothing_alpha=0.1, smoothing_k=10, density_k=100),
 }
+# Rows whose (rows, smoothing_k, d) neighbor vectors _smooth gathers at once;
+# all rows at once would hold smoothing_k copies of the data.
+_SMOOTH_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -107,28 +110,36 @@ def _neighbor_distances(
     return idx, dist
 
 
-def gaussian_weights(dist: np.ndarray, sigma: float) -> np.ndarray:
-    """Normalized Gaussian neighbor weights; uniform when sigma degenerates."""
-    if sigma == 0.0:
-        return np.full(dist.shape[0], 1.0 / dist.shape[0])
-    w = np.exp(-(dist**2) / (2.0 * sigma**2))
-    return w / w.sum()
+def gaussian_weights(dist: np.ndarray, sigma: float | np.ndarray) -> np.ndarray:
+    """Normalized Gaussian weights over the last axis of ``dist``, one
+    bandwidth per row (``sigma`` has the shape of ``dist`` less that axis);
+    uniform where sigma is 0."""
+    dist = np.asarray(dist, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    # a Python float's ** 2 rounds through C pow, which numpy's square does
+    # not match in every last bit
+    var = 2.0 * np.array([s**2 for s in sigma.ravel().tolist()]).reshape(sigma.shape)
+    flat = (sigma == 0.0)[..., None]
+    w = np.exp(-(dist**2) / np.where(flat, 1.0, var[..., None]))
+    w /= w.sum(axis=-1, keepdims=True)
+    return np.where(flat, 1.0 / dist.shape[-1], w)
 
 
 def _smooth(vectors: np.ndarray, reference: np.ndarray, config: PipelineConfig) -> np.ndarray:
     """Convex combination of each vector with the Gaussian-weighted mean of
     its ``smoothing_k`` nearest reference vectors, weighted by
-    ``smoothing_alpha``; bandwidth is the per-point median neighbor distance."""
+    ``smoothing_alpha``; bandwidth is the per-point median neighbor distance.
+    The neighbor vectors are gathered ``_SMOOTH_ROWS`` rows at a time."""
     alpha = config.smoothing_alpha
     if alpha == 0.0:
         return vectors
     idx, dist = _neighbor_distances(reference, vectors, config.smoothing_k)
-    sigma = np.median(dist, axis=1)
-    out = np.empty_like(vectors)
-    for i in range(vectors.shape[0]):
-        w = gaussian_weights(dist[i], float(sigma[i]))
-        out[i] = (1.0 - alpha) * vectors[i] + alpha * (w @ reference[idx[i]])
-    return out
+    w = gaussian_weights(dist, np.median(dist, axis=1))
+    means = np.empty_like(vectors)
+    for start in range(0, vectors.shape[0], _SMOOTH_ROWS):
+        rows = slice(start, start + _SMOOTH_ROWS)
+        means[rows] = np.matmul(w[rows, None, :], reference[idx[rows]])[:, 0]
+    return (1.0 - alpha) * vectors + alpha * means
 
 
 def _chain(

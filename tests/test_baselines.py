@@ -176,8 +176,9 @@ class TestAknnOracle:
 
 
 class TestPrecomputedOrder:
-    """``order=`` from ``knn_index.nearest_orders`` at a larger depth gives
-    what searching gives, in all three batch functions."""
+    """``order=`` from ``knn_index.neighbor_blocks`` at a larger depth gives
+    what searching gives, in all three batch functions: block by block, as
+    ``bench run`` passes it, and stacked over several blocks."""
 
     @pytest.mark.filterwarnings("ignore:iteration cap")
     @pytest.mark.parametrize("n, T", [(40, 60), (300, 35)], ids=["T_above_n", "T_below_n"])
@@ -187,21 +188,23 @@ class TestPrecomputedOrder:
         index = knn_index.build(train.features)
         queries = rng.normal(size=(600, 2))  # three blocks, the last one partial
         cfg = PlaknnConfig(T=T)
-        order = knn_index.nearest_orders(index, queries, T + 5)
+        blocks = list(knn_index.neighbor_blocks(index, queries, T + 5))
+        assert len(blocks) == 3
         searched = plaknn.classify_batch_detail(train, index, queries, cfg)
-        given = plaknn.classify_batch_detail(train, index, queries, cfg, order=order)
-        assert np.array_equal(given.labels, searched.labels)
-        assert np.array_equal(given.iterations, searched.iterations)
-        assert np.array_equal(given.disambiguated, searched.disambiguated)
-        assert np.array_equal(
-            baselines.aknn_batch(train, index, queries, cfg, order=order),
-            baselines.aknn_batch(train, index, queries, cfg),
-        )
-        for k in (1, 7, min(T, n)):
-            assert np.array_equal(
-                baselines.fixed_k_batch(train, index, queries, k, order=order),
-                baselines.fixed_k_batch(train, index, queries, k),
-            )
+        aknn = baselines.aknn_batch(train, index, queries, cfg)
+        fixed = {k: baselines.fixed_k_batch(train, index, queries, k) for k in (1, 7, min(T, n))}
+        stacked = (slice(0, 600), np.concatenate([order for _, order, _ in blocks]), None)
+        for rows, order, _ in blocks + [stacked]:
+            q = queries[rows]
+            given = plaknn.classify_batch_detail(train, index, q, cfg, order=order)
+            assert np.array_equal(given.labels, searched.labels[rows])
+            assert np.array_equal(given.iterations, searched.iterations[rows])
+            assert np.array_equal(given.disambiguated, searched.disambiguated[rows])
+            assert np.array_equal(baselines.aknn_batch(train, index, q, cfg, order=order), aknn[rows])
+            for k, labels in fixed.items():
+                assert np.array_equal(
+                    baselines.fixed_k_batch(train, index, q, k, order=order), labels[rows]
+                )
 
     def test_bad_order_shapes(self):
         rng = np.random.default_rng(2)
@@ -209,7 +212,7 @@ class TestPrecomputedOrder:
         index = knn_index.build(train.features)
         queries = rng.normal(size=(20, 2))
         cfg = PlaknnConfig(T=10)
-        order = knn_index.nearest_orders(index, queries, 10)
+        (_, order, _), = knn_index.neighbor_blocks(index, queries, 10)
         for bad in (order[:-1], order[:, :9], order[0], np.vstack([order, order])):
             with pytest.raises(ValueError, match="order of shape"):
                 plaknn.classify_batch_detail(train, index, queries, cfg, order=bad)

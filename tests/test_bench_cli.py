@@ -652,6 +652,12 @@ DIFFERENTIAL_CASES = {
         noise_grid=(0.0, 0.3), repetitions=3, base_seed=5, n_samples=200,
         plaknn=PlaknnConfig(T=40), synth=SynthBagConfig(n_clusters=4, alpha_max=0.5),
     ),
+    # 600 test points: two full query blocks and a partial third
+    "gaussian_clusters_blocks": lambda csv: ExperimentConfig(
+        scenario="gaussian_clusters", methods=ALL_METHODS, fixed_k=5,
+        noise_grid=(0.0, 0.3), repetitions=1, base_seed=7, n_samples=3000,
+        plaknn=PlaknnConfig(T=30),
+    ),
     "fixed_k_above_T": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=("fixed_k",), fixed_k=30,
         noise_grid=(0.0, 0.3), repetitions=2, base_seed=6, n_samples=150,
@@ -692,14 +698,20 @@ class TestRunAgainstOracle:
         with pytest.warns(RuntimeWarning, match="T=100 exceeds the 32"):
             self.assert_same(config)
 
+    def test_a_case_spans_several_blocks(self):
+        config = DIFFERENTIAL_CASES["gaussian_clusters_blocks"](None)
+        m = config.n_samples - bench_cli._n_train(config.n_samples, config.train_fraction)
+        assert m > 2 * knn_index._BLOCK and m % knn_index._BLOCK
+
 
 class TestBenchmarkEntryPoint:
-    """``run`` calls ``bench_cli.classify_batch_detail`` once per (noise,
-    repetition) with bindable train, index, queries and config, and the
-    queries are that job's test points."""
+    """``run`` calls ``bench_cli.classify_batch_detail`` with bindable train,
+    index, queries and config, once per query block of each (noise,
+    repetition) job, and the queries of a job's calls are its test points,
+    in order."""
 
-    def test_one_call_per_job_with_the_jobs_test_points(self, tmp_path, monkeypatch):
-        csv = write_csv_dataset(tmp_path / "data.csv")
+    def test_each_jobs_calls_cover_its_test_points_in_order(self, tmp_path, monkeypatch):
+        csv = write_csv_dataset(tmp_path / "data.csv", n=1500)  # 300 test points, two blocks
         config = ExperimentConfig(
             dataset=csv, methods=ALL_METHODS, noise_grid=(0.0, 0.5), repetitions=3,
             base_seed=8, plaknn=PlaknnConfig(T=20),
@@ -720,19 +732,46 @@ class TestBenchmarkEntryPoint:
             for rep in range(config.repetitions):
                 train, test_x, _ = prepare_rep_oracle(config, source, noise, rep)
                 jobs[noise, rep] = (train.bag_masks, test_x)
-        seen = []
+        seen = {job: [] for job in jobs}
         for args in calls:
             assert {"train", "index", "queries", "config"} <= set(args)
             assert args["config"] == config.plaknn
             assert args["index"].n == args["train"].n
+            assert args["queries"].shape[0] <= knn_index._BLOCK
             matches = [
-                job for job, (masks, test_x) in jobs.items()
+                job for job, (masks, _) in jobs.items()
                 if np.array_equal(args["train"].bag_masks, masks)
-                and np.array_equal(args["queries"], test_x)
             ]
             assert len(matches) == 1
-            seen.extend(matches)
-        assert sorted(seen) == sorted(jobs)
+            seen[matches[0]].append(args["queries"])
+        for job, (_, test_x) in jobs.items():
+            assert len(seen[job]) == 2
+            assert np.array_equal(np.concatenate(seen[job]), test_x)
+
+
+class TestRepetitionMemory:
+    """A repetition holds one query block's search, not an order with a row
+    for every test point and a column for every neighbor."""
+
+    def test_large_T_run_stays_within_a_few_blocks(self, tmp_path, capsys):
+        # 2,000 training and 2,000 test points, T = 2,000: a whole (2000, 2000)
+        # int64 order is 32 MB.  One 256-query block's arrays are 4.1 MB each:
+        # its distances, order and order distances, the previous block's order
+        # and distances while the next one is searched, and aknn's counts.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\nscenario = two_gaussians\nn_samples = 4000\ntrain_fraction = 0.5\n"
+            "repetitions = 1\nmethods = aknn\n[plaknn]\nT = 2000\n"
+        )
+        block_array = knn_index._BLOCK * 2000 * 8
+        tracemalloc.start()
+        try:
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out.startswith("method=aknn")
+        assert peak < 8 * block_array
 
 
 class TestInfiniteC1:

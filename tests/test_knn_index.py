@@ -20,6 +20,20 @@ def neighbors(index, query, t=None):
     return blocks[0][1][0]
 
 
+def record_prefiltered(monkeypatch):
+    """Route ``_prefiltered`` through a recorder; returns the list of
+    ``(queries, t, index)`` of its calls."""
+    calls = []
+    real = knn_index._prefiltered
+
+    def recording(index, queries, t, *norms):
+        calls.append((queries, t, index))
+        return real(index, queries, t, *norms)
+
+    monkeypatch.setattr(knn_index, "_prefiltered", recording)
+    return calls
+
+
 class TestBuild:
     def test_single_point(self):
         index = knn_index.build(np.array([[1.0, 2.0]]))
@@ -135,20 +149,62 @@ class TestNearestOrderHelper:
             assert covered == m
 
 
-class TestNearestOrders:
-    def test_stacks_blocks_and_prefixes_are_exact(self):
+class TestPrefixes:
+    """The first t columns of a deeper search equal a search at t; a caller
+    that searches once at the largest depth relies on this."""
+
+    @staticmethod
+    def stacked(index, queries, t):
+        blocks = list(knn_index.neighbor_blocks(index, queries, t))
+        return np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks])
+
+    def test_integer_grid_ties(self):
         # integer grid: many tied distances, broken by index
         rng = np.random.default_rng(9)
         points = rng.integers(0, 4, size=(90, 2)).astype(float)
         index = knn_index.build(points)
         queries = rng.integers(0, 4, size=(600, 2)).astype(float)
-        wide = knn_index.nearest_orders(index, queries, 50)
-        blocks = [order for _, order, _ in knn_index.neighbor_blocks(index, queries, 50)]
-        assert np.array_equal(wide, np.concatenate(blocks))
+        wide, wide_sqd = self.stacked(index, queries, 50)
         for t in (1, 9, 50):
-            assert np.array_equal(wide[:, :t], knn_index.nearest_orders(index, queries, t))
-        assert knn_index.nearest_orders(index, queries, 500).shape == (600, 90)
-        assert knn_index.nearest_orders(index, queries[:0], 5).shape == (0, 5)
+            order, sqd = self.stacked(index, queries, t)
+            assert np.array_equal(wide[:, :t], order)
+            assert wide_sqd[:, :t].tobytes() == sqd.tobytes()
+        assert self.stacked(index, queries, 500)[0].shape == (600, 90)
+
+    def test_depths_straddle_the_prefilter_rule(self, monkeypatch):
+        # n = 320 in d = 10: t <= 10 is prefiltered, deeper searches are full
+        calls = record_prefiltered(monkeypatch)
+        rng = np.random.default_rng(19)
+        points = rng.normal(size=(320, 10))
+        points[200:240] = points[:40]  # exact duplicates
+        index = knn_index.build(points)
+        queries = np.vstack([rng.normal(size=(290, 10)), points[:10]])
+        deep, deep_sqd = self.stacked(index, queries, 320)
+        for t in (1, 3, 10, 11, 40):
+            order, sqd = self.stacked(index, queries, t)
+            assert np.array_equal(deep[:, :t], order), t
+            assert deep_sqd[:, :t].tobytes() == sqd.tobytes(), t
+        assert [t for _, t, _ in calls] == [1, 1, 3, 3, 10, 10]
+
+
+class TestNonFiniteQueries:
+    """A query with a NaN or inf coordinate raises ``ValueError`` when its
+    block is reached, on both dispatch paths; earlier blocks are yielded."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n, d, prefiltered", [(90, 2, False), (320, 8, True)])
+    def test_rejected_once_its_block_is_reached(self, monkeypatch, value, n, d, prefiltered):
+        calls = record_prefiltered(monkeypatch)
+        rng = np.random.default_rng(29)
+        index = knn_index.build(rng.normal(size=(n, d)))
+        queries = rng.normal(size=(300, d))
+        queries[280, d - 1] = value
+        blocks = knn_index.neighbor_blocks(index, queries, 3)
+        rows, order, _ = next(blocks)
+        assert rows == slice(0, 256) and order.shape == (256, 3)
+        with pytest.raises(ValueError, match="queries must be finite; query 280 is not"):
+            next(blocks)
+        assert [q.shape[0] for q, _, _ in calls] == ([256] if prefiltered else [])
 
 
 class TestDistanceKernel:
@@ -331,14 +387,7 @@ class TestPrefilter:
             assert max(errors) - min(errors) <= slack[i]
 
     def test_dispatch_rule(self, monkeypatch):
-        calls = []
-        real = knn_index._prefiltered
-
-        def recording(index, queries, t, *norms):
-            calls.append((t, index.n, index.dim))
-            return real(index, queries, t, *norms)
-
-        monkeypatch.setattr(knn_index, "_prefiltered", recording)
+        calls = record_prefiltered(monkeypatch)
         rng = np.random.default_rng(460)
         cases = [(1, 32, 8, True), (2, 64, 8, True), (2, 63, 8, False), (1, 100, 7, False),
                  (3, 96, 20, True), (9, 200, 12, False)]

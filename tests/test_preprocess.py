@@ -244,6 +244,14 @@ def neighbor_distances_oracle(reference, queries, k, exclude):
     return idx, dist
 
 
+def gaussian_weights_oracle(dist, sigma):
+    """The weights of one row, as ``gaussian_weights`` once computed them."""
+    if sigma == 0.0:
+        return np.full(dist.shape[0], 1.0 / dist.shape[0])
+    w = np.exp(-(dist**2) / (2.0 * sigma**2))
+    return w / w.sum()
+
+
 def smooth_oracle(vectors, reference, alpha, k, exclude):
     if alpha == 0.0:
         return vectors.copy()
@@ -251,7 +259,7 @@ def smooth_oracle(vectors, reference, alpha, k, exclude):
     sigma = np.median(dist, axis=1)
     out = np.empty_like(vectors)
     for i in range(vectors.shape[0]):
-        w = gaussian_weights(dist[i], float(sigma[i]))
+        w = gaussian_weights_oracle(dist[i], float(sigma[i]))
         out[i] = (1.0 - alpha) * vectors[i] + alpha * (w @ reference[idx[i]])
     return out
 
@@ -373,6 +381,35 @@ class TestAgainstOracle:
         test = np.vstack([train[::-1], rng.integers(-3, 4, size=(300, 3)).astype(float)])
         config = PipelineConfig.for_variant(variant, smoothing_alpha=alpha, density_k=40)
         _assert_same_bytes(train, test, config)
+
+
+class TestSmoothingRows:
+    """``gaussian_weights`` over rows and ``_smooth``'s stacked neighbor
+    means equal the row-by-row oracle byte for byte."""
+
+    def test_weights_per_row(self):
+        rng = np.random.default_rng(61)
+        for k in (1, 2, 7, 8, 9, 16, 17, 50, 130):
+            dist = np.sqrt(rng.uniform(0.0, 2.0, size=(40, k)))
+            dist[:5] = 0.0  # sigma 0: uniform weights
+            dist[5:10] = rng.integers(0, 3, size=(5, k))
+            sigma = np.median(dist, axis=1)
+            got = gaussian_weights(dist, sigma)
+            for i in range(dist.shape[0]):
+                want = gaussian_weights_oracle(dist[i], float(sigma[i]))
+                assert got[i].tobytes() == want.tobytes(), (k, i)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 127, 130])
+    def test_smooth_at_every_width(self, d):
+        rng = np.random.default_rng(62 + d)
+        config = PipelineConfig.for_variant("vision", smoothing_alpha=0.3, smoothing_k=9)
+        for reference in (rng.normal(size=(300, d)), rng.integers(-1, 2, size=(300, d)) * 1.0):
+            reference = _unit_rows(reference)
+            reference[100:140] = reference[:40]  # exact duplicates, some at distance 0
+            vectors = _unit_rows(np.vstack([reference[:30], rng.normal(size=(290, d))]))
+            got = preprocess._smooth(vectors, reference, config)
+            want = smooth_oracle(vectors, reference, 0.3, 9, "one_zero")
+            assert got.tobytes() == want.tobytes()
 
 
 def _underflow_features():

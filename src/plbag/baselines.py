@@ -7,9 +7,9 @@ frequency exceeds ``1/c`` by the elimination threshold and then predicts it;
 unlike the margin-elimination classifier it looks only at the leading
 frequency, never at gaps between labels.
 
-Both rules are vectorized over :func:`knn_index.order_blocks`, which
-searches or slices a precomputed neighbor order; the single-query forms are
-one-row batch calls.
+Both rules are vectorized over the neighbor bags of
+:func:`plaknn._bag_blocks`, which searches or takes a precomputed neighbor
+order; the single-query forms are one-row batch calls.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import knn_index
 from .core import PartialDataset
-from .plaknn import PlaknnConfig, _require_matching_index, _schedule
+from .plaknn import PlaknnConfig, _bag_blocks, _schedule
 
 
 def fixed_k_classify(
@@ -40,15 +40,13 @@ def fixed_k_batch(
     order: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`fixed_k_classify` for every row of ``queries``; ``order`` as in
-    :func:`knn_index.order_blocks`."""
-    _require_matching_index(train, index)
+    :func:`plaknn.classify_batch_detail`."""
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in 1..{train.n}, got {k}")
-    queries = np.asarray(queries, dtype=np.float64)
-    memb = train.membership_matrix()
-    labels = np.empty(queries.shape[0], dtype=np.int64)
-    for rows, block in knn_index.order_blocks(index, queries, k, order):
-        labels[rows] = np.argmax(memb[block].sum(axis=1), axis=1) + 1
+    m, blocks = _bag_blocks(train, index, queries, k, order)
+    labels = np.empty(m, dtype=np.int64)
+    for rows, _, bags in blocks:
+        labels[rows] = np.argmax(bags.sum(axis=1), axis=1) + 1
     return labels
 
 
@@ -63,21 +61,20 @@ def _aknn(
     """Labels and qualification steps (0: none within the cap) per query.
 
     Labels are scanned one at a time so temporaries stay (block, T).
-    ``order`` as in :func:`knn_index.order_blocks`.
+    ``order`` as in :func:`plaknn.classify_batch_detail`.
     """
-    t_cap, deltas = _schedule(train, index, config)
-    queries = np.asarray(queries, dtype=np.float64)
+    t_cap, deltas = _schedule(train, config)
     c = train.label_space.c
-    memb = train.membership_matrix()
     ks = np.arange(1, t_cap + 1, dtype=np.float64)
-    labels = np.empty(queries.shape[0], dtype=np.int64)
-    steps = np.empty(queries.shape[0], dtype=np.int64)
-    for rows, block in knn_index.order_blocks(index, queries, t_cap, order):
-        first = np.full(block.shape[0], t_cap)  # t_cap: no hit yet
-        best = np.zeros(block.shape[0], dtype=np.int64)
-        at_cap = np.empty((block.shape[0], c), dtype=np.int64)
+    m, blocks = _bag_blocks(train, index, queries, t_cap, order)
+    labels = np.empty(m, dtype=np.int64)
+    steps = np.empty(m, dtype=np.int64)
+    for rows, _, bags in blocks:
+        first = np.full(bags.shape[0], t_cap)  # t_cap: no hit yet
+        best = np.zeros(bags.shape[0], dtype=np.int64)
+        at_cap = np.empty((bags.shape[0], c), dtype=np.int64)
         for y in range(c):
-            counts = np.cumsum(memb[block, y], axis=1)
+            counts = np.cumsum(bags[:, :, y], axis=1)
             qualified = counts / ks - 1.0 / c >= deltas
             hit = np.where(qualified.any(axis=1), np.argmax(qualified, axis=1), t_cap)
             best = np.where(hit < first, y, best)
@@ -127,5 +124,5 @@ def aknn_batch(
     order: np.ndarray | None = None,
 ) -> np.ndarray:
     """:func:`aknn_classify` for every row of ``queries``; ``order`` as in
-    :func:`knn_index.order_blocks`."""
+    :func:`plaknn.classify_batch_detail`."""
     return _aknn(train, index, queries, config, order=order)[0]

@@ -62,7 +62,7 @@ from .core import (
     load_dataset,
     save_dataset,
 )
-from .plaknn import PlaknnConfig, classify_batch_detail
+from .plaknn import PlaknnConfig, _neighbor_cap, classify_batch_detail
 from .synth import (
     AnalyticScenario,
     SynthBagConfig,
@@ -288,6 +288,7 @@ def _run_rep(
             wall_ms[j] += (time.perf_counter() - started) * 1000.0
             if iters is not None:
                 iterations[j, rows] = iters
+        del order, _  # drop this block before the next one is searched
     results: list[ResultRow] = []
     preds: list[PredictionRow] = []
     for j, (noise, method, train) in enumerate(jobs):
@@ -302,13 +303,14 @@ def _run_rep(
     return results, preds
 
 
-def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: int) -> None:
+def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: int) -> ExperimentConfig:
     """Reject neighbor counts that a training split of n_train points cannot
     supply, and thresholds under which no label can ever be eliminated.
 
     A label's count gap over k neighbors is at most k, so a threshold above 1
     eliminates nothing; thresholds fall as k grows, so the one at the
-    largest k decides.
+    largest k decides.  Returns ``config`` with T cut to n_train, warning
+    once when it was above, so the classifiers do not warn on every call.
     """
     if "fixed_k" in config.methods and config.fixed_k > n_train:
         raise ConfigError(f"fixed_k = {config.fixed_k} exceeds the {n_train} training points")
@@ -324,6 +326,9 @@ def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: 
                 f"[plaknn] the threshold at k = {k} is {value:.6g} > 1, so no label can"
                 " ever be eliminated; lower c1 or d0"
             )
+        plaknn = replace(config.plaknn, T=_neighbor_cap(config.plaknn.T, n_train))
+        config = replace(config, plaknn=plaknn)
+    return config
 
 
 def _load_source(config: ExperimentConfig) -> PartialDataset | AnalyticScenario:
@@ -354,7 +359,8 @@ def run(
         n, dim = source.n, source.dim
     else:
         n, dim = config.n_samples, source.means.shape[1]
-    _check_neighbor_counts(config, _n_train(n, config.train_fraction), source.label_space.c, dim)
+    n_train = _n_train(n, config.train_fraction)
+    config = _check_neighbor_counts(config, n_train, source.label_space.c, dim)
     outputs = [_run_rep(config, source, rep, dump_predictions) for rep in range(config.repetitions)]
 
     rows = [row for out, _ in outputs for row in out]

@@ -5,12 +5,10 @@ original training index, which makes every downstream classifier run
 reproducible.  :func:`neighbor_blocks` is the one retrieval path: it walks a
 batch of queries in fixed-size blocks and yields each query's nearest
 training indices in that order, so every consumer sees the same neighbors
-whether it asks for one query or many.  :func:`order_blocks` hands a
-caller either fresh blocks or row blocks of a precomputed order cut to the
-first t columns: prefixes are exact because the (distance, index) order is
-total, so one search at the largest t serves every smaller one, and a
-caller that holds one block's order at that depth can run every consumer on
-that block before the next one is searched.
+whether it asks for one query or many.  Prefixes are exact because the
+(distance, index) order is total, so one search at the largest t serves
+every smaller one: a caller that holds one block's order at that depth can
+run every consumer on that block before the next one is searched.
 
 Distances come from :func:`sq_distance_chunk`, a coordinate-wise kernel over
 the index's transposed points: it squares one coordinate's differences at a
@@ -266,23 +264,23 @@ def neighbor_blocks(
     whose candidates exceed an eighth of its pairs.  Both paths return the
     same bytes.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = _checked_queries(index, np.asarray(queries, dtype=np.float64))
     t = min(t, index.n)
     point_sq = None
     if t * _PREFILTER_RATIO <= index.n and index.dim >= _PREFILTER_MIN_DIM:
         point_sq = _safe_sq_norms(index.points)
     for start in range(0, queries.shape[0], _BLOCK):
         rows = slice(start, min(start + _BLOCK, queries.shape[0]))
-        q = _checked_queries(index, queries[rows])
+        q = queries[rows]
         if not np.all(np.isfinite(q)):
             bad = rows.start + int(np.argmin(np.isfinite(q).all(axis=1)))
             raise ValueError(f"queries must be finite; query {bad} is not")
         query_sq = None if point_sq is None else _safe_sq_norms(q)
+        # yielded unbound, so the block is freed while the next one is searched
         if query_sq is None:
-            order, sqd = _exact(index, q, t)
+            yield rows, *_exact(index, q, t)
         else:
-            order, sqd = _prefiltered(index, q, t, point_sq, query_sq)
-        yield rows, order, sqd
+            yield rows, *_prefiltered(index, q, t, point_sq, query_sq)
 
 
 def _checked_queries(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
@@ -402,31 +400,3 @@ def _rescored(
     counts = np.bincount(i, minlength=keep.shape[0])
     pick = pick[(np.cumsum(counts) - counts)[:, None] + np.arange(t)]
     return j[pick], dist[pick]
-
-
-def order_blocks(
-    index: NeighborIndex, queries: np.ndarray, t: int, order: np.ndarray | None = None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(rows, order)`` blocks of the ``min(t, n)`` nearest training indices.
-
-    With ``order=None`` the blocks come from :func:`neighbor_blocks`.
-    Otherwise ``order`` is a precomputed (m, >= min(t, n)) order of the same
-    queries, such as the ``order`` that :func:`neighbor_blocks` yields for a
-    block of them at a larger t, and each block is its first ``min(t, n)``
-    columns; queries of the wrong shape, a wrong row count or too few
-    columns raise ``ValueError`` before any block is yielded.
-    """
-    if order is None:
-        return ((rows, block) for rows, block, _ in neighbor_blocks(index, queries, t))
-    queries = _checked_queries(index, np.asarray(queries, dtype=np.float64))
-    t = min(t, index.n)
-    m = queries.shape[0]
-    order = np.asarray(order)
-    if order.ndim != 2 or order.shape[0] != m or order.shape[1] < t:
-        raise ValueError(
-            f"order of shape {order.shape} does not give {t} neighbors for each of {m} queries"
-        )
-    return (
-        (slice(start, min(start + _BLOCK, m)), order[start : start + _BLOCK, :t])
-        for start in range(0, m, _BLOCK)
-    )

@@ -10,10 +10,11 @@ to eliminating all others wins.
 
 The rule lives in :func:`_step` (one step's margins and eliminations) and
 :func:`_eliminate` (the step loop over a block of queries, O(c) state per
-query).  :func:`classify_batch` runs the kernel once per
-:func:`knn_index.order_blocks` block; :func:`classify` runs it on one query
-and rebuilds the full :class:`EliminationTrace` from the counts with a single
-vectorized :func:`_step` call, so both return the same labels by construction.
+query).  :func:`classify_batch` runs the kernel on each block of neighbor
+bags from :func:`_bag_blocks`, the one source of bags for this module and
+:mod:`plbag.baselines`; :func:`classify` runs it on one query and rebuilds
+the full :class:`EliminationTrace` from the counts with a single vectorized
+:func:`_step` call, so both return the same labels by construction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from itertools import compress
+from typing import Iterator
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .core import MAX_LABELS, LabelSpace, PartialDataset
 
 
 def threshold(
-    n: int, k: int, delta: float, c: int, c1: float = 0.5, d0: int | None = None
-) -> float:
+    n: int, k: int | np.ndarray, delta: float, c: int, c1: float = 0.5, d0: int | None = None
+) -> float | np.ndarray:
     """Elimination threshold at neighborhood size k.
 
     Pointwise form (``d0 is None``)::
@@ -41,13 +43,14 @@ def threshold(
 
     With ``d0`` given, the ``ln n`` term is scaled by ``d0`` (the VC dimension
     of balls in the feature space), which makes the guarantee hold uniformly
-    over queries instead of per query.  Natural logarithms throughout.  A
-    threshold that overflows the float range raises ``ValueError``.
+    over queries instead of per query.  Natural logarithms throughout.  An
+    integer array ``k`` gives the threshold at each of its values, bit for
+    bit.  A threshold that overflows the float range raises ``ValueError``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if np.min(k) < 1:
+        raise ValueError(f"k must be >= 1, got {np.min(k)}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if c < 2:
@@ -58,10 +61,13 @@ def threshold(
         raise ValueError(f"d0 must be in [1, {sys.float_info.max}], got {d0}")
     scale = 1.0 if d0 is None else float(d0)
     # ln(c) - ln(delta) is ln(c / delta) without the division's rounding
-    value = c1 * math.sqrt((scale * math.log(n) + math.log(c) - math.log(delta)) / k)
-    if value == math.inf:
-        raise ValueError(f"c1 = {c1} and d0 = {d0} overflow the threshold at n = {n}, k = {k}")
-    return value
+    bound = scale * math.log(n) + math.log(c) - math.log(delta)
+    # an overflow is reported below as ValueError, not as a numpy warning
+    with np.errstate(over="ignore"):
+        value = c1 * np.sqrt(bound / k)
+    if np.max(value) == math.inf:
+        raise ValueError(f"c1 = {c1} and d0 = {d0} overflow the threshold at n = {n}, k = {np.min(k)}")
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ class PlaknnConfig:
             return None
         return self.d0 if self.d0 is not None else dim + 1
 
-    def threshold(self, n: int, k: int, c: int, dim: int = 1) -> float:
+    def threshold(self, n: int, k: int | np.ndarray, c: int, dim: int = 1) -> float | np.ndarray:
         return threshold(n, k, self.delta, c, self.c1, self.resolve_d0(dim))
 
 
@@ -150,34 +156,57 @@ class EliminationTrace:
         return None
 
 
-def _require_matching_index(train: PartialDataset, index: knn_index.NeighborIndex) -> None:
+def _neighbor_cap(t: int, n: int) -> int:
+    """``min(t, n)``.  A t above n warns, at the innermost caller outside this
+    package: the user's line, whichever public function it called."""
+    if t > n:
+        level, frame = 2, sys._getframe(1)
+        while frame.f_back and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+            level, frame = level + 1, frame.f_back
+        message = f"iteration cap T={t} exceeds the {n} available neighbors; using T={n}"
+        warnings.warn(message, RuntimeWarning, stacklevel=level)
+    return min(t, n)
+
+
+def _schedule(train: PartialDataset, config: PlaknnConfig) -> tuple[int, np.ndarray]:
+    """Iteration cap ``min(T, n)`` and thresholds ``deltas[k-1]`` for k = 1..cap."""
+    t_cap = _neighbor_cap(config.T, train.n)
+    return t_cap, config.threshold(train.n, np.arange(1, t_cap + 1), train.label_space.c, train.dim)
+
+
+def _bag_blocks(
+    train: PartialDataset,
+    index: knn_index.NeighborIndex,
+    queries: np.ndarray,
+    t: int,
+    order: np.ndarray | None,
+) -> tuple[int, Iterator[tuple[slice, np.ndarray, np.ndarray]]]:
+    """The query count m, after checking the inputs, and ``(rows, order,
+    bags)`` blocks: ``order[i, j]`` is the (j+1)-th nearest training point of
+    query ``rows.start + i``, j < min(t, n), and ``bags[i, j]`` its
+    membership row.  The blocks come from :func:`knn_index.neighbor_blocks`,
+    or are the first min(t, n) columns of a precomputed ``order`` of the
+    queries, taken as one block.
+    """
     if index.n != train.n or index.dim != train.dim:
         raise ValueError(
             f"index over {index.n}x{index.dim} points does not match the "
             f"{train.n}x{train.dim} training set"
         )
-
-
-def _schedule(
-    train: PartialDataset, index: knn_index.NeighborIndex, config: PlaknnConfig
-) -> tuple[int, np.ndarray]:
-    """Iteration cap and thresholds ``deltas[k-1]`` for k = 1..cap.
-
-    Checks that ``index`` covers ``train`` and clamps T to the training size
-    with a ``RuntimeWarning``.
-    """
-    _require_matching_index(train, index)
-    n = train.n
-    t_cap = config.T
-    if t_cap > n:
-        warnings.warn(
-            f"iteration cap T={t_cap} exceeds the {n} available neighbors; using T={n}",
-            RuntimeWarning,
-            stacklevel=3,
+    queries = knn_index._checked_queries(index, np.asarray(queries, dtype=np.float64))
+    memb = train.membership_matrix()
+    m = queries.shape[0]
+    if order is None:
+        blocks = knn_index.neighbor_blocks(index, queries, t)
+        return m, ((rows, block, memb[block]) for rows, block, _ in blocks)
+    t = min(t, index.n)
+    order = np.asarray(order)
+    if order.ndim != 2 or order.shape[0] != m or order.shape[1] < t:
+        raise ValueError(
+            f"order of shape {order.shape} does not give {t} neighbors for each of {m} queries"
         )
-        t_cap = n
-    c = train.label_space.c
-    return t_cap, np.array([config.threshold(n, k, c, train.dim) for k in range(1, t_cap + 1)])
+    order = order[:, :t]
+    return m, iter([(slice(0, m), order, memb[order])])
 
 
 def _step(
@@ -253,17 +282,16 @@ def classify(
     config: PlaknnConfig,
 ) -> tuple[int, EliminationTrace]:
     """Classify one query, returning the label and the elimination trace."""
-    t_cap, deltas = _schedule(train, index, config)
-    memb = train.membership_matrix()
-    query = np.asarray(x, dtype=np.float64)[None, :]
-    _, order, _ = next(knn_index.neighbor_blocks(index, query, t_cap))
-    labels, iterations, disambiguated, eliminated_at = _eliminate(memb[order], deltas)
+    t_cap, deltas = _schedule(train, config)
+    _, blocks = _bag_blocks(train, index, np.asarray(x, dtype=np.float64)[None, :], t_cap, None)
+    (_, order, bags), = blocks
+    labels, iterations, disambiguated, eliminated_at = _eliminate(bags, deltas)
 
     # replay the K steps at once: counts, alive-before-step masks, one _step
     n_steps = int(iterations[0])
     neighbors = order[0, :n_steps]
     ks = np.arange(1, n_steps + 1)[:, None]
-    tau = np.cumsum(memb[neighbors], axis=0, dtype=np.int64)
+    tau = np.cumsum(bags[0, :n_steps], axis=0, dtype=np.int64)
     fell = eliminated_at[0]
     alive = (fell == 0) | (fell >= ks)
     margin, elim = _step(tau, alive, ks, deltas[:n_steps, None])
@@ -324,18 +352,14 @@ def classify_batch_detail(
     """Labels, iterations and disambiguated flags for a batch of queries.
 
     ``order``, when given, is a precomputed neighbor order of ``queries``
-    with at least ``min(T, n)`` columns (see :func:`knn_index.order_blocks`);
-    the result is the same as searching.
+    with at least ``min(T, n)`` columns, taken as one block (see
+    :func:`_bag_blocks`); the result is the same as searching.
     """
-    t_cap, deltas = _schedule(train, index, config)
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != train.dim:
-        raise ValueError("queries must be an (m, d) matrix matching the training dimension")
-    memb = train.membership_matrix()
-    m_total = queries.shape[0]
-    labels = np.empty(m_total, dtype=np.int64)
-    iterations = np.empty(m_total, dtype=np.int64)
-    disambiguated = np.zeros(m_total, dtype=bool)
-    for rows, block in knn_index.order_blocks(index, queries, t_cap, order):
-        labels[rows], iterations[rows], disambiguated[rows], _ = _eliminate(memb[block], deltas)
+    t_cap, deltas = _schedule(train, config)
+    m, blocks = _bag_blocks(train, index, queries, t_cap, order)
+    labels = np.empty(m, dtype=np.int64)
+    iterations = np.empty(m, dtype=np.int64)
+    disambiguated = np.zeros(m, dtype=bool)
+    for rows, _, bags in blocks:
+        labels[rows], iterations[rows], disambiguated[rows], _ = _eliminate(bags, deltas)
     return BatchResult(labels, iterations, disambiguated)

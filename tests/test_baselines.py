@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,34 @@ class TestPrecomputedOrder:
             baselines.fixed_k_batch(train, index, queries, 4, order=order),
             baselines.fixed_k_batch(train, index, queries, 4),
         )
+
+
+class TestCapWarning:
+    """A T above the training size warns once per call, and the warning
+    points at the line that called the public function."""
+
+    @pytest.mark.parametrize(
+        "classifier, one_query",
+        [
+            (plaknn.classify, True),
+            (plaknn.classify_batch, False),
+            (plaknn.classify_batch_detail, False),
+            (baselines.aknn_decision, True),
+            (baselines.aknn_classify, True),
+            (baselines.aknn_batch, False),
+        ],
+        ids=["classify", "classify_batch", "classify_batch_detail", "aknn_decision",
+             "aknn_classify", "aknn_batch"],
+    )
+    def test_points_at_the_caller(self, classifier, one_query):
+        train = random_partial_dataset(np.random.default_rng(1), 30, 2, 3)
+        index = knn_index.build(train.features)
+        queries = np.zeros((3, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            classifier(train, index, queries[0] if one_query else queries, PlaknnConfig(T=50))
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+        assert "T=50 exceeds the 30" in str(caught[0].message)
 
 
 class TestThresholdCrossingContrast:

@@ -3,12 +3,14 @@ import csv
 import inspect
 import io
 import math
+import os
 import re
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -353,10 +355,14 @@ class TestDistributionFile:
 
 
 def run_cli(*args):
+    # the child imports the same plbag as this process, installed or not
+    src = str(Path(bench_cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "plbag.bench_cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -698,6 +704,19 @@ class TestRunAgainstOracle:
         with pytest.warns(RuntimeWarning, match="T=100 exceeds the 32"):
             self.assert_same(config)
 
+    def test_T_above_training_split_warns_once(self):
+        # 560 training points: three methods, two noise levels and two
+        # repetitions, one warning, pointing at the caller of run
+        config = ExperimentConfig(
+            scenario="two_gaussians", methods=ALL_METHODS, noise_grid=(0.0, 0.3),
+            repetitions=2, n_samples=700, plaknn=PlaknnConfig(T=1000),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(config)
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+        assert "T=1000 exceeds the 560" in str(caught[0].message)
+
     def test_a_case_spans_several_blocks(self):
         config = DIFFERENTIAL_CASES["gaussian_clusters_blocks"](None)
         m = config.n_samples - bench_cli._n_train(config.n_samples, config.train_fraction)
@@ -756,8 +775,8 @@ class TestRepetitionMemory:
     def test_large_T_run_stays_within_a_few_blocks(self, tmp_path, capsys):
         # 2,000 training and 2,000 test points, T = 2,000: a whole (2000, 2000)
         # int64 order is 32 MB.  One 256-query block's arrays are 4.1 MB each:
-        # its distances, order and order distances, the previous block's order
-        # and distances while the next one is searched, and aknn's counts.
+        # its distances, order and order distances, and aknn's counts; the
+        # previous block's are dropped before the next one is searched.
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "[experiment]\nscenario = two_gaussians\nn_samples = 4000\ntrain_fraction = 0.5\n"
@@ -771,7 +790,7 @@ class TestRepetitionMemory:
         finally:
             tracemalloc.stop()
         assert code == 0 and capsys.readouterr().out.startswith("method=aknn")
-        assert peak < 8 * block_array
+        assert peak < 5 * block_array
 
 
 class TestInfiniteC1:
@@ -923,13 +942,15 @@ class TestConfigBounds:
             ("synth", "[synth]\nseed = -1\n", "seed must be >= 0, got -1"),
             ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 400}\n", "d0 must be in [1, "),
             ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 308}\n", "overflow the threshold"),
+            ("run", "[plaknn]\nc1 = 1e308\n", "overflow the threshold"),
             # thresholds above 1 up to k = T = 10 eliminate nothing
             ("run", "n_samples = 60\nmethods = plaknn\n[plaknn]\nT = 10\nc1 = 100\n",
              "no label can ever be eliminated"),
         ],
         ids=["run_n_samples", "synth_n_samples", "run_base_seed", "synth_seed", "d0_1e400",
-             "d0_1e308", "c1_never_eliminates"],
+             "d0_1e308", "c1_1e308", "c1_never_eliminates"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

@@ -11,6 +11,12 @@ from plbag.plaknn import EliminationTrace, IterationRecord, PlaknnConfig, thresh
 from _fixtures import random_partial_dataset
 
 
+def threshold_oracle(n, k, delta, c, c1, d0):
+    """The threshold formula in Python floats for one k."""
+    scale = 1.0 if d0 is None else float(d0)
+    return c1 * math.sqrt((scale * math.log(n) + math.log(c) - math.log(delta)) / k)
+
+
 def classify_oracle(train, index, x, config):
     """Literal per-query elimination loop, independent of the batch kernel.
 
@@ -136,6 +142,7 @@ class TestThreshold:
         ],
         ids=["d0_1e400", "d0_1e308", "c1_1e308"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_overflow_raises(self, c1, d0, message):
         # an infinite threshold eliminates nothing, and a d0 past the float
         # range has no float value
@@ -143,6 +150,27 @@ class TestThreshold:
             threshold(50, 1, 0.1, 2, c1, d0)
         with pytest.raises(ValueError, match=re.escape(message)):
             PlaknnConfig(c1=c1, mode="uniform", d0=d0)
+
+    @pytest.mark.parametrize(
+        "mode, d0", [("pointwise", None), ("uniform", None), ("uniform", 7)],
+        ids=["pointwise", "uniform_dim", "uniform_d0"],
+    )
+    def test_array_of_k_equals_each_scalar(self, mode, d0):
+        rng = np.random.default_rng(12)
+        for n in (1, 37, 5000, 10**6):
+            ks = np.arange(1, int(rng.integers(1, 5000)) + 1)
+            config = PlaknnConfig(
+                c1=float(rng.choice([0.05, 0.5, 3.0, 40.0])), delta=float(rng.uniform(0.001, 0.99)),
+                mode=mode, d0=d0,
+            )
+            c, dim = int(rng.integers(2, 65)), int(rng.integers(1, 30))
+            want = [
+                threshold_oracle(n, k, config.delta, c, config.c1, config.resolve_d0(dim))
+                for k in ks.tolist()
+            ]
+            assert config.threshold(n, ks, c, dim).tobytes() == np.array(want).tobytes()
+            scalars = [config.threshold(n, k, c, dim) for k in ks[:400].tolist()]
+            assert scalars == want[:400] and all(type(v) is float for v in scalars)
 
     def test_config_checks_the_largest_threshold(self):
         # d0 = 1e307 keeps the threshold finite at n = 10**6 but not at the

@@ -76,7 +76,7 @@ from .synth import (
 METHODS = ("plaknn", "aknn", "fixed_k")
 
 # Largest scenario sample.  Besides O(n d) arrays (the sample, the index, the
-# bags of each noise level, the per-job labels of the test points), a
+# bags of each noise level, the job records' labels of the test points), a
 # repetition holds one 256-query block at a time: its (256, n_train) float64
 # distances, its (256, depth) order and distances with depth <= n_train, and
 # the classifiers' (256, depth) temporaries and (256, depth, c) boolean bag
@@ -230,21 +230,35 @@ def _split_rep(
     return train_x, bags, x[test_idx], y[test_idx]
 
 
-def _classify_with(
-    method: str,
-    config: ExperimentConfig,
-    train: PartialDataset,
-    index: knn_index.NeighborIndex,
-    queries: np.ndarray,
-    order: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Labels of ``queries`` and, for plaknn, their iteration counts."""
-    if method == "plaknn":
+def _block_calls(config: ExperimentConfig, index: knn_index.NeighborIndex) -> dict[str, tuple]:
+    """Each method's neighbor depth and its call ``(train, queries, order)`` on
+    one query block, which gives the block's labels and plaknn's iterations."""
+
+    def plaknn(train, queries, order):
         detail = classify_batch_detail(train, index, queries, config.plaknn, order=order)
         return detail.labels, detail.iterations
-    if method == "aknn":
-        return aknn_batch(train, index, queries, config.plaknn, order=order), None
-    return fixed_k_batch(train, index, queries, config.fixed_k, order=order), None
+
+    def aknn(train, queries, order):
+        return (aknn_batch(train, index, queries, config.plaknn, order=order),)
+
+    def fixed_k(train, queries, order):
+        return (fixed_k_batch(train, index, queries, config.fixed_k, order=order),)
+
+    return {"plaknn": (config.plaknn.T, plaknn), "aknn": (config.plaknn.T, aknn),
+            "fixed_k": (config.fixed_k, fixed_k)}
+
+
+@dataclass
+class _Job:
+    """One (noise level, method) job: its training set and block call, the
+    call's outputs per block, and their summed wall time."""
+
+    noise: float
+    method: str
+    train: PartialDataset
+    call: Callable[..., tuple[np.ndarray, ...]]
+    blocks: list[tuple[np.ndarray, ...]] = field(default_factory=list)
+    wall_ms: float = 0.0
 
 
 def _run_rep(
@@ -253,7 +267,7 @@ def _run_rep(
     rep: int,
     dump_predictions: bool,
 ) -> tuple[list[ResultRow], list[PredictionRow]]:
-    """Every (noise level, method) job of repetition ``rep``.
+    """Every (noise level, method) job of repetition ``rep``, one :class:`_Job` each.
 
     The split, the features, the pipeline, the index and one neighbor
     search of the test points are shared by all jobs; only the bags depend
@@ -270,34 +284,33 @@ def _run_rep(
         features = fitted.transformed_train
         test_x = preprocess.transform(fitted, test_x)
     index = knn_index.build(features)
+    calls = _block_calls(config, index)
     jobs = []
     for noise in config.noise_grid:
         train = bags(noise)
         if config.pipeline is not None:
             train = train.with_features(features)
-        jobs.extend((noise, method, train) for method in config.methods)
-    labels = np.empty((len(jobs), test_y.shape[0]), dtype=np.int64)
-    iterations = np.empty_like(labels)
-    wall_ms = [0.0] * len(jobs)
+        jobs.extend(_Job(noise, method, train, calls[method][1]) for method in config.methods)
     # deep enough for every method: each one cuts its own prefix
-    depth = max(config.fixed_k if m == "fixed_k" else config.plaknn.T for m in config.methods)
-    for rows, order, _ in knn_index.neighbor_blocks(index, test_x, depth):
-        for j, (_, method, train) in enumerate(jobs):
+    depth = max(calls[method][0] for method in config.methods)
+    for rows, order, sqd in knn_index.neighbor_blocks(index, test_x, depth):
+        del sqd  # unread; freed before the jobs run, it stays out of their memory peak
+        for job in jobs:
             started = time.perf_counter()
-            labels[j, rows], iters = _classify_with(method, config, train, index, test_x[rows], order)
-            wall_ms[j] += (time.perf_counter() - started) * 1000.0
-            if iters is not None:
-                iterations[j, rows] = iters
-        del order, _  # drop this block before the next one is searched
+            job.blocks.append(job.call(job.train, test_x[rows], order))
+            job.wall_ms += (time.perf_counter() - started) * 1000.0
+        del order  # drop this block before the next one is searched
     results: list[ResultRow] = []
     preds: list[PredictionRow] = []
-    for j, (noise, method, train) in enumerate(jobs):
-        mean_iters = float(iterations[j].mean()) if method == "plaknn" else None
-        error = float((labels[j] != test_y).mean())
-        results.append(ResultRow(method, noise, rep, seed, train.n, error, mean_iters, wall_ms[j]))
+    for job in jobs:
+        labels, *iterations = (np.concatenate(column) for column in zip(*job.blocks))
+        mean_iters = float(iterations[0].mean()) if iterations else None
+        error = float((labels != test_y).mean())
+        row = ResultRow(job.method, job.noise, rep, seed, job.train.n, error, mean_iters, job.wall_ms)
+        results.append(row)
         if dump_predictions:
             preds.extend(
-                PredictionRow(method, noise, rep, i, int(test_y[i]), int(labels[j, i]))
+                PredictionRow(job.method, job.noise, rep, i, int(test_y[i]), int(labels[i]))
                 for i in range(test_y.shape[0])
             )
     return results, preds

@@ -317,10 +317,21 @@ class TestEmit:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_timings_column_populated_on_request(self, tmp_path):
-        result = run(tiny_config())
-        emit(result, tmp_path, timings=True)
-        line = (tmp_path / "results.csv").read_text().splitlines()[1]
-        assert line.rsplit(",", 1)[1] != ""
+        # every job books its own time, so a job whose time went to another
+        # one reads 0
+        cfg = tiny_config(methods=ALL_METHODS, noise_grid=(0.0, 0.3))
+        emit(run(cfg), tmp_path / "timed", timings=True)
+        emit(run(cfg), tmp_path / "plain")
+        timed, plain = (
+            list(csv.DictReader((tmp_path / d / "results.csv").read_text().splitlines()))
+            for d in ("timed", "plain")
+        )
+        assert len(timed) == len(plain) == 3 * 2 * cfg.repetitions
+        for got, want in zip(timed, plain):
+            wall = float(got.pop("wall_time_ms"))
+            assert math.isfinite(wall) and wall > 0.0
+            assert want.pop("wall_time_ms") == ""
+            assert got == want
 
 
 class TestDistributionFile:
@@ -1024,7 +1035,9 @@ class TestPipelineDataError:
         cfg.write_text(
             f"[experiment]\ndataset = {data}\nrepetitions = 1\n[pipeline]\nvariant = {variant}\n"
         )
-        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        # 240 training points against the default T = 400
+        with pytest.warns(RuntimeWarning, match="T=400 exceeds the 240"):
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("data error:")

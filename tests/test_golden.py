@@ -25,6 +25,11 @@ and ``gaussian_clusters`` (the cluster-varying ``make_bags`` process).
 (``advantage.csv``).  A refactor that changes any alignment verdict or any
 digit of an advantage, p or gamma changes these bytes.
 
+``golden/versions.txt`` names the Python and numpy versions that wrote the
+files.  Their bytes depend on numpy's random streams and summation order,
+which numpy does not keep fixed across versions, so a mismatch names both
+the recorded and the running versions.
+
 After an intended behaviour change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -34,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -55,6 +61,24 @@ OUTPUTS = ("results.csv", "summary.csv", "predictions.csv", "stdout.txt")
 THEORY = GOLDEN / "theory"
 SYNTH = GOLDEN / "synth"
 SYNTH_CASES = ("two_gaussians", "gaussian_clusters")
+VERSIONS = GOLDEN / "versions.txt"
+
+
+def _versions() -> str:
+    """The running Python and numpy versions, as ``versions.txt`` holds them."""
+    return f"python {platform.python_version()}\nnumpy {np.__version__}\n"
+
+
+def _assert_golden(path: Path, golden: Path) -> None:
+    """``path`` holds ``golden``'s bytes; a mismatch names the versions that
+    wrote the goldens and the running ones."""
+    if path.read_bytes() != golden.read_bytes():
+        recorded = ", ".join(VERSIONS.read_text().splitlines())
+        running = ", ".join(_versions().splitlines())
+        pytest.fail(
+            f"{golden.relative_to(GOLDEN)} differs from its golden;"
+            f" goldens written with {recorded}, running {running}"
+        )
 
 
 def _main(argv: list[str]) -> bytes:
@@ -80,7 +104,7 @@ def _run_case(name: str, out: Path) -> None:
 def test_outputs_match_golden(name, tmp_path):
     _run_case(name, tmp_path)
     for fname in OUTPUTS:
-        assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+        _assert_golden(tmp_path / fname, GOLDEN / name / fname)
 
 
 def test_small_k_searches_are_all_prefiltered(tmp_path, monkeypatch):
@@ -91,8 +115,7 @@ def test_small_k_searches_are_all_prefiltered(tmp_path, monkeypatch):
 
     monkeypatch.setattr(knn_index, "_exact", full_search)
     _run_case("vision_small_k", tmp_path)
-    golden = GOLDEN / "vision_small_k" / "results.csv"
-    assert (tmp_path / "results.csv").read_bytes() == golden.read_bytes()
+    _assert_golden(tmp_path / "results.csv", GOLDEN / "vision_small_k" / "results.csv")
 
 
 def _run_synth(name: str, out: Path) -> None:
@@ -103,8 +126,7 @@ def _run_synth(name: str, out: Path) -> None:
 @pytest.mark.parametrize("name", SYNTH_CASES)
 def test_synth_matches_golden(name, tmp_path):
     _run_synth(name, tmp_path)
-    fname = f"{name}.csv"
-    assert (tmp_path / fname).read_bytes() == (SYNTH / fname).read_bytes()
+    _assert_golden(tmp_path / f"{name}.csv", SYNTH / f"{name}.csv")
 
 
 def _run_theory(out: Path) -> None:
@@ -119,7 +141,20 @@ def _run_theory(out: Path) -> None:
 def test_theory_matches_golden(tmp_path):
     _run_theory(tmp_path)
     for fname in ("report.txt", "advantage.csv"):
-        assert (tmp_path / fname).read_bytes() == (THEORY / fname).read_bytes(), fname
+        _assert_golden(tmp_path / fname, THEORY / fname)
+
+
+def test_a_mismatch_names_the_recorded_and_running_versions(tmp_path, monkeypatch):
+    recorded = tmp_path / "versions.txt"
+    recorded.write_text("python 3.10.0\nnumpy 1.24.0\n")
+    monkeypatch.setattr(sys.modules[__name__], "VERSIONS", recorded)
+    (tmp_path / "report.txt").write_text("not the golden report\n")
+    with pytest.raises(pytest.fail.Exception) as failure:
+        _assert_golden(tmp_path / "report.txt", THEORY / "report.txt")
+    message = str(failure.value)
+    assert "theory/report.txt" in message
+    assert "python 3.10.0, numpy 1.24.0" in message
+    assert f"python {platform.python_version()}, numpy {np.__version__}" in message
 
 
 def _write_vision_dataset(path: Path) -> None:
@@ -180,6 +215,7 @@ def regenerate() -> None:
     for name in SYNTH_CASES:
         _run_synth(name, SYNTH)
     _run_theory(THEORY)
+    VERSIONS.write_text(_versions())
 
 
 if __name__ == "__main__":

@@ -1042,3 +1042,87 @@ class TestPipelineDataError:
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("data error:")
         assert "density scaling is undefined" in err
+
+
+# one complete c = 2 atom, lines 2-6 of a file that starts with "labels 2"
+ATOM_2 = "atom\nlocation 0\nmass 1\nprobs 1 0\nbagdefault identity\n"
+
+
+class TestErrorMessages:
+    """Every message the distribution loader raises, and the config messages
+    that no other test reaches, as the one stderr line ``bench`` prints;
+    ``{path}`` stands for the input file."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"labels 2\natom\xff\n",
+             "{path}: unreadable text: 'utf-8' codec can't decode byte 0xff in position 13:"
+             " invalid start byte"),
+            ("# no labels line\natom\n", "{path}: first directive must be 'labels <c>'"),
+            ("labels two\n", "{path}: malformed labels directive"),
+            ("labels 13\n", "{path}: labels must be in 2..12, got 13"),
+            ("labels 12\n" + "atom\n" * 86,
+             "{path}: 86 atoms with 12 labels need 33808320 bytes of bag tables, over the"
+             " limit of 33554432"),
+            ("labels 2\n\n# the mass comes first\nmass 1\n" + ATOM_2,
+             "{path}:4: directive outside an atom block"),
+            ("labels 2\n" + ATOM_2 + "weight 1\n", "{path}:7: unknown directive 'weight'"),
+            # a directive's error comes before the block's missing location
+            ("labels 2\natom\nmass one\n", "{path}:3: malformed directive"),
+            ("labels 2\natom\nbagdefault\n", "{path}:3: malformed directive"),
+            ("labels 2\natom\nbagdefault uniform\n", "{path}:3: unknown bagdefault 'uniform'"),
+            ("labels 2\n" + ATOM_2 + "bagrow 1;3 0 1\n", "{path}:7: bad bag spec '1;3'"),
+            ("labels 2\n" + ATOM_2 + "bagrow 1 1\n", "{path}:7: expected 2 probabilities"),
+            ("labels 2\n" + ATOM_2.replace("mass 1\n", ""), "{path}: atom block missing 'mass'"),
+            ("labels 2\n" + ATOM_2.replace("mass 1", "mass 2"),
+             "{path}: invalid atom: atom mass must lie in (0, 1]"),
+            ("labels 2\n" + ATOM_2.replace("bagdefault identity\n", ""),
+             "{path}: invalid atom: every column must sum to 1, got sums [0. 0.]"),
+            ("labels 2\n# nothing else\n", "{path}: no atoms"),
+            ("labels 2\n" + ATOM_2.replace("mass 1", "mass 0.5")
+             + ATOM_2.replace("location 0", "location 1").replace("mass 1", "mass 0.25"),
+             "{path}: atom masses sum to 0.75, not 1"),
+            # the first block's missing mass is found before the second block is read
+            ("labels 2\n" + ATOM_2.replace("mass 1\n", "")
+             + ATOM_2.replace("mass 1", "mass x"),
+             "{path}: atom block missing 'mass'"),
+        ],
+        ids=["unreadable", "no_labels", "labels_malformed", "labels_range", "bag_tables",
+             "outside_block", "unknown_directive", "malformed", "malformed_short",
+             "unknown_bagdefault", "bad_bag_spec", "bagrow_width", "missing_field",
+             "invalid_atom", "invalid_bag_columns", "no_atoms", "distribution", "two_blocks"],
+    )
+    def test_distribution_exit_3(self, tmp_path, capsys, text, message):
+        dist = tmp_path / "dist.txt"
+        if isinstance(text, bytes):
+            dist.write_bytes(text)
+        else:
+            dist.write_text(text)
+        code = main(["theory", "--dist", str(dist)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == "data error: " + message.format(path=dist) + "\n"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("run", "[experiment]\nscenario = two_gaussians\nmethods =\n",
+             "at least one method is required"),
+            ("run", "[experiment]\nscenario = two_gaussians\nnoise_grid = 0.0,1.5\n",
+             "noise level 1.5 outside [0, 1]"),
+            ("run", "# no section yet\nscenario = two_gaussians\n",
+             "{path}:2: key outside any section"),
+            ("synth", "[experiment]\ndataset = data.csv\n",
+             "bench synth needs a scenario in [experiment]"),
+        ],
+        ids=["no_methods", "noise_range", "key_outside_section", "synth_without_scenario"],
+    )
+    def test_config_exit_2(self, tmp_path, capsys, command, text, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "config error: " + message.format(path=cfg) + "\n"
+        assert not (tmp_path / "out").exists()

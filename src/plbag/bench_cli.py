@@ -81,7 +81,9 @@ METHODS = ("plaknn", "aknn", "fixed_k")
 # distances, its (256, depth) order and distances with depth <= n_train, and
 # the classifiers' (256, depth) temporaries and (256, depth, c) boolean bag
 # rows.  At 80,000 training points each 8-byte array is at most 164 MB, and
-# the bag rows of gaussian_clusters (c = 10) are 205 MB.
+# the bag rows of gaussian_clusters (c = 10) are 205 MB.  The k-means of
+# make_bags holds (n, synth.MAX_CLUSTERS = 256) float64 distances: 164 MB
+# too, and 205 MB for the 100,000 points of bench synth.
 MAX_SAMPLES = 100_000
 
 
@@ -351,6 +353,10 @@ def _load_source(config: ExperimentConfig) -> PartialDataset | AnalyticScenario:
             raise DataFormatError(
                 f"{config.dataset}: experiments need the ground-truth column 'y'"
             )
+        if data.n < 2:
+            raise DataFormatError(
+                f"{config.dataset}: experiments need at least 2 rows, got {data.n}"
+            )
         return data
     return analytic_scenario(config.scenario)
 
@@ -572,114 +578,102 @@ def load_distribution(path: str | Path) -> DiscreteDistribution:
     """
     path = Path(path)
     lines = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(_read_text(path, DataFormatError).splitlines())
-        if ln.strip() and not ln.strip().startswith("#")
+        (lineno, words)
+        for lineno, raw in enumerate(_read_text(path, DataFormatError).splitlines(), start=1)
+        if (words := raw.split()) and not words[0].startswith("#")
     ]
-    if not lines or lines[0][1].split()[0] != "labels":
+    if not lines or lines[0][1][0] != "labels":
         raise DataFormatError(f"{path}: first directive must be 'labels <c>'")
     try:
-        c = int(lines[0][1].split()[1])
+        c = int(lines[0][1][1])
     except (IndexError, ValueError):
         raise DataFormatError(f"{path}: malformed labels directive") from None
     if not 2 <= c <= MAX_ENUMERABLE_LABELS:
         raise DataFormatError(f"{path}: labels must be in 2..{MAX_ENUMERABLE_LABELS}, got {c}")
-    n_atoms = sum(1 for _, line in lines[1:] if line.split()[0] == "atom")
+    # each block runs from its atom line to the next one or to the end
+    starts = [i for i, (_, words) in enumerate(lines) if words[0] == "atom"] + [len(lines)]
+    n_atoms = len(starts) - 1
     table_bytes = n_atoms * ((1 << c) - 1) * c * 8
     if table_bytes > MAX_BAG_TABLE_BYTES:
         raise DataFormatError(
             f"{path}: {n_atoms} atoms with {c} labels need {table_bytes} bytes of bag "
             f"tables, over the limit of {MAX_BAG_TABLE_BYTES}"
         )
-    space = LabelSpace(c)
-
-    atoms: list[Atom] = []
-    block: dict | None = None
-
-    def finish_block() -> None:
-        if block is None:
-            return
-        for req in ("location", "mass", "probs"):
-            if req not in block:
-                raise DataFormatError(f"{path}: atom block missing '{req}'")
-        entries = np.zeros(((1 << c) - 1, c))
-        for mask, row in block["rows"].items():
-            entries[mask - 1] = row
-        if block["identity_default"]:
-            for y in range(1, c + 1):
-                if entries[:, y - 1].sum() == 0.0:
-                    entries[(1 << (y - 1)) - 1, y - 1] = 1.0
-        try:
-            atoms.append(
-                Atom(
-                    location=np.array(block["location"]),
-                    mass=block["mass"],
-                    label_dist=LabelDistribution(np.array(block["probs"])),
-                    baggen=BagGenMatrix(entries),
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: invalid atom: {exc}") from exc
-
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        word = parts[0]
-        if word == "atom":
-            finish_block()
-            block = {"rows": {}, "identity_default": False}
-            continue
-        if block is None:
-            raise DataFormatError(f"{path}:{lineno}: directive outside an atom block")
-        try:
-            if word == "location":
-                block["location"] = [float(v) for v in parts[1:]]
-            elif word == "mass":
-                block["mass"] = float(parts[1])
-            elif word == "probs":
-                block["probs"] = [float(v) for v in parts[1:]]
-            elif word == "bagdefault":
-                if parts[1] != "identity":
-                    raise DataFormatError(f"{path}:{lineno}: unknown bagdefault {parts[1]!r}")
-                block["identity_default"] = True
-            elif word == "bagrow":
-                labels = [int(v) for v in parts[1].split(";")]
-                if any(not 1 <= y <= c for y in labels) or not labels:
-                    raise DataFormatError(f"{path}:{lineno}: bad bag spec {parts[1]!r}")
-                mask = 0
-                for y in labels:
-                    mask |= 1 << (y - 1)
-                values = [float(v) for v in parts[2:]]
-                if len(values) != c:
-                    raise DataFormatError(f"{path}:{lineno}: expected {c} probabilities")
-                block["rows"][mask] = values
-            else:
-                raise DataFormatError(f"{path}:{lineno}: unknown directive {word!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, DataFormatError):
-                raise
-            raise DataFormatError(f"{path}:{lineno}: malformed directive") from exc
-    finish_block()
+    if starts[0] > 1:
+        raise DataFormatError(f"{path}:{lines[1][0]}: directive outside an atom block")
+    atoms = [_parse_atom(path, c, lines[a + 1 : b]) for a, b in zip(starts, starts[1:])]
     if not atoms:
         raise DataFormatError(f"{path}: no atoms")
     try:
-        return DiscreteDistribution(tuple(atoms), space)
+        return DiscreteDistribution(tuple(atoms), LabelSpace(c))
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def theory_report(d: DiscreteDistribution, n_probes: int = 200, seed: int = 0) -> str:
+def _parse_atom(path: Path, c: int, block: list[tuple[int, list[str]]]) -> Atom:
+    """The atom of one block's ``(line number, words)`` directives, read in file
+    order; a later directive of the same kind, or row of the same bag, wins."""
+    given: dict[str, float | list[float]] = {}
+    entries = np.zeros(((1 << c) - 1, c))
+    identity = False
+    try:
+        for lineno, words in block:
+            word = words[0]
+            if word == "bagrow":
+                labels = list(map(int, words[1].split(";")))  # all parse before any is checked
+                mask = 0
+                for y in labels:
+                    if not 1 <= y <= c:
+                        raise DataFormatError(f"{path}:{lineno}: bad bag spec {words[1]!r}")
+                    mask |= 1 << (y - 1)
+                values = list(map(float, words[2:]))
+                if len(values) != c:
+                    raise DataFormatError(f"{path}:{lineno}: expected {c} probabilities")
+                entries[mask - 1] = values
+            elif word in ("location", "probs"):
+                given[word] = list(map(float, words[1:]))
+            elif word == "mass":
+                given[word] = float(words[1])
+            elif word == "bagdefault":
+                if words[1] != "identity":
+                    raise DataFormatError(f"{path}:{lineno}: unknown bagdefault {words[1]!r}")
+                identity = True
+            else:
+                raise DataFormatError(f"{path}:{lineno}: unknown directive {word!r}")
+    except DataFormatError:
+        raise
+    except (IndexError, ValueError) as exc:
+        raise DataFormatError(f"{path}:{lineno}: malformed directive") from exc
+    for req in ("location", "mass", "probs"):
+        if req not in given:
+            raise DataFormatError(f"{path}: atom block missing '{req}'")
+    if identity:
+        # each column is summed as one contiguous row, pairwise like
+        # entries[:, y].sum(); the singleton of y is bag row 2^(y-1) - 1
+        ys = np.flatnonzero(entries.T.copy().sum(axis=1) == 0.0)
+        entries[(1 << ys) - 1, ys] = 1.0
+    try:
+        return Atom(np.array(given["location"]), given["mass"],
+                    LabelDistribution(np.array(given["probs"])), BagGenMatrix(entries))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: invalid atom: {exc}") from exc
+
+
+# flat-Dirichlet label distributions, from seed 0, that probe each atom's alignment
+_ALIGNMENT_PROBES = 200
+
+
+def theory_report(d: DiscreteDistribution) -> str:
     """Key=value dump of reconstructibility, alignment and advantage."""
-    return _theory_text(d, theory.advantage_report(d), n_probes, seed)
+    return _theory_text(d, theory.advantage_report(d))
 
 
-def _theory_text(
-    d: DiscreteDistribution, report: theory.AdvantageReport, n_probes: int = 200, seed: int = 0
-) -> str:
+def _theory_text(d: DiscreteDistribution, report: theory.AdvantageReport) -> str:
     lines = [f"atoms={d.n_atoms} labels={d.label_space.c}"]
     lines.append(f"dist_label_aligned={str(theory.is_label_aligned_dist(d)).lower()}")
     for idx, atom in enumerate(d.atoms):
         recon = theory.is_reconstructible(atom.baggen)
-        probe = theory.is_label_aligned_process(atom.baggen, n_probes=n_probes, seed=seed)
+        probe = theory.is_label_aligned_process(atom.baggen, n_probes=_ALIGNMENT_PROBES, seed=0)
         lines.append(
             f"atom_index={idx} reconstructible={str(recon).lower()} "
             f"process_aligned_so_far={str(probe.aligned_so_far).lower()} "

@@ -185,8 +185,8 @@ def _bag_blocks(
     bags)`` blocks: ``order[i, j]`` is the (j+1)-th nearest training point of
     query ``rows.start + i``, j < min(t, n), and ``bags[i, j]`` its
     membership row.  The blocks come from :func:`knn_index.neighbor_blocks`,
-    or are the first min(t, n) columns of a precomputed ``order`` of the
-    queries, taken as one block.
+    or from the first min(t, n) columns of a precomputed ``order`` of the
+    queries, cut into blocks of as many rows as a search block holds.
     """
     if index.n != train.n or index.dim != train.dim:
         raise ValueError(
@@ -205,8 +205,8 @@ def _bag_blocks(
         raise ValueError(
             f"order of shape {order.shape} does not give {t} neighbors for each of {m} queries"
         )
-    order = order[:, :t]
-    return m, iter([(slice(0, m), order, memb[order])])
+    blocks = (slice(s, min(s + knn_index._BLOCK, m)) for s in range(0, m, knn_index._BLOCK))
+    return m, ((rows, order[rows, :t], memb[order[rows, :t]]) for rows in blocks)
 
 
 def _step(
@@ -352,8 +352,8 @@ def classify_batch_detail(
     """Labels, iterations and disambiguated flags for a batch of queries.
 
     ``order``, when given, is a precomputed neighbor order of ``queries``
-    with at least ``min(T, n)`` columns, taken as one block (see
-    :func:`_bag_blocks`); the result is the same as searching.
+    with at least ``min(T, n)`` columns, read one block of rows at a time
+    (see :func:`_bag_blocks`); the result is the same as searching.
     """
     t_cap, deltas = _schedule(train, config)
     m, blocks = _bag_blocks(train, index, queries, t_cap, order)

@@ -28,6 +28,9 @@ import numpy as np
 from . import knn_index
 from .core import LabelSpace, PartialDataset, membership_to_masks
 
+# Most k-means clusters; kmeans_labels holds an (n, k) float64 distance matrix.
+MAX_CLUSTERS = 256
+
 
 @dataclass(frozen=True)
 class SynthBagConfig:
@@ -41,6 +44,8 @@ class SynthBagConfig:
     def __post_init__(self) -> None:
         if self.n_clusters < 1:
             raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        if self.n_clusters > MAX_CLUSTERS:
+            raise ValueError(f"n_clusters must be <= {MAX_CLUSTERS}, got {self.n_clusters}")
         if not 0.0 <= self.alpha_max <= 1.0:
             raise ValueError(f"alpha_max must be in [0, 1], got {self.alpha_max}")
         if not 0.0 <= self.noise_nu <= 1.0:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +207,33 @@ class TestPrecomputedOrder:
                 assert np.array_equal(
                     baselines.fixed_k_batch(train, index, q, k, order=order), labels[rows]
                 )
+
+    @pytest.mark.parametrize(
+        "classify, depth",
+        [
+            (plaknn.classify_batch_detail, PlaknnConfig(T=200)),
+            (baselines.aknn_batch, PlaknnConfig(T=200)),
+            (baselines.fixed_k_batch, 200),
+        ],
+        ids=["plaknn", "aknn", "fixed_k"],
+    )
+    def test_a_long_order_is_read_one_block_at_a_time(self, classify, depth):
+        # 4,096 queries are 16 blocks; gathering the bag rows of the whole
+        # order at once peaked at 16.8 (fixed_k) to 57 (aknn) blocks' rows
+        rng = np.random.default_rng(5)
+        train = random_partial_dataset(rng, 400, 2, 10)
+        index = knn_index.build(train.features)
+        queries = rng.normal(size=(4096, 2))
+        blocks = knn_index.neighbor_blocks(index, queries, 200)
+        order = np.vstack([order for _, order, _ in blocks])
+        block_rows = knn_index._BLOCK * 200 * 10  # bytes of one block's boolean bag rows
+        tracemalloc.start()
+        try:
+            classify(train, index, queries, depth, order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * block_rows
 
     def test_bad_order_shapes(self):
         rng = np.random.default_rng(2)

@@ -515,6 +515,17 @@ class TestLoaderBoundary:
         code, err = self._main(capsys, ["theory", "--dist", str(dist)])
         assert code == 3 and message in err
 
+    @pytest.mark.parametrize("methods", ["plaknn", "fixed_k"])
+    def test_dataset_of_one_row(self, tmp_path, capsys, methods):
+        # its split would leave no training point
+        data = tmp_path / "one.csv"
+        data.write_text("x1,bag,y\n0.5,1,1\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[experiment]\ndataset = {data}\nrepetitions = 1\nmethods = {methods}\n")
+        code, err = self._main(capsys, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert err == f"data error: {data}: experiments need at least 2 rows, got 1\n"
+
     def test_dataset_label_above_limit(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"
         data.write_text("x1,bag,y\n0.0,1;100,1\n1.0,2,2\n")
@@ -954,12 +965,15 @@ class TestConfigBounds:
             ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 400}\n", "d0 must be in [1, "),
             ("run", f"[plaknn]\nmode = uniform\nd0 = 1{'0' * 308}\n", "overflow the threshold"),
             ("run", "[plaknn]\nc1 = 1e308\n", "overflow the threshold"),
+            # k-means would hold an (n, n_clusters) float64 distance matrix
+            ("run", "[synth]\nn_clusters = 257\n", "[synth]: n_clusters must be <= 256, got 257"),
+            ("synth", "[synth]\nn_clusters = 257\n", "[synth]: n_clusters must be <= 256, got 257"),
             # thresholds above 1 up to k = T = 10 eliminate nothing
             ("run", "n_samples = 60\nmethods = plaknn\n[plaknn]\nT = 10\nc1 = 100\n",
              "no label can ever be eliminated"),
         ],
         ids=["run_n_samples", "synth_n_samples", "run_base_seed", "synth_seed", "d0_1e400",
-             "d0_1e308", "c1_1e308", "c1_never_eliminates"],
+             "d0_1e308", "c1_1e308", "run_n_clusters", "synth_n_clusters", "c1_never_eliminates"],
     )
     @pytest.mark.filterwarnings("error")
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, text, message):
@@ -990,6 +1004,9 @@ class TestConfigBounds:
     def test_largest_sample_is_accepted(self):
         config = ExperimentConfig(scenario="two_gaussians", n_samples=bench_cli.MAX_SAMPLES)
         assert config.n_samples == 100_000
+
+    def test_most_clusters_are_accepted(self):
+        assert SynthBagConfig(n_clusters=256).n_clusters == 256
 
 
 class TestDistinctGrid:

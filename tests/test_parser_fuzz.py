@@ -9,18 +9,37 @@ arbitrary text and bytes.
 ``parse_config`` derives its keys and conversions from the config
 dataclasses; ``parse_config_oracle`` spells every key out by hand, as the
 parser once did.  On every config input both must return equal configs or
-raise ``ConfigError`` with the same message.
+raise ``ConfigError`` with the same message.  ``load_distribution`` and
+``load_distribution_oracle``, which collects each block's directives in a
+dict and builds its atom when the next block starts, are held to the same
+rule on distribution files.
 """
 
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 from plbag import preprocess
-from plbag.bench_cli import ConfigError, ExperimentConfig, load_distribution, parse_config
-from plbag.core import DataFormatError, LabelSpace, load_dataset
+from plbag.bench_cli import (
+    MAX_BAG_TABLE_BYTES,
+    ConfigError,
+    ExperimentConfig,
+    load_distribution,
+    parse_config,
+)
+from plbag.core import (
+    MAX_ENUMERABLE_LABELS,
+    Atom,
+    BagGenMatrix,
+    DataFormatError,
+    DiscreteDistribution,
+    LabelDistribution,
+    LabelSpace,
+    load_dataset,
+)
 from plbag.plaknn import PlaknnConfig
 from plbag.synth import SynthBagConfig
 
@@ -445,3 +464,153 @@ def distribution_text(draw) -> bytes:
 @given(st.one_of(distribution_text(), _raw()))
 def test_load_distribution_fuzz(data):
     _parse(load_distribution, data, DataFormatError)
+
+
+def load_distribution_oracle(path: Path) -> DiscreteDistribution:
+    """The distribution file parser as a block-state machine, with the same
+    messages as ``load_distribution``."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: unreadable text: {exc}") from None
+    lines = [
+        (i + 1, ln.strip())
+        for i, ln in enumerate(text.splitlines())
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    if not lines or lines[0][1].split()[0] != "labels":
+        raise DataFormatError(f"{path}: first directive must be 'labels <c>'")
+    try:
+        c = int(lines[0][1].split()[1])
+    except (IndexError, ValueError):
+        raise DataFormatError(f"{path}: malformed labels directive") from None
+    if not 2 <= c <= MAX_ENUMERABLE_LABELS:
+        raise DataFormatError(f"{path}: labels must be in 2..{MAX_ENUMERABLE_LABELS}, got {c}")
+    n_atoms = sum(1 for _, line in lines[1:] if line.split()[0] == "atom")
+    table_bytes = n_atoms * ((1 << c) - 1) * c * 8
+    if table_bytes > MAX_BAG_TABLE_BYTES:
+        raise DataFormatError(
+            f"{path}: {n_atoms} atoms with {c} labels need {table_bytes} bytes of bag "
+            f"tables, over the limit of {MAX_BAG_TABLE_BYTES}"
+        )
+    atoms = []
+    block = None
+
+    def finish_block():
+        if block is None:
+            return
+        for req in ("location", "mass", "probs"):
+            if req not in block:
+                raise DataFormatError(f"{path}: atom block missing '{req}'")
+        entries = np.zeros(((1 << c) - 1, c))
+        for mask, row in block["rows"].items():
+            entries[mask - 1] = row
+        if block["identity_default"]:
+            for y in range(1, c + 1):
+                if entries[:, y - 1].sum() == 0.0:
+                    entries[(1 << (y - 1)) - 1, y - 1] = 1.0
+        try:
+            atoms.append(Atom(
+                location=np.array(block["location"]),
+                mass=block["mass"],
+                label_dist=LabelDistribution(np.array(block["probs"])),
+                baggen=BagGenMatrix(entries),
+            ))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: invalid atom: {exc}") from exc
+
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        word = parts[0]
+        if word == "atom":
+            finish_block()
+            block = {"rows": {}, "identity_default": False}
+            continue
+        if block is None:
+            raise DataFormatError(f"{path}:{lineno}: directive outside an atom block")
+        try:
+            if word == "location":
+                block["location"] = [float(v) for v in parts[1:]]
+            elif word == "mass":
+                block["mass"] = float(parts[1])
+            elif word == "probs":
+                block["probs"] = [float(v) for v in parts[1:]]
+            elif word == "bagdefault":
+                if parts[1] != "identity":
+                    raise DataFormatError(f"{path}:{lineno}: unknown bagdefault {parts[1]!r}")
+                block["identity_default"] = True
+            elif word == "bagrow":
+                labels = [int(v) for v in parts[1].split(";")]
+                if any(not 1 <= y <= c for y in labels):
+                    raise DataFormatError(f"{path}:{lineno}: bad bag spec {parts[1]!r}")
+                mask = 0
+                for y in labels:
+                    mask |= 1 << (y - 1)
+                values = [float(v) for v in parts[2:]]
+                if len(values) != c:
+                    raise DataFormatError(f"{path}:{lineno}: expected {c} probabilities")
+                block["rows"][mask] = values
+            else:
+                raise DataFormatError(f"{path}:{lineno}: unknown directive {word!r}")
+        except (IndexError, ValueError) as exc:
+            if isinstance(exc, DataFormatError):
+                raise
+            raise DataFormatError(f"{path}:{lineno}: malformed directive") from exc
+    finish_block()
+    if not atoms:
+        raise DataFormatError(f"{path}: no atoms")
+    try:
+        return DiscreteDistribution(tuple(atoms), LabelSpace(c))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _distribution_outcome(parser, path: Path):
+    """The atoms' bytes, or the parser's error message."""
+    try:
+        d = parser(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return [(a.location.tobytes(), a.mass, a.label_dist.probs.tobytes(), a.baggen.entries.tobytes())
+            for a in d.atoms]
+
+
+BAG_TOKEN = st.sampled_from(["0", "1", "0.5", "0.25", "1e-13", "-1e-13", "x", "nan"])
+
+
+@st.composite
+def shuffled_blocks(draw) -> bytes:
+    """Blocks with directives missing, repeated or out of range, in any order."""
+    c = draw(st.integers(2, 4))
+    n_atoms = draw(st.integers(0, 3))
+    lines = [f"labels {c}"]
+    for a in range(n_atoms):
+        body = [
+            f"location {a}",
+            f"mass {draw(st.sampled_from(['1', '0.5', repr(1 / max(n_atoms, 1)), '2']))}",
+            "probs " + " ".join(draw(st.sampled_from(["1", "0", "0.5"])) for _ in range(c)),
+            "bagdefault " + draw(st.sampled_from(["identity", "uniform", ""])),
+        ]
+        body = draw(st.lists(st.sampled_from(body), max_size=5))
+        for _ in range(draw(st.integers(0, 4))):
+            label = st.one_of(st.integers(0, c + 1).map(str), st.sampled_from(["x", ""]))
+            labels = ";".join(draw(st.lists(label, min_size=1, max_size=3)))
+            values = " ".join(draw(BAG_TOKEN) for _ in range(draw(st.integers(c - 1, c + 1))))
+            body.append(f"bagrow {labels} {values}")
+        lines += ["atom"] + draw(st.permutations(body))
+    return draw(_mutated(lines, DIST_TOKEN))
+
+
+@FUZZ
+@given(st.one_of(distribution_text(), shuffled_blocks(), _raw()))
+# a label out of range before one that does not parse
+@example(b"labels 2\natom\nlocation 0\nmass 1\nprobs 1 0\nbagrow 3;x 0 1\n")
+# label 1's column sums to 0 but is not all zero: bagdefault fills it
+@example(b"labels 2\natom\nlocation 0\nmass 1\nprobs 1 0\nbagdefault identity\n"
+         b"bagrow 2 1e-13 0\nbagrow 1;2 -1e-13 0\n")
+def test_load_distribution_matches_oracle(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        assert (_distribution_outcome(load_distribution, path)
+                == _distribution_outcome(load_distribution_oracle, path))

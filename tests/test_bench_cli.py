@@ -486,6 +486,25 @@ class TestLoaderBoundary:
         assert code == 3 and "39312000 bytes of bag tables" in err
         assert peak < 1_000_000
 
+    def test_distribution_lines_are_held_unsplit(self, tmp_path):
+        # 3,100 short bagrow lines peak at 7.9 times the file's bytes; a list
+        # of words for every line took that to 22
+        rows = []
+        for mask in range(1, 32):
+            labels = ";".join(str(y + 1) for y in range(5) if mask >> y & 1)
+            values = " ".join("1.0" if mask == 1 << y else "0.0" for y in range(5))
+            rows.append(f"bagrow {labels} {values}\n")
+        block = "atom\nlocation {i}\nmass 0.01\nprobs 0.2 0.2 0.2 0.2 0.2\n" + "".join(rows)
+        dist = tmp_path / "dist.txt"
+        dist.write_text("labels 5\n" + "".join(block.format(i=i) for i in range(100)))
+        tracemalloc.start()
+        try:
+            assert load_distribution(dist).n_atoms == 100
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * dist.stat().st_size
+
     def test_distribution_bag_table_limit_is_inclusive(self, tmp_path, monkeypatch):
         atom = MISALIGNED_DIST[MISALIGNED_DIST.index("atom") :].replace("mass 1.0", "mass 0.5")
         dist = tmp_path / "dist.txt"

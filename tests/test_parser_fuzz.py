@@ -18,10 +18,10 @@ rule on distribution files.
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import numpy as np
 from plbag import preprocess
 from plbag.bench_cli import (
     MAX_BAG_TABLE_BYTES,

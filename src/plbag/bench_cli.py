@@ -291,7 +291,8 @@ def _run_rep(
     for noise in config.noise_grid:
         train = bags(noise)
         if config.pipeline is not None:
-            train = train.with_features(features)
+            # the index's read-only copy: every noise level shares it uncopied
+            train = train.with_features(index.points)
         jobs.extend(_Job(noise, method, train, calls[method][1]) for method in config.methods)
     # deep enough for every method: each one cuts its own prefix
     depth = max(calls[method][0] for method in config.methods)

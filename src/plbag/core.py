@@ -42,6 +42,10 @@ class DataFormatError(ValueError):
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
+    """``arr`` read-only and C-contiguous.  An array that already is, and owns
+    its data, is shared; a writable array or a view is copied."""
+    if not arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous:
+        return arr
     out = np.ascontiguousarray(arr)
     if out is arr:
         out = arr.copy()
@@ -272,15 +276,15 @@ class LabelDistribution:
     def c(self) -> int:
         return self.probs.shape[0]
 
-    def argmax_set(self, tol: float = PROB_TOL) -> frozenset[int]:
-        return argmax_set(self.probs, tol)
+    def argmax_set(self) -> frozenset[int]:
+        return argmax_set(self.probs)
 
 
-def argmax_set(values: np.ndarray, tol: float = PROB_TOL) -> frozenset[int]:
-    """1-based indices whose value is within ``tol`` of the maximum."""
+def argmax_set(values: np.ndarray) -> frozenset[int]:
+    """1-based indices whose value is within ``PROB_TOL`` of the maximum."""
     values = np.asarray(values, dtype=np.float64)
     top = float(values.max())
-    return frozenset(int(i) + 1 for i in np.flatnonzero(values >= top - tol))
+    return frozenset(int(i) + 1 for i in np.flatnonzero(values >= top - PROB_TOL))
 
 
 @dataclass(frozen=True)
@@ -471,9 +475,9 @@ def bag_frequencies_at(d: DiscreteDistribution, atom_index: int) -> np.ndarray:
     return label_frequencies(bag_marginal(d, atom_index))
 
 
-def bayes_rule(d: DiscreteDistribution, tol: float = PROB_TOL) -> tuple[frozenset[int], ...]:
+def bayes_rule(d: DiscreteDistribution) -> tuple[frozenset[int], ...]:
     """Per-atom argmax set of the label distribution (ties kept)."""
-    return tuple(a.label_dist.argmax_set(tol) for a in d.atoms)
+    return tuple(a.label_dist.argmax_set() for a in d.atoms)
 
 
 def bayes_risk(d: DiscreteDistribution) -> float:

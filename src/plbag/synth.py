@@ -31,6 +31,14 @@ from .core import LabelSpace, PartialDataset, membership_to_masks
 # Most k-means clusters; kmeans_labels holds an (n, k) float64 distance matrix.
 MAX_CLUSTERS = 256
 
+# Lloyd runs per k-means call (the lowest inertia wins) and steps per run.
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
+
+# Half-width of the square [-GRID_EXTENT, GRID_EXTENT]^2 over which the
+# analytic scenarios' oracles integrate.
+GRID_EXTENT = 8.0
+
 
 @dataclass(frozen=True)
 class SynthBagConfig:
@@ -54,24 +62,18 @@ class SynthBagConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def kmeans_labels(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    restarts: int = 10,
-    max_iter: int = 100,
-) -> np.ndarray:
-    """Seeded Lloyd clustering; best inertia over restarts wins."""
+def kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded Lloyd clustering; best inertia over ``KMEANS_RESTARTS`` runs wins."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     k = min(k, n)
     best_assign: np.ndarray | None = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = points[rng.choice(n, size=k, replace=False)].copy()
         assign = np.full(n, -1, dtype=np.int64)
         d2 = knn_index.sq_distance_chunk(knn_index.build(centers), points)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             new_assign = d2.argmin(axis=1)
             if np.array_equal(new_assign, assign):
                 break
@@ -87,6 +89,17 @@ def kmeans_labels(
             best_assign = assign.copy()
     assert best_assign is not None
     return best_assign
+
+
+def _corrupt_anchors(
+    labels: np.ndarray, noise_nu: float, c: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``labels`` with each one replaced, with probability ``noise_nu``, by a
+    uniform draw over 1..c (which may be the label itself)."""
+    n = labels.shape[0]
+    corrupted = rng.random(n) < noise_nu
+    uniform_labels = rng.integers(1, c + 1, size=n)
+    return np.where(corrupted, uniform_labels, labels)
 
 
 def sample_bag_masks(
@@ -155,12 +168,9 @@ def draw_bags(clustered: BagClusters, config: SynthBagConfig) -> PartialDataset:
     """
     rng = copy.deepcopy(clustered.rng)
     c = clustered.label_space.c
-    n = clustered.truths.shape[0]
     n_clusters = int(clustered.clusters.max()) + 1
     alphas = rng.uniform(0.0, config.alpha_max, size=(c, n_clusters))
-    corrupted = rng.random(n) < config.noise_nu
-    uniform_labels = rng.integers(1, c + 1, size=n)
-    anchors = np.where(corrupted, uniform_labels, clustered.truths)
+    anchors = _corrupt_anchors(clustered.truths, config.noise_nu, c, rng)
     masks = sample_bag_masks(anchors, clustered.clusters, alphas, rng, c)
     return PartialDataset(clustered.features, masks, clustered.label_space, truths=clustered.truths)
 
@@ -233,15 +243,10 @@ def _strip_mass(mu: float, a: float) -> float:
 def _solve_swap_region(region_mass: float, theta: float) -> tuple[float, float]:
     """Mean offset mu and strip half-width a with P(|x1|<=a) = region_mass
     and posterior gap exactly theta at the strip edge (gap = tanh(mu*x1))."""
-    if not 0.0 < region_mass < 1.0:
-        raise ValueError(f"region_mass must be in (0, 1), got {region_mass}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be in (0, 1), got {theta}")
     half_gap = math.atanh(theta)
+    # the strip mass is about 1 at lo and 0 at hi, so the bisection brackets mu
     lo, hi = 1e-4, 60.0
     f = lambda mu: _strip_mass(mu, half_gap / mu) - region_mass
-    if not (f(lo) > 0.0 > f(hi)):
-        raise ValueError("no mean offset realizes the requested region mass and gap")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
@@ -267,26 +272,15 @@ class AnalyticScenario:
     means: np.ndarray
     sigma: float
     label_space: LabelSpace
-    weights: np.ndarray | None = None
     process: str | None = "identity"
     swap_halfwidth: float = 0.0
     theta: float = 0.0
-    region_mass_target: float = 0.0
-    grid_extent: float = 8.0
 
     def __post_init__(self) -> None:
         means = np.asarray(self.means, dtype=np.float64)
         if means.shape != (self.label_space.c, 2):
             raise ValueError("means must have shape (c, 2)")
         object.__setattr__(self, "means", means)
-        weights = (
-            np.full(self.label_space.c, 1.0 / self.label_space.c)
-            if self.weights is None
-            else np.asarray(self.weights, dtype=np.float64)
-        )
-        if weights.shape != (self.label_space.c,) or abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be a length-c probability vector")
-        object.__setattr__(self, "weights", weights)
         if self.process not in ("identity", "swap12", None):
             raise ValueError(f"unknown bag process {self.process!r}")
 
@@ -303,7 +297,8 @@ class AnalyticScenario:
     def sample_points(
         self, n: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
-        labels = rng.choice(self.c, size=n, p=self.weights) + 1
+        # the components are equally likely; choice without p draws another stream
+        labels = rng.choice(self.c, size=n, p=np.full(self.c, 1.0 / self.c)) + 1
         x = self.means[labels - 1] + self.sigma * rng.standard_normal((n, 2))
         return x, labels
 
@@ -318,21 +313,15 @@ class AnalyticScenario:
             raise ValueError(f"scenario {self.name!r} has no built-in bag process")
         if not 0.0 <= noise_nu <= 1.0:
             raise ValueError(f"noise_nu must be in [0, 1], got {noise_nu}")
-        labels = np.asarray(labels, dtype=np.int64)
-        n = labels.shape[0]
-        corrupted = rng.random(n) < noise_nu
-        uniform_labels = rng.integers(1, self.c + 1, size=n)
-        anchors = np.where(corrupted, uniform_labels, labels)
+        anchors = _corrupt_anchors(np.asarray(labels, dtype=np.int64), noise_nu, self.c, rng)
         if self.process == "swap12":
             in_region = np.abs(np.asarray(x)[:, 0]) <= self.swap_halfwidth
             swap = in_region & (anchors <= 2)
             anchors = np.where(swap, 3 - anchors, anchors)
         return (np.uint64(1) << (anchors - 1).astype(np.uint64)).astype(np.uint64)
 
-    def sample(
-        self, n: int, seed: int | np.random.Generator, noise_nu: float = 0.0
-    ) -> PartialDataset:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    def sample(self, n: int, seed: int, noise_nu: float = 0.0) -> PartialDataset:
+        rng = np.random.default_rng(seed)
         x, labels = self.sample_points(n, rng)
         masks = self.bag_masks_for(x, labels, rng, noise_nu)
         return PartialDataset(x, masks, self.label_space, truths=labels)
@@ -343,7 +332,7 @@ class AnalyticScenario:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         var = self.sigma**2
         d2 = ((x[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=-1)
-        return np.exp(-d2 / (2.0 * var)) * self.weights[None, :] / (2.0 * math.pi * var)
+        return np.exp(-d2 / (2.0 * var)) * (1.0 / self.c) / (2.0 * math.pi * var)
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return self._component_densities(x).sum(axis=1)
@@ -365,8 +354,8 @@ class AnalyticScenario:
         return post
 
     def _grid(self, resolution: int) -> tuple[np.ndarray, float]:
-        step = 2.0 * self.grid_extent / resolution
-        centers = -self.grid_extent + step * (np.arange(resolution) + 0.5)
+        step = 2.0 * GRID_EXTENT / resolution
+        centers = -GRID_EXTENT + step * (np.arange(resolution) + 0.5)
         gx, gy = np.meshgrid(centers, centers, indexing="ij")
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         return pts, step * step
@@ -397,37 +386,30 @@ class AnalyticScenario:
         return _strip_mass(mu / self.sigma, self.swap_halfwidth / self.sigma)
 
 
-def analytic_scenario(name: str, params: dict | None = None) -> AnalyticScenario:
-    """Build a named scenario.
+def analytic_scenario(name: str) -> AnalyticScenario:
+    """Build a named scenario; each has one fixed shape.
 
-    ``two_gaussians``: balanced pair of isotropic Gaussians at ``(+-sep/2, 0)``
-    with singleton-truth bags.  ``relaxed_two_gaussians``: same shape, but the
-    means are placed so that a strip around the decision boundary carries
-    exactly ``region_mass`` probability and a posterior gap of at most
-    ``theta``; bags inside the strip come from the swapped label.
-    ``gaussian_clusters``: c equal Gaussian blobs on a circle, no built-in bag
-    process (pair it with :func:`make_bags`).
+    ``two_gaussians``: balanced pair of unit Gaussians at ``(+-1, 0)`` with
+    singleton-truth bags.  ``relaxed_two_gaussians``: a balanced pair of unit
+    Gaussians at ``(+-mu, 0)``, with mu placed so that a strip around the
+    decision boundary carries exactly 0.1 of the probability and a posterior
+    gap of at most ``theta`` = 0.05; bags inside the strip come from the
+    swapped label.  ``gaussian_clusters``: 10 unit Gaussian blobs evenly
+    spaced on the circle of radius 3, no built-in bag process (pair it with
+    :func:`make_bags`).
     """
-    params = dict(params or {})
-
-    def take(key: str, default):
-        return params.pop(key, default)
-
     if name == "two_gaussians":
-        sep = float(take("separation", 2.0))
-        sigma = float(take("sigma", 1.0))
-        scenario = AnalyticScenario(
+        return AnalyticScenario(
             name=name,
-            means=np.array([[-sep / 2.0, 0.0], [sep / 2.0, 0.0]]),
-            sigma=sigma,
+            means=np.array([[-1.0, 0.0], [1.0, 0.0]]),
+            sigma=1.0,
             label_space=LabelSpace(2),
             process="identity",
         )
-    elif name == "relaxed_two_gaussians":
-        mass = float(take("region_mass", 0.1))
-        theta = float(take("theta", 0.05))
-        mu, halfwidth = _solve_swap_region(mass, theta)
-        scenario = AnalyticScenario(
+    if name == "relaxed_two_gaussians":
+        theta = 0.05
+        mu, halfwidth = _solve_swap_region(0.1, theta)
+        return AnalyticScenario(
             name=name,
             means=np.array([[-mu, 0.0], [mu, 0.0]]),
             sigma=1.0,
@@ -435,23 +417,15 @@ def analytic_scenario(name: str, params: dict | None = None) -> AnalyticScenario
             process="swap12",
             swap_halfwidth=halfwidth,
             theta=theta,
-            region_mass_target=mass,
         )
-    elif name == "gaussian_clusters":
-        c = int(take("c", 10))
-        radius = float(take("radius", 3.0))
-        sigma = float(take("sigma", 1.0))
+    if name == "gaussian_clusters":
+        c = 10
         angles = 2.0 * math.pi * np.arange(c) / c
-        means = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        scenario = AnalyticScenario(
+        return AnalyticScenario(
             name=name,
-            means=means,
-            sigma=sigma,
+            means=3.0 * np.column_stack([np.cos(angles), np.sin(angles)]),
+            sigma=1.0,
             label_space=LabelSpace(c),
             process=None,
         )
-    else:
-        raise ValueError(f"unknown scenario {name!r}")
-    if params:
-        raise ValueError(f"unknown scenario parameters: {sorted(params)}")
-    return scenario
+    raise ValueError(f"unknown scenario {name!r}")

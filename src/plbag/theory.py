@@ -40,54 +40,54 @@ from .core import (
     label_frequencies,
 )
 
+# Smallest-to-largest singular-value ratio at or below which a bag process's
+# columns count as linearly dependent.
 RANK_TOL = 1e-8
 
 
-def is_reconstructible(m: BagGenMatrix, tol: float = RANK_TOL) -> bool:
+def is_reconstructible(m: BagGenMatrix) -> bool:
     """True iff the per-label bag-probability columns are linearly independent.
 
     Deciding by the ratio of smallest to largest singular value keeps the
     test meaningful on floating-point probabilities.
     """
     s = np.linalg.svd(m.entries, compute_uv=False)
-    return bool(s[-1] > tol * s[0])
+    return bool(s[-1] > RANK_TOL * s[0])
 
 
-def find_ambiguous_pair(
-    m: BagGenMatrix, tol: float = RANK_TOL
-) -> tuple[LabelDistribution, LabelDistribution] | None:
+def find_ambiguous_pair(m: BagGenMatrix) -> tuple[LabelDistribution, LabelDistribution] | None:
     """Two label distributions with equal bag marginals but disjoint argmax.
 
     Returns None when the process is reconstructible.  Otherwise a null
     vector of the column matrix is split into its positive and negative
     parts; normalizing each part gives distributions whose marginals agree
-    within ``10 * tol`` and whose argmax sets live on disjoint supports.
+    within ``10 * RANK_TOL`` and whose argmax sets live on disjoint supports.
     """
     _, s, vt = np.linalg.svd(m.entries, full_matrices=False)
     smax = float(s[0])
-    if float(s[-1]) > tol * smax:
+    if float(s[-1]) > RANK_TOL * smax:
         return None
-    candidates = [vt[i] for i in range(len(s) - 1, -1, -1) if float(s[i]) <= tol * smax]
+    candidates = [vt[i] for i in range(len(s) - 1, -1, -1) if float(s[i]) <= RANK_TOL * smax]
     best: tuple[LabelDistribution, LabelDistribution] | None = None
     for q in candidates:
         positive = np.clip(q, 0.0, None)
         negative = np.clip(-q, 0.0, None)
         sp, sn = float(positive.sum()), float(negative.sum())
-        if sp <= tol or sn <= tol:
+        if sp <= RANK_TOL or sn <= RANK_TOL:
             continue
         q1 = LabelDistribution(positive / sp)
         q2 = LabelDistribution(negative / sn)
         if q1.argmax_set() == q2.argmax_set():
             continue
         gap = float(np.abs(m.entries @ (q1.probs - q2.probs)).max())
-        if gap <= 10.0 * tol:
+        if gap <= 10.0 * RANK_TOL:
             return q1, q2
         if best is None:
             best = (q1, q2)
     return best
 
 
-def is_label_aligned_dist(d: DiscreteDistribution, tol: float = PROB_TOL) -> bool:
+def is_label_aligned_dist(d: DiscreteDistribution) -> bool:
     """Exact alignment check on a finite-support distribution.
 
     At every atom the full argmax set of the per-label bag frequencies must
@@ -95,7 +95,7 @@ def is_label_aligned_dist(d: DiscreteDistribution, tol: float = PROB_TOL) -> boo
     """
     for idx, atom in enumerate(d.atoms):
         freqs = bag_frequencies_at(d, idx)
-        if argmax_set(freqs, tol) != atom.label_dist.argmax_set(tol):
+        if argmax_set(freqs) != atom.label_dist.argmax_set():
             return False
     return True
 
@@ -310,18 +310,14 @@ class RelaxedSpec:
         object.__setattr__(self, "g_atoms", frozenset(int(i) for i in self.g_atoms))
 
 
-def near_optimal_labels(
-    label_dist: LabelDistribution, theta: float, tol: float = PROB_TOL
-) -> frozenset[int]:
+def near_optimal_labels(label_dist: LabelDistribution, theta: float) -> frozenset[int]:
     """Labels whose probability is within theta of the most probable one."""
     probs = label_dist.probs
     top = float(probs.max())
-    return frozenset(int(i) + 1 for i in np.flatnonzero(probs >= top - theta - tol))
+    return frozenset(int(i) + 1 for i in np.flatnonzero(probs >= top - theta - PROB_TOL))
 
 
-def check_relaxed(
-    d: DiscreteDistribution, spec: RelaxedSpec, tol: float = PROB_TOL
-) -> bool:
+def check_relaxed(d: DiscreteDistribution, spec: RelaxedSpec) -> bool:
     """Alignment holds exactly outside G; inside G the top bag-frequency
     labels need only be near-optimal (within theta) for the label
     distribution."""
@@ -329,16 +325,16 @@ def check_relaxed(
         if not 0 <= idx < d.n_atoms:
             raise IndexError(f"relaxed-region atom index {idx} out of range")
     for idx, atom in enumerate(d.atoms):
-        top_f = argmax_set(bag_frequencies_at(d, idx), tol)
+        top_f = argmax_set(bag_frequencies_at(d, idx))
         if idx in spec.g_atoms:
-            if not top_f <= near_optimal_labels(atom.label_dist, spec.theta, tol):
+            if not top_f <= near_optimal_labels(atom.label_dist, spec.theta):
                 return False
-        elif top_f != atom.label_dist.argmax_set(tol):
+        elif top_f != atom.label_dist.argmax_set():
             return False
     return True
 
 
-def flip_distribution(d: DiscreteDistribution, tol: float = PROB_TOL) -> DiscreteDistribution:
+def flip_distribution(d: DiscreteDistribution) -> DiscreteDistribution:
     """Swap the misaligned mass onto the bag-frequency winner, atom by atom.
 
     On every atom where the label argmax and the bag-frequency argmax are
@@ -350,8 +346,8 @@ def flip_distribution(d: DiscreteDistribution, tol: float = PROB_TOL) -> Discret
     """
     new_atoms: list[Atom] = []
     for idx, atom in enumerate(d.atoms):
-        top_f = argmax_set(bag_frequencies_at(d, idx), tol)
-        top_p = atom.label_dist.argmax_set(tol)
+        top_f = argmax_set(bag_frequencies_at(d, idx))
+        top_p = atom.label_dist.argmax_set()
         if top_f & top_p:
             new_atoms.append(atom)
             continue

@@ -808,6 +808,24 @@ class TestBenchmarkEntryPoint:
             assert len(seen[job]) == 2
             assert np.array_equal(np.concatenate(seen[job]), test_x)
 
+    def test_noise_levels_share_the_transformed_features(self, tmp_path, monkeypatch):
+        # with a pipeline, one read-only feature matrix serves every noise level
+        config = replace(
+            DIFFERENTIAL_CASES["csv_realworld"](write_csv_dataset(tmp_path / "data.csv")),
+            methods=("plaknn",), repetitions=1,
+        )
+        trains = []
+        original = bench_cli.classify_batch_detail
+
+        def recorder(train, *args, **kwargs):
+            trains.append(train)
+            return original(train, *args, **kwargs)
+
+        monkeypatch.setattr(bench_cli, "classify_batch_detail", recorder)
+        run(config)
+        assert len({id(train) for train in trains}) == len(config.noise_grid)
+        assert all(np.shares_memory(train.features, trains[0].features) for train in trains)
+
 
 class TestRepetitionMemory:
     """A repetition holds one query block's search, not an order with a row

@@ -337,6 +337,29 @@ class TestPartialDataset:
         with pytest.raises(ValueError):
             data.features[0, 0] = 5.0
 
+    def test_frozen_arrays_are_shared(self):
+        data = PartialDataset(
+            np.zeros((3, 2)), np.array([1, 2, 3], dtype=np.uint64), LabelSpace(2), truths=[1, 2, 1]
+        )
+        rebagged = data.with_bags(np.array([3, 3, 3], dtype=np.uint64))
+        assert np.shares_memory(rebagged.features, data.features)
+        assert np.shares_memory(rebagged.truths, data.truths)
+        frozen = np.ones((3, 2))
+        frozen.flags.writeable = False
+        assert np.shares_memory(data.with_features(frozen).features, frozen)
+
+    def test_writable_inputs_and_views_are_copied(self):
+        masks = np.array([1, 2, 3], dtype=np.uint64)
+        writable = np.zeros((3, 2))
+        read_only_view = writable.view()
+        read_only_view.flags.writeable = False
+        for features in (writable, read_only_view, writable[:, ::-1]):
+            data = PartialDataset(features, masks, LabelSpace(2))
+            assert not np.shares_memory(data.features, writable)
+        data = PartialDataset(read_only_view, masks, LabelSpace(2))
+        writable[0, 0] = 5.0
+        assert data.features[0, 0] == 0.0
+
 
 class TestArgmaxSet:
     def test_tolerance(self):

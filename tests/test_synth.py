@@ -62,7 +62,7 @@ def kmeans_oracle(points, k, rng, restarts=10, max_iter=100):
     return best_assign
 
 
-class TestKmeans:
+class TestKmeansOracle:
     @pytest.mark.parametrize("d", [2, 16])
     def test_matches_tensor_oracle(self, d):
         rng = np.random.default_rng(40 + d)
@@ -74,6 +74,7 @@ class TestKmeans:
         for seed, (feats, k) in enumerate(cases):
             got = kmeans_labels(feats, k, np.random.default_rng(seed))
             assert np.array_equal(got, kmeans_oracle(feats, k, np.random.default_rng(seed)))
+
 
 class TestKmeans:
     def test_recovers_separated_blobs(self):
@@ -316,20 +317,16 @@ class TestRelaxedScenario:
 
 class TestScenarioFactory:
     def test_cluster_scenario_shape(self):
-        scenario = analytic_scenario("gaussian_clusters", {"c": 6, "radius": 2.0})
-        assert scenario.label_space.c == 6
+        scenario = analytic_scenario("gaussian_clusters")
+        assert scenario.label_space.c == 10
         assert not scenario.has_bag_process
-        np.testing.assert_allclose(np.linalg.norm(scenario.means, axis=1), 2.0)
+        np.testing.assert_allclose(np.linalg.norm(scenario.means, axis=1), 3.0)
         post = scenario.posterior(np.random.default_rng(5).normal(size=(10, 2)))
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             analytic_scenario("mystery")
-
-    def test_unknown_param(self):
-        with pytest.raises(ValueError):
-            analytic_scenario("two_gaussians", {"bananas": 1})
 
     def test_corruption_rate_applies_to_anchor(self):
         scenario = analytic_scenario("two_gaussians")

@@ -11,26 +11,22 @@ experiment harness and CLI, :mod:`plbag.bench_cli`, is imported on its own.
 
 from . import baselines, core, knn_index, plaknn, preprocess, synth, theory
 from .core import (
-    Bag,
     BagGenMatrix,
     DiscreteDistribution,
     LabelDistribution,
     LabelSpace,
     PartialDataset,
-    PartialExample,
 )
 from .plaknn import PlaknnConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bag",
     "BagGenMatrix",
     "DiscreteDistribution",
     "LabelDistribution",
     "LabelSpace",
     "PartialDataset",
-    "PartialExample",
     "PlaknnConfig",
     "baselines",
     "core",

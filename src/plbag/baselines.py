@@ -1,15 +1,16 @@
 """Comparison classifiers over bags: fixed-k voting and threshold-qualification.
 
-``fixed_k_classify`` is the classical rule that predicts the label appearing
-in the most bags among a fixed number of neighbors.  ``aknn_classify`` is an
+``fixed_k_batch`` is the classical rule that predicts the label appearing
+in the most bags among a fixed number of neighbors.  ``aknn_batch`` is an
 adaptive alternative that grows the neighborhood until one label's bag
 frequency exceeds ``1/c`` by the elimination threshold and then predicts it;
 unlike the margin-elimination classifier it looks only at the leading
-frequency, never at gaps between labels.
+frequency, never at gaps between labels.  ``aknn_decision`` gives one
+query's label together with the neighborhood size at which it qualified.
 
 Both rules are vectorized over the neighbor bags of
 :func:`plaknn._bag_blocks`, which searches or takes a precomputed neighbor
-order; the single-query forms are one-row batch calls.
+order.
 """
 
 from __future__ import annotations
@@ -21,16 +22,6 @@ from .core import PartialDataset
 from .plaknn import PlaknnConfig, _bag_blocks, _schedule
 
 
-def fixed_k_classify(
-    train: PartialDataset,
-    index: knn_index.NeighborIndex,
-    x: np.ndarray,
-    k: int,
-) -> int:
-    """Most frequent label among the k nearest bags; ties go to the smallest."""
-    return int(fixed_k_batch(train, index, np.asarray(x, dtype=np.float64)[None, :], k)[0])
-
-
 def fixed_k_batch(
     train: PartialDataset,
     index: knn_index.NeighborIndex,
@@ -39,7 +30,8 @@ def fixed_k_batch(
     *,
     order: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`fixed_k_classify` for every row of ``queries``; ``order`` as in
+    """Most frequent label among the k nearest bags of each row of
+    ``queries``; ties go to the smallest.  ``order`` as in
     :func:`plaknn.classify_batch_detail`."""
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in 1..{train.n}, got {k}")
@@ -105,16 +97,6 @@ def aknn_decision(
     return int(labels[0]), int(steps[0]) or None
 
 
-def aknn_classify(
-    train: PartialDataset,
-    index: knn_index.NeighborIndex,
-    x: np.ndarray,
-    config: PlaknnConfig,
-) -> int:
-    """First label whose bag frequency clears 1/c by the threshold."""
-    return aknn_decision(train, index, x, config)[0]
-
-
 def aknn_batch(
     train: PartialDataset,
     index: knn_index.NeighborIndex,
@@ -123,6 +105,7 @@ def aknn_batch(
     *,
     order: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`aknn_classify` for every row of ``queries``; ``order`` as in
+    """First label whose bag frequency clears 1/c by the threshold, for every
+    row of ``queries`` (the label of :func:`aknn_decision`); ``order`` as in
     :func:`plaknn.classify_batch_detail`."""
     return _aknn(train, index, queries, config, order=order)[0]

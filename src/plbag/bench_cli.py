@@ -216,6 +216,8 @@ def _split_rep(
     x, y = source.sample_points(config.n_samples, rng)
     train_idx, test_idx = _split(config.n_samples, config.train_fraction, rng)
     train_x, train_y = x[train_idx], y[train_idx]
+    # fresh arrays, made read-only once so every noise level shares them uncopied
+    train_x.flags.writeable = train_y.flags.writeable = False
     if source.has_bag_process:
 
         def bags(noise: float) -> PartialDataset:

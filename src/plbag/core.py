@@ -2,10 +2,11 @@
 
 A training example carries a *bag*: a nonempty subset of the label space
 ``{1, ..., c}`` that may or may not contain the ground truth.  This module
-holds the shared value types (label spaces, bags, datasets), finite-support
-joint distributions over (instance, label, bag) with their per-instance bag
-generation matrices, and the basic probability arithmetic on top of them:
-bag marginals, per-label bag frequencies, Bayes rule and Bayes risk.
+holds the shared value types (label spaces, and datasets that store each
+bag as one mask), finite-support joint distributions over (instance,
+label, bag) with their per-instance bag generation matrices, and the basic
+probability arithmetic on top of them: bag marginals, per-label bag
+frequencies, Bayes rule and Bayes risk.
 
 Conventions used throughout the package:
 
@@ -64,65 +65,6 @@ class LabelSpace:
             raise TypeError(f"label count must be an int, got {type(self.c).__name__}")
         if not 2 <= self.c <= MAX_LABELS:
             raise ValueError(f"label count must be in [2, {MAX_LABELS}], got {self.c}")
-
-    @property
-    def labels(self) -> range:
-        return range(1, self.c + 1)
-
-    def full_mask(self) -> int:
-        return (1 << self.c) - 1
-
-
-@dataclass(frozen=True)
-class Bag:
-    """A nonempty set of candidate labels, stored as a bitmask over ``1..c``."""
-
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.mask, int) or isinstance(self.mask, bool):
-            raise TypeError("bag mask must be an int")
-        if self.mask <= 0:
-            raise ValueError("a bag must contain at least one label")
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[int] | frozenset[int]) -> "Bag":
-        mask = 0
-        for y in labels:
-            if not 1 <= int(y) <= MAX_LABELS:
-                raise ValueError(f"label {y} outside supported range 1..{MAX_LABELS}")
-            mask |= 1 << (int(y) - 1)
-        return cls(mask)
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(y + 1 for y in range(self.mask.bit_length()) if self.mask >> y & 1)
-
-    def contains(self, y: int) -> bool:
-        return bool(self.mask >> (y - 1) & 1)
-
-    def __contains__(self, y: int) -> bool:
-        return self.contains(y)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def valid_for(self, space: LabelSpace) -> bool:
-        return self.mask.bit_length() <= space.c
-
-
-@dataclass(frozen=True)
-class PartialExample:
-    """One instance: a feature vector, its bag, and an optional ground truth."""
-
-    x: np.ndarray
-    bag: Bag
-    truth: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _freeze(np.asarray(self.x, dtype=np.float64)))
-        if self.x.ndim != 1:
-            raise ValueError("feature vector must be one-dimensional")
 
 
 def canonical_bag_masks(c: int) -> np.ndarray:
@@ -196,30 +138,6 @@ class PartialDataset:
         self.truths = truths
         self.label_space = label_space
 
-    @classmethod
-    def from_examples(
-        cls, examples: Sequence[PartialExample], label_space: LabelSpace
-    ) -> "PartialDataset":
-        if not examples:
-            raise ValueError("a dataset must contain at least one example")
-        dims = {ex.x.shape[0] for ex in examples}
-        if len(dims) != 1:
-            raise ValueError(f"inconsistent feature dimensions: {sorted(dims)}")
-        with_truth = [ex.truth is not None for ex in examples]
-        if any(with_truth) and not all(with_truth):
-            raise ValueError("either every example has a truth or none does")
-        features = np.stack([ex.x for ex in examples])
-        masks = np.array([ex.bag.mask for ex in examples], dtype=np.uint64)
-        truths = (
-            np.array([ex.truth for ex in examples], dtype=np.int64)
-            if all(with_truth)
-            else None
-        )
-        return cls(features, masks, label_space, truths)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
     @property
     def n(self) -> int:
         return self.features.shape[0]
@@ -227,12 +145,6 @@ class PartialDataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def examples(self) -> Iterator[PartialExample]:
-        for i in range(self.n):
-            truth = int(self.truths[i]) if self.truths is not None else None
-            yield PartialExample(self.features[i], Bag(int(self.bag_masks[i])), truth)
 
     def membership_matrix(self) -> np.ndarray:
         """(n, c) boolean matrix: entry (l, y-1) is 1 iff label y is in bag l."""
@@ -599,7 +511,8 @@ def save_dataset(dataset: PartialDataset, path: str | Path) -> None:
         writer.writerow(header)
         for i in range(dataset.n):
             row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(";".join(str(y) for y in Bag(int(dataset.bag_masks[i])).labels))
+            mask = int(dataset.bag_masks[i])
+            row.append(";".join(str(y + 1) for y in range(mask.bit_length()) if mask >> y & 1))
             if dataset.truths is not None:
                 row.append(str(int(dataset.truths[i])))
             writer.writerow(row)

@@ -123,10 +123,6 @@ def _midpoint_rows(c: int) -> list[np.ndarray]:
     return out
 
 
-def simplex_vertices(c: int) -> list[LabelDistribution]:
-    return [LabelDistribution(row) for row in np.eye(c)]
-
-
 def _default_probe_rows(c: int, n_probes: int, seed: int) -> Iterator[np.ndarray]:
     """Vertices, edge midpoints, then Dirichlet rows, drawn only when reached."""
     yield from np.eye(c)
@@ -136,34 +132,19 @@ def _default_probe_rows(c: int, n_probes: int, seed: int) -> Iterator[np.ndarray
         yield row / row.sum()
 
 
-def _violates(marginal: np.ndarray, probs: np.ndarray) -> bool:
-    return argmax_set(label_frequencies(marginal)) != argmax_set(probs)
-
-
-def is_label_aligned_process(
-    m: BagGenMatrix,
-    n_probes: int = 1000,
-    seed: int = 0,
-    probes: list[LabelDistribution] | None = None,
-) -> ProcessProbe:
+def is_label_aligned_process(m: BagGenMatrix, n_probes: int = 1000, seed: int = 0) -> ProcessProbe:
     """Falsify process-level alignment by probing label distributions.
 
-    The default probe set is every simplex vertex, every edge midpoint, and
-    ``n_probes`` flat-Dirichlet samples, tested in that order as plain
-    probability rows; the samples are drawn only once the vertices and
-    midpoints pass.  The first violation of alignment under the induced bag
-    marginal is returned as a counterexample (the caller's own object when
-    ``probes`` is given).
+    The probes are every simplex vertex, every edge midpoint, and
+    ``n_probes`` flat-Dirichlet samples (from ``seed``), tested in that order
+    as plain probability rows; the samples are drawn only once the vertices
+    and midpoints pass.  The first violation of alignment under the induced
+    bag marginal is returned as a counterexample.
     """
     if n_probes < 1:
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    if probes is not None:
-        for q in probes:
-            if _violates(m.marginal(q), q.probs):
-                return ProcessProbe(False, q)
-        return ProcessProbe(True, None)
     for row in _default_probe_rows(m.c, n_probes, seed):
-        if _violates(m.entries @ row, row):
+        if argmax_set(label_frequencies(m.entries @ row)) != argmax_set(row):
             return ProcessProbe(False, LabelDistribution(row))
     return ProcessProbe(True, None)
 
@@ -276,9 +257,6 @@ class AdvantageReport:
     """Per-atom advantage entries for a whole distribution."""
 
     entries: tuple[AtomAdvantage, ...]
-
-    def to_text(self) -> str:
-        return "\n".join(f"atom_index={e.atom_index} {e.text_fields()}" for e in self.entries) + "\n"
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", newline="") as fh:

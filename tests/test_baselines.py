@@ -20,30 +20,35 @@ def make_train(masks, positions=None, c=2):
     return PartialDataset(feats, masks, LabelSpace(c))
 
 
+def fixed_k_one(train, index, x, k):
+    """One query through a one-row ``fixed_k_batch``."""
+    return int(baselines.fixed_k_batch(train, index, np.asarray(x, dtype=float)[None, :], k)[0])
+
+
 class TestFixedK:
     def test_tie_breaks_to_smallest(self):
         # neighbor bags {1},{1,2},{2}: counts tie at 2 apiece
         train = make_train([1, 3, 2])
         index = knn_index.build(train.features)
-        assert baselines.fixed_k_classify(train, index, np.array([0.0]), 3) == 1
+        assert fixed_k_one(train, index, np.array([0.0]), 3) == 1
 
     def test_single_neighbor(self):
         train = make_train([2, 1])
         index = knn_index.build(train.features)
-        assert baselines.fixed_k_classify(train, index, np.array([0.0]), 1) == 2
+        assert fixed_k_one(train, index, np.array([0.0]), 1) == 2
 
     def test_hand_count(self):
         # bags {1},{1},{1,3},{2},{3}: counts (3, 1, 2)
         train = make_train([1, 1, 5, 2, 4], c=3)
         index = knn_index.build(train.features)
-        assert baselines.fixed_k_classify(train, index, np.array([0.0]), 5) == 1
+        assert fixed_k_one(train, index, np.array([0.0]), 5) == 1
 
     def test_k_equals_n_ignores_query(self):
         rng = np.random.default_rng(3)
         train = random_partial_dataset(rng, 30, 2, 4)
         index = knn_index.build(train.features)
         labels = {
-            baselines.fixed_k_classify(train, index, rng.normal(size=2) * 10, 30)
+            fixed_k_one(train, index, rng.normal(size=2) * 10, 30)
             for _ in range(10)
         }
         assert len(labels) == 1
@@ -52,7 +57,7 @@ class TestFixedK:
         train = make_train([1, 2])
         index = knn_index.build(train.features)
         with pytest.raises(ValueError):
-            baselines.fixed_k_classify(train, index, np.array([0.0]), 3)
+            fixed_k_one(train, index, np.array([0.0]), 3)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -60,7 +65,7 @@ class TestFixedK:
         index = knn_index.build(train.features)
         queries = rng.normal(size=(30, 2))
         batch = baselines.fixed_k_batch(train, index, queries, 7)
-        scalar = [baselines.fixed_k_classify(train, index, q, 7) for q in queries]
+        scalar = [fixed_k_one(train, index, q, 7) for q in queries]
         assert batch.tolist() == scalar
 
 
@@ -102,7 +107,7 @@ class TestAknn:
         index = knn_index.build(train.features)
         cfg = PlaknnConfig(T=n)
         q = np.array([0.0])
-        assert baselines.aknn_classify(train, index, q, cfg) == plaknn.classify(
+        assert baselines.aknn_decision(train, index, q, cfg)[0] == plaknn.classify(
             train, index, q, cfg
         )[0]
 
@@ -268,11 +273,10 @@ class TestCapWarning:
             (plaknn.classify_batch, False),
             (plaknn.classify_batch_detail, False),
             (baselines.aknn_decision, True),
-            (baselines.aknn_classify, True),
             (baselines.aknn_batch, False),
         ],
         ids=["classify", "classify_batch", "classify_batch_detail", "aknn_decision",
-             "aknn_classify", "aknn_batch"],
+             "aknn_batch"],
     )
     def test_points_at_the_caller(self, classifier, one_query):
         train = random_partial_dataset(np.random.default_rng(1), 30, 2, 3)

@@ -826,6 +826,29 @@ class TestBenchmarkEntryPoint:
         assert len({id(train) for train in trains}) == len(config.noise_grid)
         assert all(np.shares_memory(train.features, trains[0].features) for train in trains)
 
+    @pytest.mark.parametrize("scenario", ["two_gaussians", "relaxed_two_gaussians", "gaussian_clusters"])
+    def test_scenario_noise_levels_share_the_training_sample(self, scenario, monkeypatch):
+        # bag process and k-means alike: one read-only feature matrix and one
+        # truth vector serve every noise level
+        config = ExperimentConfig(
+            scenario=scenario, n_samples=300, noise_grid=(0.0, 0.2, 0.4), repetitions=1,
+            plaknn=PlaknnConfig(T=20),
+        )
+        trains = []
+        original = bench_cli.classify_batch_detail
+
+        def recorder(train, *args, **kwargs):
+            trains.append(train)
+            return original(train, *args, **kwargs)
+
+        monkeypatch.setattr(bench_cli, "classify_batch_detail", recorder)
+        run(config)
+        assert len({id(train) for train in trains}) == len(config.noise_grid)
+        first = trains[0]
+        for train in trains:
+            assert np.shares_memory(train.features, first.features)
+            assert np.shares_memory(train.truths, first.truths)
+
 
 class TestRepetitionMemory:
     """A repetition holds one query block's search, not an order with a row

@@ -3,14 +3,12 @@ import pytest
 
 from plbag.core import (
     Atom,
-    Bag,
     BagGenMatrix,
     DataFormatError,
     DiscreteDistribution,
     LabelDistribution,
     LabelSpace,
     PartialDataset,
-    PartialExample,
     argmax_set,
     bag_marginal,
     bag_membership_matrix,
@@ -36,31 +34,11 @@ from _fixtures import (
 class TestLabelSpace:
     def test_bounds(self):
         assert LabelSpace(2).c == 2
-        assert LabelSpace(64).full_mask() == (1 << 64) - 1
+        assert LabelSpace(64).c == 64
         with pytest.raises(ValueError):
             LabelSpace(1)
         with pytest.raises(ValueError):
             LabelSpace(65)
-
-    def test_labels_range(self):
-        assert list(LabelSpace(3).labels) == [1, 2, 3]
-
-
-class TestBag:
-    def test_roundtrip(self):
-        bag = Bag.from_labels([1, 3, 4])
-        assert bag.mask == 0b1101
-        assert bag.labels == (1, 3, 4)
-        assert len(bag) == 3
-        assert 3 in bag and 2 not in bag
-
-    def test_nonempty(self):
-        with pytest.raises(ValueError):
-            Bag(0)
-
-    def test_space_validity(self):
-        assert Bag.from_labels([2]).valid_for(LabelSpace(2))
-        assert not Bag.from_labels([5]).valid_for(LabelSpace(4))
 
 
 class TestCanonicalOrder:
@@ -291,23 +269,9 @@ class TestDistinctLocations:
 
 
 class TestPartialDataset:
-    def test_from_examples(self):
-        examples = [
-            PartialExample(np.array([0.0, 1.0]), Bag.from_labels([1]), 1),
-            PartialExample(np.array([1.0, 0.0]), Bag.from_labels([1, 2]), 2),
-        ]
-        data = PartialDataset.from_examples(examples, LabelSpace(2))
-        assert data.n == 2 and data.dim == 2
-        assert list(data.bag_masks) == [1, 3]
-        assert [ex.bag.labels for ex in data.examples] == [(1,), (1, 2)]
-
-    def test_dimension_mismatch(self):
-        examples = [
-            PartialExample(np.array([0.0]), Bag(1), None),
-            PartialExample(np.array([0.0, 1.0]), Bag(1), None),
-        ]
-        with pytest.raises(ValueError):
-            PartialDataset.from_examples(examples, LabelSpace(2))
+    def test_empty_bag_rejected(self):
+        with pytest.raises(ValueError, match="bags must be nonempty"):
+            PartialDataset(np.zeros((2, 1)), np.array([1, 0], dtype=np.uint64), LabelSpace(2))
 
     def test_bag_above_c_rejected(self):
         with pytest.raises(ValueError):
@@ -382,6 +346,15 @@ class TestCsvFormat:
         assert np.array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.bag_masks, data.bag_masks)
         assert np.array_equal(loaded.truths, data.truths)
+
+    def test_bag_field_lists_labels_ascending(self, tmp_path):
+        masks = np.array([1, 0b1101, 1 << 63 | 1, (1 << 64) - 1], dtype=np.uint64)
+        data = PartialDataset(np.zeros((4, 1)), masks, LabelSpace(64))
+        path = tmp_path / "data.csv"
+        save_dataset(data, path)
+        fields = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+        assert fields == ["1", "1;3;4", "1;64", ";".join(str(y) for y in range(1, 65))]
+        assert np.array_equal(load_dataset(path, LabelSpace(64)).bag_masks, masks)
 
     def test_reemission_is_byte_identical(self, tmp_path):
         data = self._sample()

@@ -12,7 +12,7 @@ Config files are flat ``key = value`` text with sections ``[experiment]``,
 fields of its dataclass (``ExperimentConfig`` without its three section
 fields, ``PlaknnConfig``, ``SynthBagConfig``, ``PipelineConfig``), converted
 by their annotations; unknown sections or keys are errors.  The pipeline's
-``variant`` is ``none`` or a ``PipelineConfig.for_variant`` name.
+``variant`` is ``none`` or a ``PipelineConfig`` variant name.
 
 The meaning of the noise grid depends on the data source: for CSV datasets
 each level is the truth-removal rate, for synthetic scenarios it is the
@@ -83,8 +83,16 @@ METHODS = ("plaknn", "aknn", "fixed_k")
 # rows.  At 80,000 training points each 8-byte array is at most 164 MB, and
 # the bag rows of gaussian_clusters (c = 10) are 205 MB.  The k-means of
 # make_bags holds (n, synth.MAX_CLUSTERS = 256) float64 distances: 164 MB
-# too, and 205 MB for the 100,000 points of bench synth.
+# too, and 205 MB for the 100,000 points of bench synth.  Each noise level
+# adds its training bags (8 bytes per training point) and, per method, the
+# int64 labels of every test point (plaknn also keeps their iteration
+# counts): 1.28 MB per level at 80,000 training and 20,000 test points with
+# all three methods.
 MAX_SAMPLES = 100_000
+
+# Longest noise grid.  A repetition holds every level's bags and job outputs
+# at once, so 128 levels hold about 164 MB at MAX_SAMPLES.
+MAX_NOISE_LEVELS = 128
 
 
 class ConfigError(ValueError):
@@ -121,6 +129,10 @@ class ExperimentConfig:
             raise ConfigError(f"fixed_k must be >= 1, got {self.fixed_k}")
         if not self.noise_grid:
             raise ConfigError("at least one noise level is required")
+        if len(self.noise_grid) > MAX_NOISE_LEVELS:
+            raise ConfigError(
+                f"at most {MAX_NOISE_LEVELS} noise levels are allowed, got {len(self.noise_grid)}"
+            )
         for v in self.noise_grid:
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"noise level {v} outside [0, 1]")
@@ -511,8 +523,8 @@ def _to_tuple(item):
 
 # Converters keyed by field annotation (a string under postponed evaluation).
 _CONVERTERS = {
-    "int": _to_int, "int | None": _to_int, "float": _to_float, "bool": _to_bool,
-    "str": _to_str, "str | None": _to_str,
+    "int": _to_int, "int | None": _to_int, "float": _to_float, "float | None": _to_float,
+    "bool": _to_bool, "str": _to_str, "str | None": _to_str,
     "tuple[str, ...]": _to_tuple(_to_str), "tuple[float, ...]": _to_tuple(_to_float),
 }
 
@@ -554,7 +566,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError("pipeline keys given but variant is 'none'")
         kwargs["pipeline"] = None
     else:
-        kwargs["pipeline"] = _build("pipeline", preprocess.PipelineConfig.for_variant, pipe)
+        kwargs["pipeline"] = _build("pipeline", preprocess.PipelineConfig, pipe)
     return ExperimentConfig(**kwargs)
 
 
@@ -662,10 +674,6 @@ def _parse_atom(path: Path, c: int, block: list[tuple[int, str]]) -> Atom:
         raise DataFormatError(f"{path}: invalid atom: {exc}") from exc
 
 
-# flat-Dirichlet label distributions, from seed 0, that probe each atom's alignment
-_ALIGNMENT_PROBES = 200
-
-
 def theory_report(d: DiscreteDistribution) -> str:
     """Key=value dump of reconstructibility, alignment and advantage."""
     return _theory_text(d, theory.advantage_report(d))
@@ -676,7 +684,7 @@ def _theory_text(d: DiscreteDistribution, report: theory.AdvantageReport) -> str
     lines.append(f"dist_label_aligned={str(theory.is_label_aligned_dist(d)).lower()}")
     for idx, atom in enumerate(d.atoms):
         recon = theory.is_reconstructible(atom.baggen)
-        probe = theory.is_label_aligned_process(atom.baggen, n_probes=_ALIGNMENT_PROBES, seed=0)
+        probe = theory.is_label_aligned_process(atom.baggen)
         lines.append(
             f"atom_index={idx} reconstructible={str(recon).lower()} "
             f"process_aligned_so_far={str(probe.aligned_so_far).lower()} "

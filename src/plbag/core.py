@@ -244,10 +244,7 @@ class BagGenMatrix:
     @classmethod
     def identity(cls, c: int) -> "BagGenMatrix":
         """Each bag is the singleton of the true label."""
-        entries = np.zeros(((1 << c) - 1, c))
-        for y in range(1, c + 1):
-            entries[(1 << (y - 1)) - 1, y - 1] = 1.0
-        return cls(entries)
+        return cls.permutation(range(1, c + 1))
 
     @classmethod
     def constant_full(cls, c: int) -> "BagGenMatrix":
@@ -403,7 +400,7 @@ def bayes_risk(d: DiscreteDistribution) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_bag_field(text: str, row: int, limit: int) -> int:
+def _parse_bag_field(text: str, row: int) -> int:
     text = text.strip()
     if not text:
         raise DataFormatError(f"row {row}: empty bag field")
@@ -417,8 +414,8 @@ def _parse_bag_field(text: str, row: int, limit: int) -> int:
         except ValueError as exc:
             raise DataFormatError(f"row {row}: non-integer label {part!r}") from exc
         # checked before the label sizes a bit shift
-        if not 1 <= y <= limit:
-            raise DataFormatError(f"row {row}: label {y} out of range 1..{limit}")
+        if not 1 <= y <= MAX_LABELS:
+            raise DataFormatError(f"row {row}: label {y} out of range 1..{MAX_LABELS}")
         mask |= 1 << (y - 1)
     return mask
 
@@ -431,12 +428,11 @@ def _csv_records(path: Path, fh: TextIO) -> Iterator[list[str]]:
         raise DataFormatError(f"{path}: unreadable CSV: {exc}") from exc
 
 
-def load_dataset(path: str | Path, label_space: LabelSpace | None = None) -> PartialDataset:
-    """Read a dataset CSV.  With no explicit label space, c is inferred as the
-    largest label mentioned in any bag or truth column (at least 2).  Labels
-    above ``label_space.c`` (or above ``MAX_LABELS``) are a format error."""
+def load_dataset(path: str | Path) -> PartialDataset:
+    """Read a dataset CSV.  The label count c is inferred as the largest label
+    mentioned in any bag or truth column (at least 2).  Labels above
+    ``MAX_LABELS`` are a format error."""
     path = Path(path)
-    limit = MAX_LABELS if label_space is None else label_space.c
     with path.open(newline="") as fh:
         reader = _csv_records(path, fh)
         try:
@@ -470,7 +466,7 @@ def load_dataset(path: str | Path, label_space: LabelSpace | None = None) -> Par
             except ValueError as exc:
                 raise DataFormatError(f"{path}: row {rownum}: bad feature value") from exc
             try:
-                masks.append(_parse_bag_field(rec[bag_col], rownum, limit))
+                masks.append(_parse_bag_field(rec[bag_col], rownum))
             except DataFormatError as exc:
                 raise DataFormatError(f"{path}: {exc}") from exc
             if has_truth:
@@ -478,22 +474,20 @@ def load_dataset(path: str | Path, label_space: LabelSpace | None = None) -> Par
                     y = int(rec[bag_col + 1])
                 except ValueError as exc:
                     raise DataFormatError(f"{path}: row {rownum}: bad truth value") from exc
-                if not 1 <= y <= limit:
-                    raise DataFormatError(f"{path}: row {rownum}: truth {y} out of range 1..{limit}")
+                if not 1 <= y <= MAX_LABELS:
+                    raise DataFormatError(f"{path}: row {rownum}: truth {y} out of range 1..{MAX_LABELS}")
                 truths.append(y)
 
     if not features:
         raise DataFormatError(f"{path}: no data rows")
+    top = max(m.bit_length() for m in masks)
+    if truths:
+        top = max(top, max(truths))
     try:
-        if label_space is None:
-            top = max(m.bit_length() for m in masks)
-            if truths:
-                top = max(top, max(truths))
-            label_space = LabelSpace(max(top, 2))
         return PartialDataset(
             np.asarray(features),
             np.asarray(masks, dtype=np.uint64),
-            label_space,
+            LabelSpace(max(top, 2)),
             np.asarray(truths, dtype=np.int64) if truths else None,
         )
     except ValueError as exc:

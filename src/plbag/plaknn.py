@@ -76,8 +76,8 @@ class PlaknnConfig:
 
     ``T`` caps the neighborhood size: bags of very distant neighbors say
     little about the query.  ``mode`` selects the pointwise or uniform
-    threshold; in uniform mode ``d0`` defaults to ``dim + 1`` (the VC
-    dimension of Euclidean balls) when left unset.
+    threshold.  ``d0`` applies only in uniform mode, where it defaults to
+    ``dim + 1`` (the VC dimension of Euclidean balls) when left unset.
     """
 
     c1: float = 0.5
@@ -97,6 +97,8 @@ class PlaknnConfig:
             raise ValueError(f"mode must be 'pointwise' or 'uniform', got {self.mode!r}")
         if self.d0 is not None and self.d0 < 1:
             raise ValueError(f"d0 must be >= 1, got {self.d0}")
+        if self.d0 is not None and self.mode != "uniform":
+            raise ValueError("d0 applies only in uniform mode")
         # the largest threshold: one neighbor, the most labels, and as many points
         # and dimensions as an array can hold
         self.threshold(sys.maxsize, 1, MAX_LABELS, sys.maxsize)
@@ -134,7 +136,6 @@ class EliminationTrace:
 
     n: int
     label_space: LabelSpace
-    config: PlaknnConfig
     records: list[IterationRecord]
     margins: np.ndarray
     label: int
@@ -313,7 +314,6 @@ def classify(
     trace = EliminationTrace(
         n=train.n,
         label_space=train.label_space,
-        config=config,
         records=records,
         margins=np.where(alive, margin, np.inf),
         label=label,

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import knn_index
 
-# Each variant's defaults: PipelineConfig fills unset neighbor counts from
-# its variant's row, and PipelineConfig.for_variant also its alpha.
+# Each variant's defaults: PipelineConfig fills every unset value from its
+# variant's row.
 _VARIANTS = {
     "vision": dict(smoothing_alpha=0.25, smoothing_k=10, density_k=50),
     "realworld": dict(smoothing_alpha=0.1, smoothing_k=10, density_k=100),
@@ -38,27 +38,20 @@ _SMOOTH_ROWS = 256
 @dataclass(frozen=True)
 class PipelineConfig:
     variant: str
-    smoothing_alpha: float
+    smoothing_alpha: float | None = None
     smoothing_k: int | None = None
     density_k: int | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {tuple(_VARIANTS)}, got {self.variant!r}")
-        for name in ("smoothing_k", "density_k"):
+            raise ValueError(f"unknown pipeline variant {self.variant!r}")
+        for name, default in _VARIANTS[self.variant].items():
             if getattr(self, name) is None:
-                object.__setattr__(self, name, _VARIANTS[self.variant][name])
+                object.__setattr__(self, name, default)
         if not 0.0 <= self.smoothing_alpha <= 1.0:
             raise ValueError(f"smoothing_alpha must be in [0, 1], got {self.smoothing_alpha}")
         if self.smoothing_k < 1 or self.density_k < 1:
             raise ValueError("neighbor counts must be >= 1")
-
-    @classmethod
-    def for_variant(cls, variant: str, **overrides) -> "PipelineConfig":
-        """The named variant's defaults with the given overrides."""
-        if variant not in _VARIANTS:
-            raise ValueError(f"unknown pipeline variant {variant!r}")
-        return cls(variant, **{**_VARIANTS[variant], **overrides})
 
 
 @dataclass(frozen=True)

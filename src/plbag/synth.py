@@ -259,7 +259,7 @@ def _solve_swap_region(region_mass: float, theta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class AnalyticScenario:
-    """A 2D Gaussian mixture with a known bag process.
+    """A 2D mixture of unit-variance Gaussians with a known bag process.
 
     Acts both as an i.i.d. sampler of (x, y, bag) triples and as an oracle
     for the posterior, the per-label bag frequencies, and the Bayes rule and
@@ -270,7 +270,6 @@ class AnalyticScenario:
 
     name: str
     means: np.ndarray
-    sigma: float
     label_space: LabelSpace
     process: str | None = "identity"
     swap_halfwidth: float = 0.0
@@ -299,7 +298,7 @@ class AnalyticScenario:
     ) -> tuple[np.ndarray, np.ndarray]:
         # the components are equally likely; choice without p draws another stream
         labels = rng.choice(self.c, size=n, p=np.full(self.c, 1.0 / self.c)) + 1
-        x = self.means[labels - 1] + self.sigma * rng.standard_normal((n, 2))
+        x = self.means[labels - 1] + rng.standard_normal((n, 2))
         return x, labels
 
     def bag_masks_for(
@@ -330,9 +329,8 @@ class AnalyticScenario:
 
     def _component_densities(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        var = self.sigma**2
         d2 = ((x[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=-1)
-        return np.exp(-d2 / (2.0 * var)) * (1.0 / self.c) / (2.0 * math.pi * var)
+        return np.exp(-d2 / 2.0) * (1.0 / self.c) / (2.0 * math.pi)
 
     def density(self, x: np.ndarray) -> np.ndarray:
         return self._component_densities(x).sum(axis=1)
@@ -383,7 +381,7 @@ class AnalyticScenario:
         if self.process != "swap12":
             return 0.0
         mu = float(self.means[1, 0])
-        return _strip_mass(mu / self.sigma, self.swap_halfwidth / self.sigma)
+        return _strip_mass(mu, self.swap_halfwidth)
 
 
 def analytic_scenario(name: str) -> AnalyticScenario:
@@ -402,7 +400,6 @@ def analytic_scenario(name: str) -> AnalyticScenario:
         return AnalyticScenario(
             name=name,
             means=np.array([[-1.0, 0.0], [1.0, 0.0]]),
-            sigma=1.0,
             label_space=LabelSpace(2),
             process="identity",
         )
@@ -412,7 +409,6 @@ def analytic_scenario(name: str) -> AnalyticScenario:
         return AnalyticScenario(
             name=name,
             means=np.array([[-mu, 0.0], [mu, 0.0]]),
-            sigma=1.0,
             label_space=LabelSpace(2),
             process="swap12",
             swap_halfwidth=halfwidth,
@@ -424,7 +420,6 @@ def analytic_scenario(name: str) -> AnalyticScenario:
         return AnalyticScenario(
             name=name,
             means=3.0 * np.column_stack([np.cos(angles), np.sin(angles)]),
-            sigma=1.0,
             label_space=LabelSpace(c),
             process=None,
         )

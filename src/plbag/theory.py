@@ -44,6 +44,10 @@ from .core import (
 # columns count as linearly dependent.
 RANK_TOL = 1e-8
 
+# Flat-Dirichlet label distributions, drawn from seed 0, that probe a
+# process's alignment after the simplex vertices and edge midpoints.
+ALIGNMENT_PROBES = 200
+
 
 def is_reconstructible(m: BagGenMatrix) -> bool:
     """True iff the per-label bag-probability columns are linearly independent.
@@ -123,27 +127,25 @@ def _midpoint_rows(c: int) -> list[np.ndarray]:
     return out
 
 
-def _default_probe_rows(c: int, n_probes: int, seed: int) -> Iterator[np.ndarray]:
+def _default_probe_rows(c: int) -> Iterator[np.ndarray]:
     """Vertices, edge midpoints, then Dirichlet rows, drawn only when reached."""
     yield from np.eye(c)
     yield from _midpoint_rows(c)
-    draws = np.random.default_rng(seed).dirichlet(np.ones(c), size=n_probes)
+    draws = np.random.default_rng(0).dirichlet(np.ones(c), size=ALIGNMENT_PROBES)
     for row in draws:
         yield row / row.sum()
 
 
-def is_label_aligned_process(m: BagGenMatrix, n_probes: int = 1000, seed: int = 0) -> ProcessProbe:
+def is_label_aligned_process(m: BagGenMatrix) -> ProcessProbe:
     """Falsify process-level alignment by probing label distributions.
 
     The probes are every simplex vertex, every edge midpoint, and
-    ``n_probes`` flat-Dirichlet samples (from ``seed``), tested in that order
-    as plain probability rows; the samples are drawn only once the vertices
-    and midpoints pass.  The first violation of alignment under the induced
-    bag marginal is returned as a counterexample.
+    ``ALIGNMENT_PROBES`` flat-Dirichlet samples (from seed 0), tested in that
+    order as plain probability rows; the samples are drawn only once the
+    vertices and midpoints pass.  The first violation of alignment under the
+    induced bag marginal is returned as a counterexample.
     """
-    if n_probes < 1:
-        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
-    for row in _default_probe_rows(m.c, n_probes, seed):
+    for row in _default_probe_rows(m.c):
         if argmax_set(label_frequencies(m.entries @ row)) != argmax_set(row):
             return ProcessProbe(False, LabelDistribution(row))
     return ProcessProbe(True, None)

@@ -329,7 +329,7 @@ def test_criterion_09_invariant_suites():
 
     # preprocessing: weights normalize, fitting leaks nothing
     raw = rng.normal(size=(60, 4))
-    cfg = preprocess.PipelineConfig.for_variant("vision", smoothing_k=5, density_k=8)
+    cfg = preprocess.PipelineConfig("vision", smoothing_k=5, density_k=8)
     fitted = preprocess.fit(raw, cfg)
     for _ in range(50):
         dist = rng.uniform(0.01, 3.0, size=cfg.smoothing_k)

@@ -682,7 +682,7 @@ DIFFERENTIAL_CASES = {
     "csv_realworld": lambda csv: ExperimentConfig(
         dataset=csv, methods=ALL_METHODS, fixed_k=5, noise_grid=(0.0, 0.2),
         repetitions=2, base_seed=9, plaknn=PlaknnConfig(T=30),
-        pipeline=preprocess.PipelineConfig.for_variant("realworld", density_k=20),
+        pipeline=preprocess.PipelineConfig("realworld", density_k=20),
     ),
     "two_gaussians": lambda csv: ExperimentConfig(
         scenario="two_gaussians", methods=ALL_METHODS, fixed_k=5,
@@ -1031,9 +1031,15 @@ class TestConfigBounds:
             # thresholds above 1 up to k = T = 10 eliminate nothing
             ("run", "n_samples = 60\nmethods = plaknn\n[plaknn]\nT = 10\nc1 = 100\n",
              "no label can ever be eliminated"),
+            # a repetition holds every noise level's bags and job outputs at once
+            ("run", "noise_grid = " + ",".join(str(i / 128) for i in range(129)) + "\n",
+             "at most 128 noise levels are allowed, got 129"),
+            # pointwise mode would ignore d0
+            ("run", "[plaknn]\nd0 = 3\n", "section [plaknn]: d0 applies only in uniform mode"),
         ],
         ids=["run_n_samples", "synth_n_samples", "run_base_seed", "synth_seed", "d0_1e400",
-             "d0_1e308", "c1_1e308", "run_n_clusters", "synth_n_clusters", "c1_never_eliminates"],
+             "d0_1e308", "c1_1e308", "run_n_clusters", "synth_n_clusters", "c1_never_eliminates",
+             "noise_levels_129", "d0_pointwise"],
     )
     @pytest.mark.filterwarnings("error")
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, text, message):
@@ -1067,6 +1073,10 @@ class TestConfigBounds:
 
     def test_most_clusters_are_accepted(self):
         assert SynthBagConfig(n_clusters=256).n_clusters == 256
+
+    def test_most_noise_levels_are_accepted(self):
+        grid = tuple(i / 127 for i in range(bench_cli.MAX_NOISE_LEVELS))
+        assert len(ExperimentConfig(scenario="two_gaussians", noise_grid=grid).noise_grid) == 128
 
 
 class TestDistinctGrid:

@@ -342,7 +342,7 @@ class TestCsvFormat:
         data = self._sample()
         path = tmp_path / "data.csv"
         save_dataset(data, path)
-        loaded = load_dataset(path, LabelSpace(4))
+        loaded = load_dataset(path)
         assert np.array_equal(loaded.features, data.features)
         assert np.array_equal(loaded.bag_masks, data.bag_masks)
         assert np.array_equal(loaded.truths, data.truths)
@@ -354,7 +354,7 @@ class TestCsvFormat:
         save_dataset(data, path)
         fields = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
         assert fields == ["1", "1;3;4", "1;64", ";".join(str(y) for y in range(1, 65))]
-        assert np.array_equal(load_dataset(path, LabelSpace(64)).bag_masks, masks)
+        assert np.array_equal(load_dataset(path).bag_masks, masks)
 
     def test_reemission_is_byte_identical(self, tmp_path):
         data = self._sample()
@@ -371,18 +371,19 @@ class TestCsvFormat:
 
     def test_rejects_out_of_range_label(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x1,bag,y\n0.0,1;9,1\n")
-        with pytest.raises(DataFormatError):
-            load_dataset(path, LabelSpace(3))
+        for label in (0, 65):
+            path.write_text(f"x1,bag,y\n0.0,1;{label},1\n")
+            with pytest.raises(DataFormatError, match="out of range 1..64"):
+                load_dataset(path)
 
-    def test_rejects_label_above_explicit_space(self, tmp_path):
+    def test_rejects_label_above_max_labels(self, tmp_path):
         # the label is checked before it sizes a mask or a uint64 conversion
         path = tmp_path / "wide.csv"
         for text in ("x1,bag\n0.0,1;100\n1.0,2\n", "x1,bag\n0.0,1;99999999999999999999\n",
-                     "x1,bag,y\n0.0,1,4\n", "x1,bag,y\n0.0,1,99999999999999999999\n"):
+                     "x1,bag,y\n0.0,1,99999999999999999999\n"):
             path.write_text(text)
             with pytest.raises(DataFormatError, match="wide.csv: row 2"):
-                load_dataset(path, LabelSpace(3))
+                load_dataset(path)
 
     def test_rejects_undecodable_bytes(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -286,12 +286,7 @@ def parse_config_oracle(path) -> ExperimentConfig:
         if "density_k" in pipe:
             overrides["density_k"] = _int(pipe["density_k"], "density_k")
         try:
-            if variant == "vision":
-                kwargs["pipeline"] = preprocess.PipelineConfig.for_variant("vision", **overrides)
-            elif variant == "realworld":
-                kwargs["pipeline"] = preprocess.PipelineConfig.for_variant("realworld", **overrides)
-            else:
-                raise ConfigError(f"unknown pipeline variant {variant!r}")
+            kwargs["pipeline"] = preprocess.PipelineConfig(variant, **overrides)
         except ValueError as exc:
             raise ConfigError(f"section [pipeline]: {exc}") from exc
 
@@ -427,10 +422,9 @@ def csv_text(draw) -> bytes:
 
 
 @FUZZ
-@given(st.one_of(csv_text(), _raw()), st.sampled_from([None, 2, 3, 64]))
-def test_load_dataset_fuzz(data, c):
-    space = None if c is None else LabelSpace(c)
-    _parse(lambda path: load_dataset(path, space), data, DataFormatError)
+@given(st.one_of(csv_text(), _raw()))
+def test_load_dataset_fuzz(data):
+    _parse(load_dataset, data, DataFormatError)
 
 
 # -- distribution files -----------------------------------------------------

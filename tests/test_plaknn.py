@@ -69,7 +69,6 @@ def classify_oracle(train, index, x, config):
     trace = EliminationTrace(
         n=n,
         label_space=train.label_space,
-        config=config,
         records=records,
         margins=margins[:k],
         label=label,
@@ -179,7 +178,8 @@ class TestThreshold:
         with pytest.raises(ValueError, match="overflow the threshold"):
             PlaknnConfig(mode="uniform", d0=10**307)
         assert PlaknnConfig(mode="uniform", d0=10**300).threshold(10**6, 1, 2) < math.inf
-        assert PlaknnConfig(mode="pointwise", d0=10**400).resolve_d0(2) is None
+        with pytest.raises(ValueError, match="d0 applies only in uniform mode"):
+            PlaknnConfig(mode="pointwise", d0=10**400)
 
 
 class TestConfig:

@@ -31,22 +31,13 @@ from plbag.synth import SynthBagConfig, make_bags
 
 class TestConfig:
     def test_variant_defaults(self):
-        vision = PipelineConfig.for_variant("vision")
+        vision = PipelineConfig("vision")
         assert (vision.smoothing_alpha, vision.smoothing_k, vision.density_k) == (0.25, 10, 50)
-        real = PipelineConfig.for_variant("realworld")
+        real = PipelineConfig("realworld")
         assert (real.smoothing_alpha, real.smoothing_k, real.density_k) == (0.1, 10, 100)
 
-    @pytest.mark.parametrize("variant", ["vision", "realworld"])
-    def test_constructor_agrees_with_for_variant(self, variant):
-        for alpha in (0.0, 0.1, 0.25):
-            direct = PipelineConfig(variant, alpha)
-            assert direct == PipelineConfig.for_variant(variant, smoothing_alpha=alpha)
-            assert PipelineConfig(variant, alpha, density_k=7) == PipelineConfig.for_variant(
-                variant, smoothing_alpha=alpha, density_k=7
-            )
-
     def test_overrides(self):
-        cfg = PipelineConfig.for_variant("vision", smoothing_alpha=0.0, density_k=3)
+        cfg = PipelineConfig("vision", smoothing_alpha=0.0, density_k=3)
         assert cfg.smoothing_alpha == 0.0 and cfg.density_k == 3
 
     def test_validation(self):
@@ -80,7 +71,7 @@ class TestSteps:
     def test_density_division(self):
         # two antipodal unit vectors: each point's single neighbor sits at
         # distance 2, so the density step halves the coordinates
-        cfg = PipelineConfig.for_variant("vision", smoothing_alpha=0.0, smoothing_k=1, density_k=1)
+        cfg = PipelineConfig("vision", smoothing_alpha=0.0, smoothing_k=1, density_k=1)
         fitted = fit(np.array([[3.0, 0.0], [-3.0, 0.0]]), cfg)
         np.testing.assert_allclose(
             fitted.transformed_train, [[0.5, 0.0], [-0.5, 0.0]], atol=1e-12
@@ -93,7 +84,7 @@ class TestFit:
 
     def test_alpha_zero_reduces_to_center_normalize_density(self):
         x = self._data()
-        cfg = PipelineConfig.for_variant("vision", smoothing_alpha=0.0, smoothing_k=3, density_k=5)
+        cfg = PipelineConfig("vision", smoothing_alpha=0.0, smoothing_k=3, density_k=5)
         fitted = fit(x, cfg)
         manual = _unit_rows(x - x.mean(axis=0))
         np.testing.assert_allclose(fitted.smoothed_train, manual, atol=1e-12)
@@ -102,13 +93,13 @@ class TestFit:
 
     def test_pre_density_rows_unit_norm(self):
         x = self._data()
-        fitted = fit(x, PipelineConfig.for_variant("vision", smoothing_k=5, density_k=7))
+        fitted = fit(x, PipelineConfig("vision", smoothing_k=5, density_k=7))
         norms = np.linalg.norm(fitted.smoothed_train, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_realworld_uses_cube_root_not_mean(self):
         x = self._data()
-        cfg = PipelineConfig.for_variant(
+        cfg = PipelineConfig(
             "realworld", smoothing_alpha=0.0, smoothing_k=3, density_k=5
         )
         fitted = fit(x, cfg)
@@ -118,18 +109,18 @@ class TestFit:
 
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
-            fit(np.zeros((5, 2)), PipelineConfig.for_variant("vision"))
+            fit(np.zeros((5, 2)), PipelineConfig("vision"))
 
     def test_duplicate_points_use_fallback_radius(self):
         x = np.array([[1.0, 0.0]] * 3 + [[0.0, 2.0], [0.0, 3.0], [4.0, 4.0]])
-        cfg = PipelineConfig.for_variant("vision", smoothing_alpha=0.0, smoothing_k=2, density_k=2)
+        cfg = PipelineConfig("vision", smoothing_alpha=0.0, smoothing_k=2, density_k=2)
         fitted = fit(x, cfg)
         assert np.all(np.isfinite(fitted.transformed_train))
         assert fitted.density_fallback > 0.0
 
     def test_deterministic(self):
         x = self._data()
-        cfg = PipelineConfig.for_variant("vision", smoothing_k=4, density_k=6)
+        cfg = PipelineConfig("vision", smoothing_k=4, density_k=6)
         a, b = fit(x, cfg), fit(x, cfg)
         np.testing.assert_array_equal(a.transformed_train, b.transformed_train)
         np.testing.assert_array_equal(a.density_radii, b.density_radii)
@@ -138,7 +129,7 @@ class TestFit:
 class TestTransform:
     def _fitted(self, seed=13, alpha=0.25):
         x = np.random.default_rng(seed).normal(size=(50, 5))
-        cfg = PipelineConfig.for_variant(
+        cfg = PipelineConfig(
             "vision", smoothing_alpha=alpha, smoothing_k=4, density_k=6
         )
         return x, fit(x, cfg)
@@ -340,7 +331,7 @@ def _random_case(rng):
         fresh = rng.normal(size=(n, d))
     test = np.vstack([train[rng.integers(n, size=n // 2)], fresh[: n // 2 + 1]])
     alpha = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0))
-    config = PipelineConfig.for_variant(
+    config = PipelineConfig(
         str(rng.choice(["vision", "realworld"])),
         smoothing_alpha=alpha,
         smoothing_k=int(rng.integers(1, n)),
@@ -379,7 +370,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(7)
         train = rng.integers(-2, 3, size=(300, 3)).astype(float)
         test = np.vstack([train[::-1], rng.integers(-3, 4, size=(300, 3)).astype(float)])
-        config = PipelineConfig.for_variant(variant, smoothing_alpha=alpha, density_k=40)
+        config = PipelineConfig(variant, smoothing_alpha=alpha, density_k=40)
         _assert_same_bytes(train, test, config)
 
 
@@ -402,7 +393,7 @@ class TestSmoothingRows:
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 127, 130])
     def test_smooth_at_every_width(self, d):
         rng = np.random.default_rng(62 + d)
-        config = PipelineConfig.for_variant("vision", smoothing_alpha=0.3, smoothing_k=9)
+        config = PipelineConfig("vision", smoothing_alpha=0.3, smoothing_k=9)
         for reference in (rng.normal(size=(300, d)), rng.integers(-1, 2, size=(300, d)) * 1.0):
             reference = _unit_rows(reference)
             reference[100:140] = reference[:40]  # exact duplicates, some at distance 0
@@ -431,7 +422,7 @@ class TestUnderflowGap:
 
     def test_fitted_entries_differ_below_1e160(self):
         features, _ = _underflow_features()
-        config = PipelineConfig.for_variant("vision", density_k=30)
+        config = PipelineConfig("vision", density_k=30)
         got, want = fit(features, config), fit_oracle(features, config)
         for name in ("smoothed_train", "transformed_train"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-160)

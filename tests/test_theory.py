@@ -97,19 +97,19 @@ def advantage_loop_oracle(
     return AtomAdvantage(atom_index, top_sorted, best_val, best_p, best_gamma)
 
 
-def probe_oracle(m: BagGenMatrix, n_probes: int = 1000, seed: int = 0) -> ProcessProbe:
+def probe_oracle(m: BagGenMatrix) -> ProcessProbe:
     """``is_label_aligned_process`` as it was before its probes became lazy
     rows: every probe is a validated ``LabelDistribution``, built up front
-    (the Dirichlet rows included), then tested in order."""
+    (the 200 Dirichlet rows from seed 0 included), then tested in order."""
     c = m.c
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     probes = [LabelDistribution(np.eye(c)[i]) for i in range(c)]
     for i in range(c):
         for j in range(i + 1, c):
             probs = np.zeros(c)
             probs[i] = probs[j] = 0.5
             probes.append(LabelDistribution(probs))
-    draws = rng.dirichlet(np.ones(c), size=n_probes)
+    draws = rng.dirichlet(np.ones(c), size=200)
     probes += [LabelDistribution(row / row.sum()) for row in draws]
     for q in probes:
         freqs = label_frequencies(m.marginal(q))
@@ -287,15 +287,15 @@ class TestAlignmentDist:
 
 class TestAlignmentProcess:
     def test_identity_aligned(self):
-        probe = is_label_aligned_process(BagGenMatrix.identity(3), n_probes=200)
+        probe = is_label_aligned_process(BagGenMatrix.identity(3))
         assert probe.aligned_so_far and probe.counterexample is None
 
     def test_scaled_identity_aligned(self):
-        probe = is_label_aligned_process(mixed_identity_full(3), n_probes=500)
+        probe = is_label_aligned_process(mixed_identity_full(3))
         assert probe.aligned_so_far
 
     def test_permutation_falsified_at_vertex(self):
-        probe = is_label_aligned_process(BagGenMatrix.permutation([2, 1]), n_probes=1)
+        probe = is_label_aligned_process(BagGenMatrix.permutation([2, 1]))
         assert not probe.aligned_so_far
         # the counterexample is a deterministic label distribution
         assert probe.counterexample.probs.max() == 1.0
@@ -313,7 +313,7 @@ class TestCorollaryDirection:
         ] + [random_baggen(rng, int(rng.integers(2, 5))) for _ in range(30)]
         passed = 0
         for m in processes:
-            probe = is_label_aligned_process(m, n_probes=300, seed=5)
+            probe = is_label_aligned_process(m)
             if probe.aligned_so_far:
                 passed += 1
                 assert is_reconstructible(m)
@@ -506,10 +506,12 @@ class TestProbesAgainstOracle:
         for trial in range(240):
             c = int(rng.integers(2, 7))
             m = deficient_baggen(rng, c) if trial % 7 == 0 else mixed_process(rng, c)
-            n_probes = int(rng.choice([1, 5, 60, 300]))
-            seed = int(rng.integers(1000))
-            got = is_label_aligned_process(m, n_probes=n_probes, seed=seed)
-            want = probe_oracle(m, n_probes=n_probes, seed=seed)
+            # the probe count and seed these trials once drew: kept, so the
+            # generator yields the same processes
+            rng.choice([1, 5, 60, 300])
+            rng.integers(1000)
+            got = is_label_aligned_process(m)
+            want = probe_oracle(m)
             assert got.aligned_so_far == want.aligned_so_far
             if want.counterexample is None:
                 assert got.counterexample is None
@@ -522,8 +524,8 @@ class TestProbesAgainstOracle:
         # inclusion with q[1, 2] != q[2, 1]: both vertices pass, the midpoint
         # does not
         m = BagGenMatrix.independent_inclusion(np.array([[1.0, 2 / 3], [0.0, 1.0]]))
-        probe = is_label_aligned_process(m, n_probes=100)
-        want = probe_oracle(m, n_probes=100)
+        probe = is_label_aligned_process(m)
+        want = probe_oracle(m)
         assert probe.counterexample.probs.tobytes() == want.counterexample.probs.tobytes()
         assert self._where(probe) == "midpoint"
 
@@ -542,9 +544,9 @@ class TestProbesAgainstOracle:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
-        probe = is_label_aligned_process(BagGenMatrix.permutation([2, 1, 3]), n_probes=500)
+        probe = is_label_aligned_process(BagGenMatrix.permutation([2, 1, 3]))
         assert not probe.aligned_so_far and calls == []
-        assert is_label_aligned_process(BagGenMatrix.identity(3), n_probes=5).aligned_so_far
+        assert is_label_aligned_process(BagGenMatrix.identity(3)).aligned_so_far
         assert len(calls) == 1
 
 

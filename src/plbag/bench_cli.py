@@ -206,24 +206,25 @@ def _split_rep(
     config: ExperimentConfig,
     source: PartialDataset | AnalyticScenario,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, Callable[[float], PartialDataset], np.ndarray, np.ndarray]:
-    """Split one repetition into (training features, training set per noise
-    level, test features, test truths).
+) -> tuple[list[PartialDataset], np.ndarray, np.ndarray]:
+    """Split one repetition into (training sets, test features, test truths),
+    where ``trains[i]`` is the training set at ``config.noise_grid[i]``.
 
     Everything but the bags is drawn once: the split, the scenario sample
     and the k-means clustering.  Each noise level's bags continue the
     generator from the same post-split state, so they equal what a fresh
-    repetition at that noise level would draw.
+    repetition at that noise level would draw.  Every training set shares
+    one feature matrix and one truth vector.
     """
     if isinstance(source, PartialDataset):
         train_idx, test_idx = _split(source.n, config.train_fraction, rng)
         clean = source.subset(train_idx)
         noise_seed = int(rng.integers(2**63))
-
-        def bags(noise: float) -> PartialDataset:
-            return remove_truth_noise(clean, noise, seed=noise_seed) if noise > 0.0 else clean
-
-        return clean.features, bags, source.features[test_idx], source.truths[test_idx]
+        trains = [
+            remove_truth_noise(clean, v, seed=noise_seed) if v > 0.0 else clean
+            for v in config.noise_grid
+        ]
+        return trains, source.features[test_idx], source.truths[test_idx]
 
     x, y = source.sample_points(config.n_samples, rng)
     train_idx, test_idx = _split(config.n_samples, config.train_fraction, rng)
@@ -231,19 +232,16 @@ def _split_rep(
     # fresh arrays, made read-only once so every noise level shares them uncopied
     train_x.flags.writeable = train_y.flags.writeable = False
     if source.has_bag_process:
-
-        def bags(noise: float) -> PartialDataset:
-            masks = source.bag_masks_for(train_x, train_y, copy.deepcopy(rng), noise_nu=noise)
-            return PartialDataset(train_x, masks, source.label_space, truths=train_y)
-
+        masks = [
+            source.bag_masks_for(train_x, train_y, copy.deepcopy(rng), noise_nu=v)
+            for v in config.noise_grid
+        ]
+        trains = [PartialDataset(train_x, m, source.label_space, truths=train_y) for m in masks]
     else:
         synth = replace(config.synth, seed=int(rng.integers(2**63)))
         clustered = bag_clusters(train_x, train_y, source.label_space, synth)
-
-        def bags(noise: float) -> PartialDataset:
-            return draw_bags(clustered, replace(synth, noise_nu=noise))
-
-    return train_x, bags, x[test_idx], y[test_idx]
+        trains = [draw_bags(clustered, replace(synth, noise_nu=v)) for v in config.noise_grid]
+    return trains, x[test_idx], y[test_idx]
 
 
 def _block_calls(config: ExperimentConfig, index: knn_index.NeighborIndex) -> dict[str, tuple]:
@@ -287,27 +285,30 @@ def _run_rep(
 
     The split, the features, the pipeline, the index and one neighbor
     search of the test points are shared by all jobs; only the bags depend
-    on the noise level.  The search runs one query block at a time, and
+    on the noise level, so the index and any pipeline are built from the
+    first training set's features, and a pipeline rebinds every training set
+    to the index's points.  The search runs one query block at a time, and
     every job classifies each block before the next one is searched.
     """
     seed = config.base_seed + rep
-    features, bags, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
-    if config.pipeline is not None:
+    trains, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
+    if config.pipeline is None:
+        index = knn_index.build(trains[0].features)
+    else:
         try:
-            fitted = preprocess.fit(features, config.pipeline)
+            fitted = preprocess.fit(trains[0].features, config.pipeline)
         except ValueError as exc:
             raise DataFormatError(f"feature pipeline, repetition {rep}: {exc}") from exc
-        features = fitted.transformed_train
         test_x = preprocess.transform(fitted, test_x)
-    index = knn_index.build(features)
+        index = knn_index.build(fitted.transformed_train)
+        # the index's read-only copy: every noise level shares it uncopied
+        trains = [train.with_features(index.points) for train in trains]
     calls = _block_calls(config, index)
-    jobs = []
-    for noise in config.noise_grid:
-        train = bags(noise)
-        if config.pipeline is not None:
-            # the index's read-only copy: every noise level shares it uncopied
-            train = train.with_features(index.points)
-        jobs.extend(_Job(noise, method, train, calls[method][1]) for method in config.methods)
+    jobs = [
+        _Job(noise, method, train, calls[method][1])
+        for noise, train in zip(config.noise_grid, trains)
+        for method in config.methods
+    ]
     # deep enough for every method: each one cuts its own prefix
     depth = max(calls[method][0] for method in config.methods)
     for rows, order, sqd in knn_index.neighbor_blocks(index, test_x, depth):
@@ -726,9 +727,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_theory(args: argparse.Namespace) -> int:
     d = load_distribution(args.dist)
     report = theory.advantage_report(d)
-    sys.stdout.write(_theory_text(d, report))
+    # the CSV first: a bad --csv path fails before the report is printed
     if args.csv is not None:
         report.write_csv(args.csv)
+    sys.stdout.write(_theory_text(d, report))
     return 0
 
 

@@ -263,33 +263,24 @@ class AnalyticScenario:
 
     Acts both as an i.i.d. sampler of (x, y, bag) triples and as an oracle
     for the posterior, the per-label bag frequencies, and the Bayes rule and
-    risk (grid-integrated).  For ``process == "swap12"`` bags inside the
-    strip ``|x1| <= swap_halfwidth`` are generated from the swapped anchor
-    (1 <-> 2), which misleads bag frequencies there by at most ``theta``.
+    risk (grid-integrated).  ``has_bag_process`` says whether it draws bags
+    itself (else pair it with :func:`make_bags`).  A positive
+    ``swap_halfwidth`` draws the bags inside the strip ``|x1| <=
+    swap_halfwidth`` from the swapped anchor (1 <-> 2), which misleads bag
+    frequencies there by at most ``theta``; at 0.0 nothing is swapped.  Only
+    :func:`analytic_scenario` builds one, with float64 (c, 2) means.
     """
 
     name: str
     means: np.ndarray
     label_space: LabelSpace
-    process: str | None = "identity"
+    has_bag_process: bool
     swap_halfwidth: float = 0.0
     theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=np.float64)
-        if means.shape != (self.label_space.c, 2):
-            raise ValueError("means must have shape (c, 2)")
-        object.__setattr__(self, "means", means)
-        if self.process not in ("identity", "swap12", None):
-            raise ValueError(f"unknown bag process {self.process!r}")
 
     @property
     def c(self) -> int:
         return self.label_space.c
-
-    @property
-    def has_bag_process(self) -> bool:
-        return self.process is not None
 
     # -- sampling -----------------------------------------------------------
 
@@ -308,12 +299,12 @@ class AnalyticScenario:
         rng: np.random.Generator,
         noise_nu: float = 0.0,
     ) -> np.ndarray:
-        if self.process is None:
+        if not self.has_bag_process:
             raise ValueError(f"scenario {self.name!r} has no built-in bag process")
         if not 0.0 <= noise_nu <= 1.0:
             raise ValueError(f"noise_nu must be in [0, 1], got {noise_nu}")
         anchors = _corrupt_anchors(np.asarray(labels, dtype=np.int64), noise_nu, self.c, rng)
-        if self.process == "swap12":
+        if self.swap_halfwidth > 0.0:
             in_region = np.abs(np.asarray(x)[:, 0]) <= self.swap_halfwidth
             swap = in_region & (anchors <= 2)
             anchors = np.where(swap, 3 - anchors, anchors)
@@ -343,7 +334,7 @@ class AnalyticScenario:
     def bag_frequency_field(self, x: np.ndarray) -> np.ndarray:
         """P(S_y | x): the probability each label appears in the bag at x."""
         post = self.posterior(x)
-        if self.process == "swap12":
+        if self.swap_halfwidth > 0.0:
             x = np.atleast_2d(np.asarray(x, dtype=np.float64))
             in_region = np.abs(x[:, 0]) <= self.swap_halfwidth
             swapped = post.copy()
@@ -370,7 +361,7 @@ class AnalyticScenario:
 
     def region_mass(self, resolution: int = 400) -> float:
         """Grid-integrated mass of the misleading strip (swap scenarios)."""
-        if self.process != "swap12":
+        if self.swap_halfwidth <= 0.0:
             return 0.0
         pts, cell = self._grid(resolution)
         inside = np.abs(pts[:, 0]) <= self.swap_halfwidth
@@ -378,7 +369,7 @@ class AnalyticScenario:
 
     def region_mass_exact(self) -> float:
         """Closed-form strip mass for the symmetric two-component swap layout."""
-        if self.process != "swap12":
+        if self.swap_halfwidth <= 0.0:
             return 0.0
         mu = float(self.means[1, 0])
         return _strip_mass(mu, self.swap_halfwidth)
@@ -401,7 +392,7 @@ def analytic_scenario(name: str) -> AnalyticScenario:
             name=name,
             means=np.array([[-1.0, 0.0], [1.0, 0.0]]),
             label_space=LabelSpace(2),
-            process="identity",
+            has_bag_process=True,
         )
     if name == "relaxed_two_gaussians":
         theta = 0.05
@@ -410,7 +401,7 @@ def analytic_scenario(name: str) -> AnalyticScenario:
             name=name,
             means=np.array([[-mu, 0.0], [mu, 0.0]]),
             label_space=LabelSpace(2),
-            process="swap12",
+            has_bag_process=True,
             swap_halfwidth=halfwidth,
             theta=theta,
         )
@@ -421,6 +412,6 @@ def analytic_scenario(name: str) -> AnalyticScenario:
             name=name,
             means=3.0 * np.column_stack([np.cos(angles), np.sin(angles)]),
             label_space=LabelSpace(c),
-            process=None,
+            has_bag_process=False,
         )
     raise ValueError(f"unknown scenario {name!r}")

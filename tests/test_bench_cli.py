@@ -427,6 +427,15 @@ class TestCli:
         proc = run_cli("theory", "--dist", str(dist))
         assert proc.returncode == 3
 
+    def test_theory_csv_into_missing_directory(self, tmp_path, capsys):
+        # the CSV is written first, so a path it cannot open prints no report
+        dist = tmp_path / "dist.txt"
+        dist.write_text(MISALIGNED_DIST)
+        code = main(["theory", "--dist", str(dist), "--csv", str(tmp_path / "no" / "adv.csv")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("data error:")
+
 
 class TestNeighborCountsAgainstSplit:
     """A 6-row dataset splits into 5 training points: k values above that
@@ -833,6 +842,28 @@ class TestBenchmarkEntryPoint:
         config = ExperimentConfig(
             scenario=scenario, n_samples=300, noise_grid=(0.0, 0.2, 0.4), repetitions=1,
             plaknn=PlaknnConfig(T=20),
+        )
+        trains = []
+        original = bench_cli.classify_batch_detail
+
+        def recorder(train, *args, **kwargs):
+            trains.append(train)
+            return original(train, *args, **kwargs)
+
+        monkeypatch.setattr(bench_cli, "classify_batch_detail", recorder)
+        run(config)
+        assert len({id(train) for train in trains}) == len(config.noise_grid)
+        first = trains[0]
+        for train in trains:
+            assert np.shares_memory(train.features, first.features)
+            assert np.shares_memory(train.truths, first.truths)
+
+    def test_csv_noise_levels_share_the_training_split(self, tmp_path, monkeypatch):
+        # without a pipeline, truth-removal noise changes only the bags: one
+        # feature matrix and one truth vector serve every noise level
+        config = replace(
+            DIFFERENTIAL_CASES["csv"](write_csv_dataset(tmp_path / "data.csv")),
+            methods=("plaknn",), noise_grid=(0.0, 0.3, 0.6), repetitions=1,
         )
         trains = []
         original = bench_cli.classify_batch_detail

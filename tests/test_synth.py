@@ -336,3 +336,37 @@ class TestScenarioFactory:
         masks = scenario.bag_masks_for(x, y, rng, noise_nu=1.0)
         share = float((masks == 2).mean())
         assert abs(share - 0.5) <= 3.0 * math.sqrt(0.25 / 20_000)
+
+
+class TestScenarioBranches:
+    """Only a scenario with a bag process draws bags, and only a positive
+    ``swap_halfwidth`` swaps them or carries strip mass."""
+
+    @pytest.mark.parametrize("name", ["two_gaussians", "gaussian_clusters"])
+    def test_no_strip_mass_without_a_swap(self, name):
+        scenario = analytic_scenario(name)
+        assert scenario.region_mass() == 0.0
+        assert scenario.region_mass_exact() == 0.0
+
+    def test_cluster_field_equals_posterior(self):
+        scenario = analytic_scenario("gaussian_clusters")
+        pts = np.random.default_rng(23).normal(scale=3.0, size=(50, 2))
+        np.testing.assert_array_equal(
+            scenario.bag_frequency_field(pts), scenario.posterior(pts)
+        )
+
+    def test_identity_bags_on_the_boundary_are_truths(self):
+        # |x1| <= 0.0 holds at x1 == 0.0, so a strip of half-width 0 would
+        # swap these anchors; at noise_nu = 0 every bag is the truth
+        scenario = analytic_scenario("two_gaussians")
+        x = np.zeros((100, 2))
+        y = np.random.default_rng(29).integers(1, 3, size=100)
+        masks = scenario.bag_masks_for(x, y, np.random.default_rng(31), noise_nu=0.0)
+        assert np.array_equal(masks, np.uint64(1) << (y - 1).astype(np.uint64))
+
+    def test_cluster_scenario_draws_no_bags(self):
+        scenario = analytic_scenario("gaussian_clusters")
+        x = np.zeros((4, 2))
+        y = np.ones(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="'gaussian_clusters'"):
+            scenario.bag_masks_for(x, y, np.random.default_rng(0))

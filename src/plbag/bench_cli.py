@@ -87,7 +87,11 @@ METHODS = ("plaknn", "aknn", "fixed_k")
 # adds its training bags (8 bytes per training point) and, per method, the
 # int64 labels of every test point (plaknn also keeps their iteration
 # counts): 1.28 MB per level at 80,000 training and 20,000 test points with
-# all three methods.
+# all three methods.  ``--dump-predictions`` adds one ``PredictionRow`` per
+# test point, method and level, about 168 bytes each (tracemalloc over
+# 200,000 rows): 20,000 test points x 3 methods x 128 levels are 7.68 M rows,
+# about 1.29 GB per repetition, and ``run`` holds every repetition's rows
+# until they are written.
 MAX_SAMPLES = 100_000
 
 # Longest noise grid.  A repetition holds every level's bags and job outputs

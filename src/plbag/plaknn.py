@@ -87,20 +87,14 @@ class PlaknnConfig:
     d0: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c1 < math.inf:
-            raise ValueError(f"c1 must be finite and positive, got {self.c1}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if self.mode not in ("pointwise", "uniform"):
             raise ValueError(f"mode must be 'pointwise' or 'uniform', got {self.mode!r}")
-        if self.d0 is not None and self.d0 < 1:
-            raise ValueError(f"d0 must be >= 1, got {self.d0}")
         if self.d0 is not None and self.mode != "uniform":
             raise ValueError("d0 applies only in uniform mode")
-        # the largest threshold: one neighbor, the most labels, and as many points
-        # and dimensions as an array can hold
+        # checks c1, delta and d0 on the largest threshold: one neighbor, the
+        # most labels, and as many points and dimensions as an array can hold
         self.threshold(sys.maxsize, 1, MAX_LABELS, sys.maxsize)
 
     def resolve_d0(self, dim: int) -> int | None:
@@ -108,7 +102,7 @@ class PlaknnConfig:
             return None
         return self.d0 if self.d0 is not None else dim + 1
 
-    def threshold(self, n: int, k: int | np.ndarray, c: int, dim: int = 1) -> float | np.ndarray:
+    def threshold(self, n: int, k: int | np.ndarray, c: int, dim: int) -> float | np.ndarray:
         return threshold(n, k, self.delta, c, self.c1, self.resolve_d0(dim))
 
 

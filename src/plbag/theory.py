@@ -8,21 +8,24 @@ singular-value ratio test.  When columns are dependent, the null space
 yields an explicit ambiguous pair of label distributions.
 
 A distribution is *label-aligned* when, at every support point, the labels
-most frequent in bags coincide with the most probable labels.  Alignment of
-a *process* is a universally quantified statement over all label
+most frequent in bags coincide with the most probable labels.
+:func:`check_relaxed` decides it, with an empty relaxed region.  Alignment
+of a *process* is a universally quantified statement over all label
 distributions, so only a falsifier is provided: simplex vertices, edge
 midpoints and then Dirichlet samples are probed for a violation, stopping
 at the first one.
 
 The *advantage* of a support point quantifies how far the leading bag
-frequencies stay ahead of the rest over growing neighborhoods; on finite
-support it is computed exactly, from one table of per-atom bag frequencies,
-by one cumulative sweep over the distinct ball radii around each atom.
+frequencies stay ahead of the rest over growing neighborhoods.
+:func:`advantage_report` computes it exactly for every atom, from one table
+of per-atom bag frequencies, by one cumulative sweep over the distinct ball
+radii around each atom.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -62,10 +65,12 @@ def is_reconstructible(m: BagGenMatrix) -> bool:
 def find_ambiguous_pair(m: BagGenMatrix) -> tuple[LabelDistribution, LabelDistribution] | None:
     """Two label distributions with equal bag marginals but disjoint argmax.
 
-    Returns None when the process is reconstructible.  Otherwise a null
-    vector of the column matrix is split into its positive and negative
-    parts; normalizing each part gives distributions whose marginals agree
-    within ``10 * RANK_TOL`` and whose argmax sets live on disjoint supports.
+    Returns None when the process is reconstructible.  Otherwise each null
+    vector of the column matrix, from the smallest singular value up, is
+    split into its positive and negative parts; normalizing each part gives
+    distributions whose argmax sets live on disjoint supports.  The first
+    pair whose marginals agree within ``10 * RANK_TOL`` is returned; if none
+    does, the pair from the smallest singular value is.
     """
     _, s, vt = np.linalg.svd(m.entries, full_matrices=False)
     smax = float(s[0])
@@ -76,13 +81,8 @@ def find_ambiguous_pair(m: BagGenMatrix) -> tuple[LabelDistribution, LabelDistri
     for q in candidates:
         positive = np.clip(q, 0.0, None)
         negative = np.clip(-q, 0.0, None)
-        sp, sn = float(positive.sum()), float(negative.sum())
-        if sp <= RANK_TOL or sn <= RANK_TOL:
-            continue
-        q1 = LabelDistribution(positive / sp)
-        q2 = LabelDistribution(negative / sn)
-        if q1.argmax_set() == q2.argmax_set():
-            continue
+        q1 = LabelDistribution(positive / positive.sum())
+        q2 = LabelDistribution(negative / negative.sum())
         gap = float(np.abs(m.entries @ (q1.probs - q2.probs)).max())
         if gap <= 10.0 * RANK_TOL:
             return q1, q2
@@ -95,13 +95,10 @@ def is_label_aligned_dist(d: DiscreteDistribution) -> bool:
     """Exact alignment check on a finite-support distribution.
 
     At every atom the full argmax set of the per-label bag frequencies must
-    equal the full argmax set of the label probabilities.
+    equal the full argmax set of the label probabilities: :func:`check_relaxed`
+    with an empty relaxed region.
     """
-    for idx, atom in enumerate(d.atoms):
-        freqs = bag_frequencies_at(d, idx)
-        if argmax_set(freqs) != atom.label_dist.argmax_set():
-            return False
-    return True
+    return check_relaxed(d, RelaxedSpec(frozenset(), 0.0))
 
 
 @dataclass(frozen=True)
@@ -117,20 +114,13 @@ class ProcessProbe:
     counterexample: LabelDistribution | None
 
 
-def _midpoint_rows(c: int) -> list[np.ndarray]:
-    out = []
-    for i in range(c):
-        for j in range(i + 1, c):
-            probs = np.zeros(c)
-            probs[i] = probs[j] = 0.5
-            out.append(probs)
-    return out
-
-
 def _default_probe_rows(c: int) -> Iterator[np.ndarray]:
     """Vertices, edge midpoints, then Dirichlet rows, drawn only when reached."""
     yield from np.eye(c)
-    yield from _midpoint_rows(c)
+    for i, j in itertools.combinations(range(c), 2):
+        probs = np.zeros(c)
+        probs[i] = probs[j] = 0.5
+        yield probs
     draws = np.random.default_rng(0).dirichlet(np.ones(c), size=ALIGNMENT_PROBES)
     for row in draws:
         yield row / row.sum()
@@ -232,28 +222,6 @@ def _atom_advantage(
     )
 
 
-def _check_mass_cap(mass_cap: float) -> None:
-    if not 0.0 < mass_cap <= 1.0:
-        raise ValueError(f"mass_cap must be in (0, 1], got {mass_cap}")
-
-
-def advantage(
-    d: DiscreteDistribution, atom_index: int, mass_cap: float = 1.0
-) -> AtomAdvantage:
-    """Exact advantage of an atom by enumeration of prefix balls.
-
-    gamma at mass level p is the smallest lead of the top bag-frequency
-    labels over all other labels across every ball of mass up to p, and the
-    advantage is the best ``p * gamma**2`` over levels p up to ``mass_cap``.
-    For every atom at once, :func:`advantage_report` shares the frequency
-    table instead of rebuilding it per atom.
-    """
-    if not 0 <= atom_index < d.n_atoms:
-        raise IndexError(f"atom index {atom_index} out of range")
-    _check_mass_cap(mass_cap)
-    return _atom_advantage(atom_index, _frequency_table(d), d.masses(), d.locations(), mass_cap)
-
-
 @dataclass(frozen=True)
 class AdvantageReport:
     """Per-atom advantage entries for a whole distribution."""
@@ -269,8 +237,15 @@ class AdvantageReport:
 
 
 def advantage_report(d: DiscreteDistribution, mass_cap: float = 1.0) -> AdvantageReport:
-    """:func:`advantage` of every atom, from one frequency table."""
-    _check_mass_cap(mass_cap)
+    """Exact advantage of every atom by enumeration of prefix balls.
+
+    gamma at mass level p is the smallest lead of the top bag-frequency
+    labels over all other labels across every ball of mass up to p, and the
+    advantage is the best ``p * gamma**2`` over levels p up to ``mass_cap``.
+    ``entries[i]`` is atom i's; all atoms share one frequency table.
+    """
+    if not 0.0 < mass_cap <= 1.0:
+        raise ValueError(f"mass_cap must be in (0, 1], got {mass_cap}")
     freqs, masses, locations = _frequency_table(d), d.masses(), d.locations()
     return AdvantageReport(
         tuple(_atom_advantage(i, freqs, masses, locations, mass_cap) for i in range(d.n_atoms))
@@ -300,7 +275,8 @@ def near_optimal_labels(label_dist: LabelDistribution, theta: float) -> frozense
 def check_relaxed(d: DiscreteDistribution, spec: RelaxedSpec) -> bool:
     """Alignment holds exactly outside G; inside G the top bag-frequency
     labels need only be near-optimal (within theta) for the label
-    distribution."""
+    distribution.  Atoms are checked in index order up to the first failure;
+    with G empty this is :func:`is_label_aligned_dist`."""
     for idx in spec.g_atoms:
         if not 0 <= idx < d.n_atoms:
             raise IndexError(f"relaxed-region atom index {idx} out of range")

@@ -25,7 +25,7 @@ from plbag.core import (
 from plbag.plaknn import PlaknnConfig, threshold
 from plbag.synth import analytic_scenario
 from plbag.theory import (
-    advantage,
+    advantage_report,
     find_ambiguous_pair,
     flip_distribution,
     is_label_aligned_dist,
@@ -324,7 +324,7 @@ def test_criterion_09_invariant_suites():
         d = random_discrete_distribution(rng, n_atoms=10, c=3)
         atom = int(rng.integers(d.n_atoms))
         cap = float(rng.uniform(0.3, 1.0))
-        exact = advantage(d, atom, mass_cap=cap).advantage
+        exact = advantage_report(d, cap).entries[atom].advantage
         assert abs(exact - advantage_oracle(d, atom, cap)) <= 1e-9
 
     # preprocessing: weights normalize, fitting leaks nothing

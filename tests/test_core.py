@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -39,11 +41,18 @@ class TestLabelSpace:
             LabelSpace(1)
         with pytest.raises(ValueError):
             LabelSpace(65)
+        with pytest.raises(TypeError, match="label count must be an int, got str"):
+            LabelSpace("3")
 
 
 class TestCanonicalOrder:
     def test_masks_ascending(self):
         assert canonical_bag_masks(2).tolist() == [1, 2, 3]
+
+    def test_enumeration_bound(self):
+        assert canonical_bag_masks(12).shape == (4095,)
+        with pytest.raises(ValueError, match="bag enumeration requires c <= 12, got 13"):
+            canonical_bag_masks(13)
 
     def test_membership_rows(self):
         memb = bag_membership_matrix(3)
@@ -389,6 +398,25 @@ class TestCsvFormat:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"x1,bag\n0.0,\xff\n")
         with pytest.raises(DataFormatError, match="bad.csv"):
+            load_dataset(path)
+
+    def test_rejects_trailing_columns(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,bag,y,z\n0.0,1,1,0\n")
+        with pytest.raises(DataFormatError, match=re.escape("unexpected trailing columns ['y', 'z']")):
+            load_dataset(path)
+
+    def test_rejects_bad_truth_value(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,bag,y\n0.0,1,one\n")
+        with pytest.raises(DataFormatError, match="bad.csv: row 2: bad truth value"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_feature(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,bag\n0.0,1.0,1\n1.0,{value},2\n")
+        with pytest.raises(DataFormatError, match="bad.csv: features must be finite"):
             load_dataset(path)
 
     def test_rejects_bad_header(self, tmp_path):

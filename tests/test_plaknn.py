@@ -177,7 +177,7 @@ class TestThreshold:
         assert threshold(10**6, 1, 0.1, 2, 0.5, 10**307) < math.inf
         with pytest.raises(ValueError, match="overflow the threshold"):
             PlaknnConfig(mode="uniform", d0=10**307)
-        assert PlaknnConfig(mode="uniform", d0=10**300).threshold(10**6, 1, 2) < math.inf
+        assert PlaknnConfig(mode="uniform", d0=10**300).threshold(10**6, 1, 2, 1) < math.inf
         with pytest.raises(ValueError, match="d0 applies only in uniform mode"):
             PlaknnConfig(mode="pointwise", d0=10**400)
 
@@ -195,6 +195,9 @@ class TestConfig:
             PlaknnConfig(T=0)
         with pytest.raises(ValueError):
             PlaknnConfig(mode="other")
+        # d0 is checked once, by the threshold's own range check
+        with pytest.raises(ValueError, match=re.escape("d0 must be in [1, ")):
+            PlaknnConfig(mode="uniform", d0=0)
 
     def test_uniform_d0_defaults_to_dim_plus_one(self):
         cfg = PlaknnConfig(mode="uniform")
@@ -212,6 +215,7 @@ class TestClassifyHandTrace:
         assert label == 1
         assert trace.iterations == 2
         assert trace.elimination_iteration(2) == 2
+        assert trace.elimination_iteration(1) is None
         assert not trace.disambiguated
         assert trace.records[0].eliminated == ()
         assert trace.records[0].delta == pytest.approx(1.01172, abs=1e-4)
@@ -380,6 +384,14 @@ class TestBatch:
         index = knn_index.build(train.features)
         out = plaknn.classify_batch(train, index, np.zeros((0, 1)), PlaknnConfig(T=2))
         assert out.shape == (0,)
+
+    def test_index_must_match_training_set(self):
+        train = make_train([1, 2, 3])
+        cfg = PlaknnConfig(T=2)
+        for points in (np.zeros((2, 1)), np.zeros((3, 2))):
+            index = knn_index.build(points)
+            with pytest.raises(ValueError, match="does not match the 3x1 training set"):
+                plaknn.classify_batch(train, index, np.zeros((1, points.shape[1])), cfg)
 
     def test_single_query_matches_classify(self):
         rng = np.random.default_rng(61)

@@ -250,6 +250,11 @@ class TestRemoveTruthNoise:
         with pytest.raises(ValueError):
             remove_truth_noise(data, 0.5, seed=1)
 
+    def test_rate_above_one(self):
+        data = self._dataset([0b011], [1])
+        with pytest.raises(ValueError, match=r"rate must be in \[0, 1\], got 1.5"):
+            remove_truth_noise(data, 1.5, seed=1)
+
 
 class TestTwoGaussianScenario:
     def test_bayes_risk_matches_overlap_integral(self):
@@ -336,6 +341,13 @@ class TestScenarioFactory:
         masks = scenario.bag_masks_for(x, y, rng, noise_nu=1.0)
         share = float((masks == 2).mean())
         assert abs(share - 0.5) <= 3.0 * math.sqrt(0.25 / 20_000)
+
+    def test_negative_corruption_rate(self):
+        scenario = analytic_scenario("two_gaussians")
+        x = np.zeros((4, 2))
+        y = np.ones(4, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"noise_nu must be in \[0, 1\], got -0.1"):
+            scenario.bag_masks_for(x, y, np.random.default_rng(0), noise_nu=-0.1)
 
 
 class TestScenarioBranches:

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from plbag import theory
 from plbag.core import (
     Atom,
     BagGenMatrix,
@@ -20,7 +21,6 @@ from plbag.theory import (
     AtomAdvantage,
     ProcessProbe,
     RelaxedSpec,
-    advantage,
     advantage_report,
     check_relaxed,
     find_ambiguous_pair,
@@ -50,7 +50,7 @@ def mixed_identity_full(c: int, w: float = 0.9) -> BagGenMatrix:
 def advantage_loop_oracle(
     d: DiscreteDistribution, atom_index: int, mass_cap: float = 1.0
 ) -> AtomAdvantage:
-    """The prefix-ball loop that ``theory.advantage`` ran before its sweep.
+    """The prefix-ball loop that the advantage computation ran before its sweep.
 
     Restacks every atom's frequencies, then adds one atom at a time in
     stable distance order and scores each distinct radius with Python floats.
@@ -116,6 +116,16 @@ def probe_oracle(m: BagGenMatrix) -> ProcessProbe:
         if argmax_set(freqs) != q.argmax_set():
             return ProcessProbe(False, q)
     return ProcessProbe(True, None)
+
+
+def aligned_dist_oracle(d: DiscreteDistribution) -> bool:
+    """``is_label_aligned_dist`` as its own loop, before it became
+    ``check_relaxed`` with an empty region."""
+    for idx, atom in enumerate(d.atoms):
+        freqs = bag_frequencies_at(d, idx)
+        if argmax_set(freqs) != atom.label_dist.argmax_set():
+            return False
+    return True
 
 
 def text_fields_oracle(e: AtomAdvantage) -> str:
@@ -323,7 +333,7 @@ class TestCorollaryDirection:
 class TestAdvantage:
     def test_single_atom_margin(self):
         d = single_atom([0.6, 0.4], BagGenMatrix.identity(2))
-        entry = advantage(d, 0, mass_cap=1.0)
+        entry = advantage_report(d, 1.0).entries[0]
         assert entry.advantage == pytest.approx(0.04, abs=1e-12)
         assert entry.p == pytest.approx(1.0)
         assert entry.gamma == pytest.approx(0.2, abs=1e-12)
@@ -331,7 +341,7 @@ class TestAdvantage:
 
     def test_full_tie_has_advantage_one(self):
         d = single_atom([0.5, 0.5], BagGenMatrix.identity(2))
-        entry = advantage(d, 0)
+        entry = advantage_report(d).entries[0]
         assert entry.advantage == 1.0
         assert entry.p is None and entry.gamma is None
 
@@ -342,7 +352,7 @@ class TestAdvantage:
             Atom(np.array([1.0]), 0.5, LabelDistribution(np.array([0.1, 0.9])), m),
         )
         d = DiscreteDistribution(atoms, LabelSpace(2))
-        entry = advantage(d, 0, mass_cap=1.0)
+        entry = advantage_report(d, 1.0).entries[0]
         assert entry.advantage == pytest.approx(0.32, abs=1e-12)
         assert entry.p == pytest.approx(0.5)
         assert entry.gamma == pytest.approx(0.8, abs=1e-12)
@@ -353,7 +363,7 @@ class TestAdvantage:
             d = random_discrete_distribution(rng, n_atoms=10, c=3)
             cap = float(rng.uniform(0.2, 1.0))
             for i in range(d.n_atoms):
-                got = advantage(d, i, mass_cap=cap).advantage
+                got = advantage_report(d, cap).entries[i].advantage
                 assert got == pytest.approx(advantage_oracle(d, i, cap), abs=1e-9)
 
     def test_positive_for_aligned_distinct_argmax(self):
@@ -372,7 +382,7 @@ class TestAdvantage:
             d = DiscreteDistribution(atoms, LabelSpace(3))
             for i in range(5):
                 if len(argmax_set(bag_frequencies_at(d, i))) < 3:
-                    assert advantage(d, i).advantage > 0.0
+                    assert advantage_report(d).entries[i].advantage > 0.0
 
     def test_report_serialization(self, tmp_path):
         d = random_discrete_distribution(np.random.default_rng(53), 4, 3)
@@ -405,7 +415,7 @@ class TestAdvantageSweep:
                 text_fields_oracle(e).encode() for e in expected
             ]
             i = int(rng.integers(n_atoms))
-            assert advantage(d, i, cap) == expected[i]
+            assert advantage_report(d, cap).entries[i] == expected[i]
             masses = d.masses()
             for e in expected:
                 full_ties += e.p is None
@@ -441,7 +451,7 @@ class TestAdvantageSweep:
             Atom(np.array([1.0]), 0.5, LabelDistribution(np.array([0.3, 0.7])), m),
         )
         d = DiscreteDistribution(atoms, LabelSpace(2))
-        entry = advantage(d, 0)
+        entry = advantage_report(d).entries[0]
         assert entry == advantage_loop_oracle(d, 0)
         assert entry.p == 0.5 and entry.gamma == float(np.float64(0.7) - np.float64(0.3))
 
@@ -454,7 +464,7 @@ class TestAdvantageSweep:
             Atom(np.array([1.0]), 63 / 64, LabelDistribution(np.array([33 / 64, 31 / 64])), m),
         )
         d = DiscreteDistribution(atoms, LabelSpace(2))
-        entry = advantage(d, 0)
+        entry = advantage_report(d).entries[0]
         assert entry == advantage_loop_oracle(d, 0)
         assert entry == AtomAdvantage(0, (1,), 81 / 65536, 1 / 64, 18 / 64)
 
@@ -474,17 +484,15 @@ class TestAdvantageSweep:
             Atom(np.array([1.0]), float(1.0 - mass), random_label_dist(np.random.default_rng(0), 4), ident),
         )
         d = DiscreteDistribution(atoms, LabelSpace(4))
-        entry = advantage(d, 0, mass_cap=float(mass))
+        entry = advantage_report(d, float(mass)).entries[0]
         assert entry == advantage_loop_oracle(d, 0, float(mass))
         assert entry == AtomAdvantage(0, (1, 3), 0.0, float(mass), 0.0)
 
     def test_argument_checks(self):
         d = aligned_point_dist()
-        with pytest.raises(IndexError):
-            advantage(d, 1)
         for cap in (0.0, 1.5):
             with pytest.raises(ValueError):
-                advantage(d, 0, mass_cap=cap)
+                advantage_report(d, cap).entries[0]
             with pytest.raises(ValueError):
                 advantage_report(d, mass_cap=cap)
 
@@ -559,7 +567,29 @@ class TestRelaxed:
             misaligned_point_dist(),
             random_discrete_distribution(rng, 4, 3),
         ):
-            assert check_relaxed(d, spec) == is_label_aligned_dist(d)
+            assert check_relaxed(d, spec) == aligned_dist_oracle(d)
+            assert is_label_aligned_dist(d) == aligned_dist_oracle(d)
+
+    def test_alignment_stops_at_the_first_misaligned_atom(self, monkeypatch):
+        # the bag-frequency count perfbench reports for the theory workload
+        # depends on where the check stops: at the oracle's first failure
+        aligned = aligned_point_dist().atoms[0]
+        misaligned = misaligned_point_dist().atoms[0]
+        atoms = tuple(
+            Atom(np.array([float(i)]), 0.25, a.label_dist, a.baggen)
+            for i, a in enumerate((aligned, aligned, misaligned, aligned))
+        )
+        d = DiscreteDistribution(atoms, LabelSpace(3))
+        visited = []
+
+        def recording(dist, idx):
+            visited.append(idx)
+            return bag_frequencies_at(dist, idx)
+
+        monkeypatch.setattr(theory, "bag_frequencies_at", recording)
+        assert not is_label_aligned_dist(d)
+        assert visited == [0, 1, 2]
+        assert not aligned_dist_oracle(d)
 
     def test_theta_one_is_vacuous_on_region(self):
         d = misaligned_point_dist()
@@ -580,6 +610,10 @@ class TestRelaxed:
     def test_bad_index(self):
         with pytest.raises(IndexError):
             check_relaxed(aligned_point_dist(), RelaxedSpec(frozenset({5}), 0.1))
+
+    def test_theta_above_one(self):
+        with pytest.raises(ValueError, match=r"theta must be in \[0, 1\], got 1.5"):
+            RelaxedSpec(frozenset(), theta=1.5)
 
 
 class TestFlip:

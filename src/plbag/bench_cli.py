@@ -75,7 +75,8 @@ from .synth import (
 
 METHODS = ("plaknn", "aknn", "fixed_k")
 
-# Largest scenario sample.  Besides O(n d) arrays (the sample, the index, the
+# Largest scenario sample, and the most rows bench run takes from a dataset.
+# Besides O(n d) arrays (the sample, the index, the
 # bags of each noise level, the job records' labels of the test points), a
 # repetition holds one 256-query block at a time: its (256, n_train) float64
 # distances, its (256, depth) order and distances with depth <= n_train, and
@@ -377,22 +378,28 @@ def _load_source(config: ExperimentConfig) -> PartialDataset | AnalyticScenario:
             raise DataFormatError(
                 f"{config.dataset}: experiments need at least 2 rows, got {data.n}"
             )
+        if data.n > MAX_SAMPLES:
+            raise DataFormatError(
+                f"{config.dataset}: experiments take at most {MAX_SAMPLES} rows, got {data.n}"
+            )
+        # every squared distance, and every squared norm after centering, is
+        # at most the squared diagonal; past the neighbor search's norm limit
+        # squared distances overflow and every far pair ties
+        with np.errstate(over="ignore"):
+            span = data.features.max(axis=0) - data.features.min(axis=0)
+            diagonal = float(np.sum(span * span))
+        if not diagonal <= knn_index._SQ_NORM_LIMIT:
+            raise DataFormatError(
+                f"{config.dataset}: the features' bounding box has a squared diagonal of"
+                f" {diagonal:.6g}, over the limit of {knn_index._SQ_NORM_LIMIT:.6g}"
+            )
         return data
     return analytic_scenario(config.scenario)
 
 
-def run(
-    config: ExperimentConfig,
-    dump_predictions: bool = False,
-    threads: int = 1,
-) -> RunResult:
-    """Execute the full (noise x repetition) grid and summarize it.
-
-    Repetitions run one after another; ``threads`` must be at least 1 and
-    has no other effect.
-    """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+def run(config: ExperimentConfig, dump_predictions: bool = False) -> RunResult:
+    """Execute the full (noise x repetition) grid, one repetition after
+    another, and summarize it."""
     source = _load_source(config)
     if isinstance(source, PartialDataset):
         n, dim = source.n, source.dim
@@ -705,7 +712,7 @@ def _theory_text(d: DiscreteDistribution, report: theory.AdvantageReport) -> str
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
-    result = run(config, dump_predictions=args.dump_predictions, threads=args.threads)
+    result = run(config, dump_predictions=args.dump_predictions)
     emit(result, args.out, timings=config.timings)
     header, *lines = _table(SummaryRow, result.summary)
     for cells in lines:
@@ -730,7 +737,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_theory(args: argparse.Namespace) -> int:
     d = load_distribution(args.dist)
-    report = theory.advantage_report(d)
+    try:
+        report = theory.advantage_report(d)
+    except ValueError as exc:
+        raise DataFormatError(f"{args.dist}: {exc}") from exc
     # the CSV first: a bad --csv path fails before the report is printed
     if args.csv is not None:
         report.write_csv(args.csv)
@@ -748,7 +758,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--dump-predictions", action="store_true")
-    p_run.add_argument("--threads", type=int, default=1, help="must be >= 1; has no effect")
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="emit a generated dataset as CSV")

@@ -346,10 +346,6 @@ class DiscreteDistribution:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    @property
-    def dim(self) -> int:
-        return self.atoms[0].location.shape[0]
-
     def locations(self) -> np.ndarray:
         return np.stack([a.location for a in self.atoms])
 

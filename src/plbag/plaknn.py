@@ -3,10 +3,10 @@
 The classifier grows the neighborhood one neighbor at a time.  At step k it
 counts, for every label, how many of the k nearest bags contain it, and
 removes every still-candidate label whose count trails the leading count by
-at least ``k * threshold(n, k, delta)``.  Few neighbors suffice when one
-label clearly leads; close races automatically draw in more neighbors.  If
-more than one candidate survives after T steps, the label that came closest
-to eliminating all others wins.
+at least k times the threshold :meth:`PlaknnConfig.threshold` gives at k.
+Few neighbors suffice when one label clearly leads; close races
+automatically draw in more neighbors.  If more than one candidate survives
+after T steps, the label that came closest to eliminating all others wins.
 
 The rule lives in :func:`_step` (one step's margins and eliminations) and
 :func:`_eliminate` (the step loop over a block of queries, O(c) state per
@@ -30,44 +30,6 @@ import numpy as np
 
 from . import knn_index
 from .core import MAX_LABELS, LabelSpace, PartialDataset
-
-
-def threshold(
-    n: int, k: int | np.ndarray, delta: float, c: int, c1: float = 0.5, d0: int | None = None
-) -> float | np.ndarray:
-    """Elimination threshold at neighborhood size k.
-
-    Pointwise form (``d0 is None``)::
-
-        c1 * sqrt((ln n + ln(c / delta)) / k)
-
-    With ``d0`` given, the ``ln n`` term is scaled by ``d0`` (the VC dimension
-    of balls in the feature space), which makes the guarantee hold uniformly
-    over queries instead of per query.  Natural logarithms throughout.  An
-    integer array ``k`` gives the threshold at each of its values, bit for
-    bit.  A threshold that overflows the float range raises ``ValueError``.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if np.min(k) < 1:
-        raise ValueError(f"k must be >= 1, got {np.min(k)}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if c < 2:
-        raise ValueError(f"c must be >= 2, got {c}")
-    if not 0.0 < c1 < math.inf:
-        raise ValueError(f"c1 must be finite and positive, got {c1}")
-    if d0 is not None and not 1 <= d0 <= sys.float_info.max:
-        raise ValueError(f"d0 must be in [1, {sys.float_info.max}], got {d0}")
-    scale = 1.0 if d0 is None else float(d0)
-    # ln(c) - ln(delta) is ln(c / delta) without the division's rounding
-    bound = scale * math.log(n) + math.log(c) - math.log(delta)
-    # an overflow is reported below as ValueError, not as a numpy warning
-    with np.errstate(over="ignore"):
-        value = c1 * np.sqrt(bound / k)
-    if np.max(value) == math.inf:
-        raise ValueError(f"c1 = {c1} and d0 = {d0} overflow the threshold at n = {n}, k = {np.min(k)}")
-    return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)
@@ -97,13 +59,43 @@ class PlaknnConfig:
         # most labels, and as many points and dimensions as an array can hold
         self.threshold(sys.maxsize, 1, MAX_LABELS, sys.maxsize)
 
-    def resolve_d0(self, dim: int) -> int | None:
-        if self.mode == "pointwise":
-            return None
-        return self.d0 if self.d0 is not None else dim + 1
-
     def threshold(self, n: int, k: int | np.ndarray, c: int, dim: int) -> float | np.ndarray:
-        return threshold(n, k, self.delta, c, self.c1, self.resolve_d0(dim))
+        """Elimination threshold at neighborhood size k, for n training points
+        with c labels in ``dim`` dimensions.
+
+        Pointwise mode::
+
+            c1 * sqrt((ln n + ln(c / delta)) / k)
+
+        Uniform mode scales the ``ln n`` term by d0 (the VC dimension of balls
+        in the feature space), which makes the guarantee hold uniformly over
+        queries instead of per query.  Natural logarithms throughout.  An
+        integer array ``k`` gives the threshold at each of its values, bit for
+        bit.  A threshold that overflows the float range raises ``ValueError``.
+        """
+        c1, delta = self.c1, self.delta
+        d0 = None if self.mode == "pointwise" else self.d0 if self.d0 is not None else dim + 1
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if np.min(k) < 1:
+            raise ValueError(f"k must be >= 1, got {np.min(k)}")
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {delta}")
+        if c < 2:
+            raise ValueError(f"c must be >= 2, got {c}")
+        if not 0.0 < c1 < math.inf:
+            raise ValueError(f"c1 must be finite and positive, got {c1}")
+        if d0 is not None and not 1 <= d0 <= sys.float_info.max:
+            raise ValueError(f"d0 must be in [1, {sys.float_info.max}], got {d0}")
+        scale = 1.0 if d0 is None else float(d0)
+        # ln(c) - ln(delta) is ln(c / delta) without the division's rounding
+        bound = scale * math.log(n) + math.log(c) - math.log(delta)
+        # an overflow is reported below as ValueError, not as a numpy warning
+        with np.errstate(over="ignore"):
+            value = c1 * np.sqrt(bound / k)
+        if np.max(value) == math.inf:
+            raise ValueError(f"c1 = {c1} and d0 = {d0} overflow the threshold at n = {n}, k = {np.min(k)}")
+        return float(value) if value.ndim == 0 else value
 
 
 @dataclass(frozen=True)

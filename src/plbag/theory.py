@@ -198,9 +198,17 @@ def _atom_advantage(
     if len(top) == c:
         return AtomAdvantage(atom_index, top_sorted, 1.0, None, None)
 
-    sqd = ((locations - locations[atom_index][None, :]) ** 2).sum(axis=1)
+    # an overflow is reported below as ValueError, not as a numpy warning
+    with np.errstate(over="ignore"):
+        sqd = ((locations - locations[atom_index][None, :]) ** 2).sum(axis=1)
     order = np.argsort(sqd, kind="stable")
     sorted_d = sqd[order]
+    # locations are distinct, so only the atom's own squared distance may be
+    # 0; a subnormal one has lost the precision that orders the balls
+    if np.any(sorted_d[1:2] < np.finfo(np.float64).tiny) or not sorted_d[-1] < np.inf:
+        raise ValueError(
+            f"atom {atom_index}: squared distances to the other atoms underflow or overflow"
+        )
     ends = np.append(np.flatnonzero(np.diff(sorted_d) > 0), len(order) - 1)
     cum_mass = np.cumsum(masses[order])[ends]
     weighted = np.cumsum(masses[order, None] * freqs[order], axis=0)[ends]
@@ -242,7 +250,9 @@ def advantage_report(d: DiscreteDistribution, mass_cap: float = 1.0) -> Advantag
     gamma at mass level p is the smallest lead of the top bag-frequency
     labels over all other labels across every ball of mass up to p, and the
     advantage is the best ``p * gamma**2`` over levels p up to ``mass_cap``.
-    ``entries[i]`` is atom i's; all atoms share one frequency table.
+    ``entries[i]`` is atom i's; all atoms share one frequency table.  An atom
+    whose squared distances to the others underflow or overflow raises
+    ``ValueError``.
     """
     if not 0.0 < mass_cap <= 1.0:
         raise ValueError(f"mass_cap must be in (0, 1], got {mass_cap}")

@@ -22,7 +22,7 @@ from plbag.core import (
     bag_marginal,
     bayes_rule,
 )
-from plbag.plaknn import PlaknnConfig, threshold
+from plbag.plaknn import PlaknnConfig
 from plbag.synth import analytic_scenario
 from plbag.theory import (
     advantage_report,
@@ -230,7 +230,7 @@ def test_criterion_07_beats_fixed_ten_nn_on_cluster_scenario():
         n_samples=5000,
         plaknn=PlaknnConfig(),
     )
-    result = run(config, threads=2)
+    result = run(config)
     seconds = time.perf_counter() - start
     details = []
     for noise in (0.0, 0.3):
@@ -300,8 +300,9 @@ def test_criterion_09_invariant_suites():
         k = int(rng.integers(1, 2_000))
         delta = float(rng.uniform(0.001, 0.999))
         c = int(rng.integers(2, 40))
-        assert threshold(n, k + 1, delta, c) < threshold(n, k, delta, c)
-        assert threshold(n + 1, k, delta, c) >= threshold(n, k, delta, c)
+        config = PlaknnConfig(delta=delta)
+        assert config.threshold(n, k + 1, c, 1) < config.threshold(n, k, c, 1)
+        assert config.threshold(n + 1, k, c, 1) >= config.threshold(n, k, c, 1)
 
     # survivor property and membership of the answer on recorded traces
     for trial in range(40):

@@ -7,7 +7,7 @@ import pytest
 
 from plbag import baselines, knn_index, plaknn
 from plbag.core import LabelSpace, PartialDataset
-from plbag.plaknn import PlaknnConfig, threshold
+from plbag.plaknn import PlaknnConfig
 
 from _fixtures import random_partial_dataset
 
@@ -79,7 +79,7 @@ class TestAknn:
         label, k_qual = baselines.aknn_decision(train, index, np.array([0.0]), cfg)
         assert label == 1
         expected = next(
-            k for k in range(1, n + 1) if 1.0 - 0.5 >= threshold(n, k, 0.1, 2)
+            k for k in range(1, n + 1) if 1.0 - 0.5 >= PlaknnConfig().threshold(n, k, 2, 1)
         )
         assert k_qual == expected
 
@@ -121,14 +121,13 @@ def aknn_oracle(train, x, config):
     """
     n, c = train.n, train.label_space.c
     t_cap = min(config.T, n)
-    d0 = config.resolve_d0(train.dim)
+    d0 = None if config.mode == "pointwise" else config.d0 or train.dim + 1
+    explicit = PlaknnConfig(c1=config.c1, delta=config.delta, mode=config.mode, d0=d0)
     sqd = ((train.features - x) ** 2).sum(axis=1)
     order = np.lexsort((np.arange(n), sqd))[:t_cap]
     counts = np.cumsum(train.membership_matrix()[order], axis=0)
     ks = np.arange(1, t_cap + 1, dtype=np.float64)
-    deltas = np.array(
-        [threshold(n, k, config.delta, c, config.c1, d0) for k in range(1, t_cap + 1)]
-    )
+    deltas = np.array([explicit.threshold(n, k, c, train.dim) for k in range(1, t_cap + 1)])
     qualified = counts / ks[:, None] - 1.0 / c >= deltas[:, None]
     hits = qualified.any(axis=1)
     if hits.any():
@@ -299,10 +298,11 @@ class TestThresholdCrossingContrast:
 
     def test_elimination_crosses_before_qualification(self):
         n, c, delta = 10000, 3, 0.1
+        config = PlaknnConfig(delta=delta)
         margin_elim = 0.10
         margin_qual = 0.40 - 1.0 / 3.0
-        k_elim = next(k for k in range(1, n) if margin_elim >= threshold(n, k, delta, c))
-        k_qual = next(k for k in range(1, n) if margin_qual >= threshold(n, k, delta, c))
+        k_elim = next(k for k in range(1, n) if margin_elim >= config.threshold(n, k, c, 1))
+        k_qual = next(k for k in range(1, n) if margin_qual >= config.threshold(n, k, c, 1))
         assert k_elim < k_qual
         a_const = 0.5 * math.sqrt(math.log(n) + math.log(c / delta))
         assert k_elim == math.ceil((a_const / margin_elim) ** 2)

@@ -237,20 +237,6 @@ class TestRun:
         result = run(cfg)
         assert result.rows[0].error_rate == 0.0
 
-    def test_threads_match_sequential(self):
-        cfg = tiny_config(noise_grid=(0.0, 0.3), repetitions=3)
-        seq = run(cfg, threads=1)
-        par = run(cfg, threads=4)
-
-        def strip_walls(rows):
-            return [
-                (r.method, r.noise, r.repetition, r.seed, r.n_train, r.error_rate, r.mean_iterations)
-                for r in rows
-            ]
-
-        assert strip_walls(seq.rows) == strip_walls(par.rows)
-        assert seq.summary == par.summary
-
     def test_cluster_scenario_uses_bag_generator(self):
         cfg = ExperimentConfig(
             scenario="gaussian_clusters",
@@ -542,6 +528,80 @@ class TestLoaderBoundary:
         dist.write_text("labels 2\n" + atoms)
         code, err = self._main(capsys, ["theory", "--dist", str(dist)])
         assert code == 3 and message in err
+
+    @pytest.mark.parametrize(
+        "location", ["1e-170", "1e-160", "1e200"], ids=["underflow", "subnormal", "overflow"]
+    )
+    def test_distribution_distances_must_be_normal_and_finite(self, tmp_path, capsys, location):
+        dist = tmp_path / "dist.txt"
+        far = "-1e200" if location == "1e200" else "1"
+        dist.write_text(
+            "labels 2\n"
+            f"atom\nlocation {location}\nmass 0.5\nprobs 0.9 0.1\nbagdefault identity\n"
+            f"atom\nlocation {far}\nmass 0.1\nprobs 0.1 0.9\nbagdefault identity\n"
+            "atom\nlocation 0\nmass 0.4\nprobs 0.5 0.5\nbagdefault identity\n"
+        )
+        code = main(["theory", "--dist", str(dist)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert err == (
+            f"data error: {dist}: atom 0: squared distances to the other atoms underflow or overflow\n"
+        )
+
+    @staticmethod
+    def _dataset_config(tmp_path, rows):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,bag,y\n" + "".join(f"{a!r},{b!r},{t},{t}\n" for a, b, t in rows))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"[experiment]\ndataset = {data}\nmethods = plaknn,aknn,fixed_k\nfixed_k = 3\n"
+            "repetitions = 1\n[plaknn]\nT = 10\n"
+        )
+        return data, cfg
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-150])
+    def test_dataset_squared_diagonal_bounded(self, tmp_path, capsys, scale):
+        # squared distances of features near 1e160 overflow to inf, and every
+        # far pair then ties; the same rows scaled down run
+        x = np.random.default_rng(0).standard_normal((60, 2)) * scale
+        rows = [(a, b, 1 + int(a > 0)) for a, b in x.tolist()]
+        data, cfg = self._dataset_config(tmp_path, rows)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        if scale < 1.0:
+            assert code == 0 and err == ""
+            assert [line.split()[2] for line in stdout.splitlines()] == [
+                "mean_error=0.166667", "mean_error=0", "mean_error=0.166667"
+            ]
+            return
+        assert code == 3 and not out.exists()
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: {data}: the features' bounding box has a squared diagonal")
+
+    @pytest.mark.parametrize("n", [50, 51])
+    def test_dataset_rows_bounded_by_max_samples(self, tmp_path, capsys, monkeypatch, n):
+        monkeypatch.setattr(bench_cli, "MAX_SAMPLES", 50)
+        rows = [(float(i), float(i % 7), 1 + i % 2) for i in range(n)]
+        data, cfg = self._dataset_config(tmp_path, rows)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        if n == 50:
+            assert code == 0 and (out / "summary.csv").exists()
+            return
+        assert code == 3 and not out.exists()
+        assert err == f"data error: {data}: experiments take at most 50 rows, got 51\n"
+
+    def test_dataset_bag_field_with_an_empty_label(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,bag,y\n0.0,1,1\n1.0,1;;2,2\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[experiment]\ndataset = {data}\nrepetitions = 1\n")
+        code, err = self._main(capsys, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert err == f"data error: {data}: row 3: malformed bag field '1;;2'\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("methods", ["plaknn", "fixed_k"])
     def test_dataset_of_one_row(self, tmp_path, capsys, methods):
@@ -1084,19 +1144,6 @@ class TestConfigBounds:
         assert err.count("\n") == 1 and err.startswith("config error:")
         assert message in err
         assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_below_one(self, tmp_path, capsys, threads):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 1\n"
-        )
-        out = tmp_path / "out"
-        code = main(["run", "--config", str(cfg), "--out", str(out), "--threads", threads])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == f"config error: threads must be >= 1, got {threads}\n"
-        assert not out.exists()
 
     def test_largest_sample_is_accepted(self):
         config = ExperimentConfig(scenario="two_gaussians", n_samples=bench_cli.MAX_SAMPLES)

@@ -76,6 +76,10 @@ class TestLabelDistribution:
         with pytest.raises(ValueError):
             LabelDistribution(np.array([1.2, -0.2]))
 
+    def test_one_entry(self):
+        with pytest.raises(ValueError, match="label distribution needs at least two entries"):
+            LabelDistribution(np.array([1.0]))
+
     def test_argmax_set_ties(self):
         dist = LabelDistribution(np.array([0.4, 0.4, 0.2]))
         assert dist.argmax_set() == frozenset({1, 2})
@@ -108,6 +112,38 @@ class TestBagGenMatrix:
     def test_inclusion_needs_certain_anchor(self):
         with pytest.raises(ValueError):
             BagGenMatrix.independent_inclusion(np.array([[0.9, 0.1], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (np.ones(3), "bag generation matrix must be two-dimensional"),
+            (np.ones((1, 1)), "bag generation matrices need 2 <= c <= 12"),
+            (np.zeros((3, 13)), "bag generation matrices need 2 <= c <= 12"),
+            (np.zeros((4, 2)), "expected 3 bag rows for c=2, got 4"),
+            # the column sums to 1, but its entries leave [0, 1]
+            (np.array([[1.5, 0.0], [0.0, 1.0], [-0.5, 0.0]]), "bag probabilities must lie in [0, 1]"),
+        ],
+        ids=["one_dimensional", "c_1", "c_13", "row_count", "entry_range"],
+    )
+    def test_shape_and_range_refusals(self, entries, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BagGenMatrix(entries)
+
+    def test_permutation_refuses_a_repeat(self):
+        with pytest.raises(ValueError, match=re.escape("perm must be a permutation of 1..c")):
+            BagGenMatrix.permutation([1, 1])
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (np.ones((2, 3)), "q must be square"),
+            (np.array([[1.0, 1.5], [0.0, 1.0]]), "inclusion probabilities must lie in [0, 1]"),
+        ],
+        ids=["not_square", "out_of_range"],
+    )
+    def test_inclusion_refusals(self, q, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BagGenMatrix.independent_inclusion(q)
 
 
 class TestBagMarginal:
@@ -271,6 +307,22 @@ class TestDistinctLocations:
         d = self._dist([(1.0, 2.0, 3.0), (1.0, 2.0, -3.0), (1.0, -2.0, 3.0), (-1.0, 2.0, 3.0)])
         assert d.n_atoms == 4
 
+    def test_atom_refusals(self):
+        half = LabelDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="atom locations must be vectors"):
+            Atom(np.zeros((1, 2)), 1.0, half, BagGenMatrix.identity(2))
+        with pytest.raises(ValueError, match="label distribution and bag process disagree on c"):
+            Atom(np.zeros(1), 1.0, half, BagGenMatrix.identity(3))
+
+    def test_distribution_refusals(self):
+        with pytest.raises(ValueError, match="a distribution needs at least one atom"):
+            DiscreteDistribution((), LabelSpace(2))
+        with pytest.raises(ValueError, match="atom label distribution disagrees with label space"):
+            DiscreteDistribution(self._dist([(0.0,)]).atoms, LabelSpace(3))
+        mixed = self._dist([(0.0,), (1.0,)]).atoms[:1] + self._dist([(0.0, 1.0), (2.0, 3.0)]).atoms[1:]
+        with pytest.raises(ValueError, match="atom locations must share one dimension"):
+            DiscreteDistribution(mixed, LabelSpace(2))
+
     def test_nan_location_is_rejected(self):
         # the rows never reach the duplicate check, where NaN equals nothing
         with pytest.raises(ValueError, match="atom locations must be finite"):
@@ -281,6 +333,19 @@ class TestPartialDataset:
     def test_empty_bag_rejected(self):
         with pytest.raises(ValueError, match="bags must be nonempty"):
             PartialDataset(np.zeros((2, 1)), np.array([1, 0], dtype=np.uint64), LabelSpace(2))
+
+    @pytest.mark.parametrize(
+        "features, masks, truths, message",
+        [
+            (np.zeros((0, 1)), [], None, "features must be a nonempty (n, d) matrix"),
+            (np.zeros((2, 1)), [1], None, "one bag mask per example is required"),
+            (np.zeros((2, 1)), [1, 2], [1], "one truth per example is required"),
+        ],
+        ids=["empty_features", "mask_count", "truth_count"],
+    )
+    def test_shape_refusals(self, features, masks, truths, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PartialDataset(features, np.array(masks, dtype=np.uint64), LabelSpace(2), truths=truths)
 
     def test_bag_above_c_rejected(self):
         with pytest.raises(ValueError):

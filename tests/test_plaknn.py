@@ -6,7 +6,7 @@ import pytest
 
 from plbag import knn_index, plaknn
 from plbag.core import LabelSpace, PartialDataset
-from plbag.plaknn import EliminationTrace, IterationRecord, PlaknnConfig, threshold
+from plbag.plaknn import EliminationTrace, IterationRecord, PlaknnConfig
 
 from _fixtures import random_partial_dataset
 
@@ -26,7 +26,8 @@ def classify_oracle(train, index, x, config):
     n = train.n
     c = train.label_space.c
     t_cap = min(config.T, n)
-    d0 = config.resolve_d0(train.dim)
+    d0 = None if config.mode == "pointwise" else config.d0 or train.dim + 1
+    explicit = PlaknnConfig(c1=config.c1, delta=config.delta, mode=config.mode, d0=d0)
     memb = train.membership_matrix()
     query = np.asarray(x, dtype=np.float64)[None, :]
     _, order, _ = next(knn_index.neighbor_blocks(index, query, t_cap))
@@ -40,7 +41,7 @@ def classify_oracle(train, index, x, config):
         k += 1
         l_k = order[0, k - 1]
         tau = tau + memb[l_k]
-        delta_k = threshold(n, k, config.delta, c, config.c1, d0)
+        delta_k = explicit.threshold(n, k, c, train.dim)
         capped = np.where(alive, tau, -1)
         m1 = int(capped.max())
         m2 = int(np.partition(capped, c - 2)[c - 2])
@@ -89,11 +90,11 @@ class TestThreshold:
     def test_log_n_vanishes_at_one(self):
         for k in (1, 2, 7):
             expected = 0.5 * math.sqrt(math.log(10 / 0.1) / k)
-            assert threshold(1, k, 0.1, 10) == pytest.approx(expected, abs=1e-15)
+            assert PlaknnConfig().threshold(1, k, 10, 1) == pytest.approx(expected, abs=1e-15)
 
     def test_formula_value(self):
         # 0.5 * sqrt((ln 100 + ln 100) / 4), high-precision value
-        assert threshold(100, 4, 0.1, 10) == pytest.approx(0.7587135646925732, abs=1e-12)
+        assert PlaknnConfig().threshold(100, 4, 10, 1) == pytest.approx(0.7587135646925732, abs=1e-12)
 
     def test_uniform_with_unit_vc_matches_pointwise(self):
         rng = np.random.default_rng(2)
@@ -102,7 +103,8 @@ class TestThreshold:
             k = int(rng.integers(1, 400))
             delta = float(rng.uniform(0.01, 0.99))
             c = int(rng.integers(2, 12))
-            assert threshold(n, k, delta, c, d0=1) == threshold(n, k, delta, c)
+            uniform = PlaknnConfig(delta=delta, mode="uniform", d0=1)
+            assert uniform.threshold(n, k, c, 1) == PlaknnConfig(delta=delta).threshold(n, k, c, 1)
 
     def test_monotonicity(self):
         rng = np.random.default_rng(4)
@@ -111,24 +113,23 @@ class TestThreshold:
             k = int(rng.integers(1, 1000))
             delta = float(rng.uniform(0.01, 0.99))
             c = int(rng.integers(2, 20))
-            assert threshold(n, k + 1, delta, c) < threshold(n, k, delta, c)
-            assert threshold(n + 1, k, delta, c) >= threshold(n, k, delta, c)
+            config = PlaknnConfig(delta=delta)
+            assert config.threshold(n, k + 1, c, 1) < config.threshold(n, k, c, 1)
+            assert config.threshold(n + 1, k, c, 1) >= config.threshold(n, k, c, 1)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            threshold(0, 1, 0.1, 2)
+            PlaknnConfig().threshold(0, 1, 2, 1)
         with pytest.raises(ValueError):
-            threshold(1, 0, 0.1, 2)
+            PlaknnConfig().threshold(1, 0, 2, 1)
         with pytest.raises(ValueError):
-            threshold(1, 1, 1.0, 2)
+            PlaknnConfig(delta=1.0).threshold(1, 1, 2, 1)
         with pytest.raises(ValueError):
-            threshold(1, 1, 0.1, 1)
+            PlaknnConfig().threshold(1, 1, 1, 1)
 
     @pytest.mark.parametrize("c1", [0.0, -1.0, math.inf, math.nan])
     def test_c1_must_be_finite_and_positive(self, c1):
         # an infinite c1 makes every threshold infinite: nothing is ever eliminated
-        with pytest.raises(ValueError, match="c1 must be finite and positive"):
-            threshold(10, 1, 0.1, 2, c1)
         with pytest.raises(ValueError, match="c1 must be finite and positive"):
             PlaknnConfig(c1=c1)
 
@@ -146,8 +147,6 @@ class TestThreshold:
         # an infinite threshold eliminates nothing, and a d0 past the float
         # range has no float value
         with pytest.raises(ValueError, match=re.escape(message)):
-            threshold(50, 1, 0.1, 2, c1, d0)
-        with pytest.raises(ValueError, match=re.escape(message)):
             PlaknnConfig(c1=c1, mode="uniform", d0=d0)
 
     @pytest.mark.parametrize(
@@ -163,10 +162,8 @@ class TestThreshold:
                 mode=mode, d0=d0,
             )
             c, dim = int(rng.integers(2, 65)), int(rng.integers(1, 30))
-            want = [
-                threshold_oracle(n, k, config.delta, c, config.c1, config.resolve_d0(dim))
-                for k in ks.tolist()
-            ]
+            d0_dim = None if mode == "pointwise" else d0 or dim + 1
+            want = [threshold_oracle(n, k, config.delta, c, config.c1, d0_dim) for k in ks.tolist()]
             assert config.threshold(n, ks, c, dim).tobytes() == np.array(want).tobytes()
             scalars = [config.threshold(n, k, c, dim) for k in ks[:400].tolist()]
             assert scalars == want[:400] and all(type(v) is float for v in scalars)
@@ -174,7 +171,7 @@ class TestThreshold:
     def test_config_checks_the_largest_threshold(self):
         # d0 = 1e307 keeps the threshold finite at n = 10**6 but not at the
         # largest n an array can hold, so the config refuses it
-        assert threshold(10**6, 1, 0.1, 2, 0.5, 10**307) < math.inf
+        assert threshold_oracle(10**6, 1, 0.1, 2, 0.5, 10**307) < math.inf
         with pytest.raises(ValueError, match="overflow the threshold"):
             PlaknnConfig(mode="uniform", d0=10**307)
         assert PlaknnConfig(mode="uniform", d0=10**300).threshold(10**6, 1, 2, 1) < math.inf
@@ -200,10 +197,13 @@ class TestConfig:
             PlaknnConfig(mode="uniform", d0=0)
 
     def test_uniform_d0_defaults_to_dim_plus_one(self):
-        cfg = PlaknnConfig(mode="uniform")
-        assert cfg.resolve_d0(2) == 3
-        assert PlaknnConfig(mode="uniform", d0=7).resolve_d0(2) == 7
-        assert PlaknnConfig().resolve_d0(2) is None
+        n, k, c = 50, 4, 3
+        unset = PlaknnConfig(mode="uniform").threshold(n, k, c, 2)
+        assert unset == PlaknnConfig(mode="uniform", d0=3).threshold(n, k, c, 2)
+        # a d0 that is set does not depend on the dimension
+        d0_7 = PlaknnConfig(mode="uniform", d0=7)
+        assert d0_7.threshold(n, k, c, 2) == d0_7.threshold(n, k, c, 50) != unset
+        assert PlaknnConfig().threshold(n, k, c, 2) == PlaknnConfig(mode="uniform", d0=1).threshold(n, k, c, 2)
 
 
 class TestClassifyHandTrace:
@@ -271,7 +271,7 @@ class TestClassifyHandTrace:
         cfg = PlaknnConfig(T=10, mode="uniform")
         _, trace = plaknn.classify(train, index, rng.normal(size=3), cfg)
         for rec in trace.records:
-            expected = threshold(25, rec.k, 0.1, 3, d0=4)
+            expected = PlaknnConfig(mode="uniform", d0=4).threshold(25, rec.k, 3, 3)
             assert rec.delta == expected
 
 
@@ -318,7 +318,7 @@ class TestTraceInvariants:
             for rec in trace.records:
                 tau += memb[rec.neighbor]
                 assert tuple(tau) == rec.tau
-                delta = threshold(trace.n, rec.k, 0.1, c)
+                delta = PlaknnConfig().threshold(trace.n, rec.k, c, train.dim)
                 m = max(tau[y - 1] for y in alive)
                 drop = {y for y in alive if (m - tau[y - 1]) / rec.k >= delta}
                 assert tuple(sorted(drop)) == rec.eliminated

@@ -9,6 +9,7 @@ without coordinate gaps small enough to underflow a squared distance.
 
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ class TestFit:
         assert fitted.mean is None
         manual = _unit_rows(_signed_cube_root(x))
         np.testing.assert_allclose(fitted.smoothed_train, manual, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.zeros(60), "train features must be an (n, d) matrix"),
+            (np.full((60, 2), np.nan), "train features must be finite"),
+        ],
+        ids=["one_dimensional", "non_finite"],
+    )
+    def test_feature_refusals(self, x, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit(x, PipelineConfig("vision"))
 
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,10 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import plbag
+from plbag.bench_cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +29,25 @@ def test_every_export_resolves():
     namespace = {}
     exec("from plbag import *", namespace)
     assert set(plbag.__all__) <= namespace.keys()
+
+
+def _options(text):
+    return set(re.findall(r"--[\w-]+", text)) - {"--help"}
+
+
+def _help(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+        main(argv + ["--help"])
+    return out.getvalue()
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    # the first bash block under "## CLI" lists each subcommand with its options
+    section = README.read_text().split("## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: _options(line) for line in block.splitlines()}
+    (subcommands,) = re.findall(r"\{([\w,]+)\}", _help([]))[:1]
+    assert sorted(synopsis) == sorted(subcommands.split(","))
+    for sub, documented in synopsis.items():
+        assert documented == _options(_help([sub])), sub

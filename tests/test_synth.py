@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -168,6 +169,18 @@ class TestBagSteps:
     def test_clustering_step_checks_inputs(self):
         with pytest.raises(ValueError, match="truth labels"):
             bag_clusters(np.zeros((2, 1)), np.array([1, 9]), LabelSpace(3), SynthBagConfig())
+
+    @pytest.mark.parametrize(
+        "features, truths, message",
+        [
+            (np.zeros((0, 1)), [], "features must be a nonempty (n, d) matrix"),
+            (np.zeros((2, 1)), [1], "one truth per example is required"),
+        ],
+        ids=["empty_features", "truth_count"],
+    )
+    def test_clustering_step_checks_shapes(self, features, truths, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bag_clusters(features, np.array(truths), LabelSpace(3), SynthBagConfig())
 
 
 class TestBagSamplerStatistics:

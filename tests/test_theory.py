@@ -357,6 +357,31 @@ class TestAdvantage:
         assert entry.p == pytest.approx(0.5)
         assert entry.gamma == pytest.approx(0.8, abs=1e-12)
 
+    @staticmethod
+    def _three_atoms(locations):
+        m = BagGenMatrix.identity(2)
+        atoms = tuple(
+            Atom(np.array([x]), mass, LabelDistribution(np.array(probs)), m)
+            for x, mass, probs in zip(locations, (0.5, 0.1, 0.4), ([0.9, 0.1], [0.1, 0.9], [0.5, 0.5]))
+        )
+        return DiscreteDistribution(atoms, LabelSpace(2))
+
+    @pytest.mark.parametrize(
+        "locations",
+        [(0.0, 1e-170, 1.0), (0.0, 1e-160, 1.0), (1e200, -1e200, 0.0)],
+        ids=["underflow_to_zero", "subnormal", "overflow"],
+    )
+    def test_squared_distances_must_be_normal_and_finite(self, locations):
+        # a square that underflows merges the first two balls, one that
+        # overflows ties every far atom
+        with pytest.raises(ValueError, match="atom 0: squared distances to the other atoms"):
+            advantage_report(self._three_atoms(locations))
+
+    def test_small_distances_keep_their_balls(self):
+        entries = advantage_report(self._three_atoms((0.0, 1e-10, 1.0))).entries
+        assert (entries[0].advantage, entries[0].p) == pytest.approx((0.32, 0.5), abs=1e-12)
+        assert entries[1].advantage == pytest.approx(0.064, abs=1e-12)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(43)
         for _ in range(25):

@@ -52,12 +52,13 @@ def _aknn(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and qualification steps (0: none within the cap) per query.
 
-    Labels are scanned one at a time so temporaries stay (block, T).
+    Labels are scanned one at a time so temporaries stay (block, T), and a
+    count qualifies by one integer comparison (see :func:`_qualifying_counts`).
     ``order`` as in :func:`plaknn.classify_batch_detail`.
     """
     t_cap, deltas = _schedule(train, config)
     c = train.label_space.c
-    ks = np.arange(1, t_cap + 1, dtype=np.float64)
+    need = _qualifying_counts(deltas, c)
     m, blocks = _bag_blocks(train, index, queries, t_cap, order)
     labels = np.empty(m, dtype=np.int64)
     steps = np.empty(m, dtype=np.int64)
@@ -66,8 +67,8 @@ def _aknn(
         best = np.zeros(bags.shape[0], dtype=np.int64)
         at_cap = np.empty((bags.shape[0], c), dtype=np.int64)
         for y in range(c):
-            counts = np.cumsum(bags[:, :, y], axis=1)
-            qualified = counts / ks - 1.0 / c >= deltas
+            counts = np.cumsum(bags[:, :, y], axis=1, dtype=np.int32)
+            qualified = counts >= need
             hit = np.where(qualified.any(axis=1), np.argmax(qualified, axis=1), t_cap)
             best = np.where(hit < first, y, best)
             first = np.minimum(hit, first)
@@ -77,6 +78,26 @@ def _aknn(
         labels[rows] = best + 1
         steps[rows] = np.where(missed, 0, first + 1)
     return labels, steps
+
+
+def _qualifying_counts(deltas: np.ndarray, c: int) -> np.ndarray:
+    """``need[k-1]``: the fewest of k bags holding a label for it to qualify.
+
+    A count q qualifies at step k when ``q / k - 1 / c >= deltas[k-1]`` in
+    floats.  Rounding is monotone, so that holds for every q from the
+    smallest passing one on; k + 1 means no count passes.  The real bound
+    ``(delta + 1 / c) k`` is off by less than one from it, so one step down
+    or up against the float test itself finds it.
+    """
+    ks = np.arange(1, deltas.shape[0] + 1, dtype=np.float64)
+
+    def passes(q: np.ndarray) -> np.ndarray:
+        return (q <= ks) & (q / ks - 1.0 / c >= deltas)
+
+    need = np.clip(np.ceil((deltas + 1.0 / c) * ks), 0.0, ks + 1.0)
+    need = np.where((need >= 1.0) & passes(need - 1.0), need - 1.0, need)
+    need = np.where(passes(need) | (need > ks), need, need + 1.0)
+    return need.astype(np.int32)
 
 
 def aknn_decision(

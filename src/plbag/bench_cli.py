@@ -30,8 +30,9 @@ generator state the shared steps left, which is exactly what a fresh
 repetition at that level would draw.  The search then walks the test points
 one query block at a time, and every (noise level, method) job classifies
 each block from a prefix of that block's order, so a repetition holds one
-block's order, never one for all test points.  ``wall_time_ms`` sums one
-job's classification over the blocks and excludes the shared work.
+block's order (see ``knn_index._block_rows``), never one for all test
+points.  ``wall_time_ms`` sums one job's classification over the blocks
+and excludes the shared work.
 """
 
 from __future__ import annotations
@@ -78,12 +79,15 @@ METHODS = ("plaknn", "aknn", "fixed_k")
 # Largest scenario sample, and the most rows bench run takes from a dataset.
 # Besides O(n d) arrays (the sample, the index, the
 # bags of each noise level, the job records' labels of the test points), a
-# repetition holds one 256-query block at a time: its (256, n_train) float64
-# distances, its (256, depth) order and distances with depth <= n_train, and
-# the classifiers' (256, depth) temporaries and (256, depth, c) boolean bag
-# rows.  At 80,000 training points each 8-byte array is at most 164 MB, and
-# the bag rows of gaussian_clusters (c = 10) are 205 MB.  The k-means of
-# make_bags holds (n, synth.MAX_CLUSTERS = 256) float64 distances: 164 MB
+# repetition holds one query block at a time: its (rows, depth) order and
+# distances with depth <= n_train, the classifiers' (rows, depth)
+# temporaries and (rows, depth, c) boolean bag rows, and one distance tile
+# of about 256 KB.  knn_index._block_rows keeps the order and distances of
+# a block within 4 MiB unless it falls to its 256-row floor, as it does
+# from a depth of about 1,020, so at 80,000 training points each 8-byte
+# array is at most 164 MB, and the bag rows of gaussian_clusters (c = 10)
+# are 205 MB.  The k-means of make_bags holds (synth.MAX_CLUSTERS = 256, n)
+# float64 distances beside its index's two copies of the points: 164 MB
 # too, and 205 MB for the 100,000 points of bench synth.  Each noise level
 # adds its training bags (8 bytes per training point) and, per method, the
 # int64 labels of every test point (plaknn also keeps their iteration
@@ -392,6 +396,16 @@ def _load_source(config: ExperimentConfig) -> PartialDataset | AnalyticScenario:
             raise DataFormatError(
                 f"{config.dataset}: the features' bounding box has a squared diagonal of"
                 f" {diagonal:.6g}, over the limit of {knn_index._SQ_NORM_LIMIT:.6g}"
+            )
+        # without a pipeline the raw features are ranked: when even the largest
+        # span squares below the smallest normal float, squared distances lose
+        # their precision or flush to 0 and neighbors tie
+        largest = float(span.max())
+        tiny = float(np.finfo(float).tiny)
+        if config.pipeline is None and largest > 0.0 and largest * largest < tiny:
+            raise DataFormatError(
+                f"{config.dataset}: the features' largest span {largest:.6g} squares below"
+                f" the smallest normal float {tiny:.6g}, so squared distances underflow"
             )
         return data
     return analytic_scenario(config.scenario)

@@ -3,12 +3,13 @@
 Neighbors are ranked by squared Euclidean distance with ties broken by the
 original training index, which makes every downstream classifier run
 reproducible.  :func:`neighbor_blocks` is the one retrieval path: it walks a
-batch of queries in fixed-size blocks and yields each query's nearest
-training indices in that order, so every consumer sees the same neighbors
-whether it asks for one query or many.  Prefixes are exact because the
-(distance, index) order is total, so one search at the largest t serves
-every smaller one: a caller that holds one block's order at that depth can
-run every consumer on that block before the next one is searched.
+batch of queries in blocks sized by :func:`_block_rows` and yields each
+query's nearest training indices in that order, so every consumer sees the
+same neighbors whether it asks for one query or many.  Prefixes are exact
+because the (distance, index) order is total, so one search at the largest
+t serves every smaller one: a caller that holds one block's order at that
+depth can run every consumer on that block before the next one is
+searched.
 
 Distances come from :func:`sq_distance_chunk`, a coordinate-wise kernel over
 the index's transposed points: it squares one coordinate's differences at a
@@ -68,9 +69,11 @@ from typing import Iterator
 
 import numpy as np
 
-# Queries per block: bounds the (block, n) distance matrix and the
-# selection work held at once by ``neighbor_blocks``.
+# Query rows per block (see :func:`_block_rows`): at least _BLOCK, and as
+# many as fit _BLOCK_BYTES of the block's order, its order distances and one
+# float copy of its queries, (2 t + d) 8-byte values per row.
 _BLOCK = 256
+_BLOCK_BYTES = 4 * 1024 * 1024
 # Bytes of one (rows, n) float64 temporary of the distance kernel; a tile
 # holds as many query rows as fit, at least one.
 _TILE_BYTES = 256 * 1024
@@ -248,9 +251,11 @@ def neighbor_blocks(
     ``order[i]`` holds the ``min(t, n)`` nearest training indices of query
     ``rows.start + i`` under (distance, index) order and ``sqd[i]`` their
     squared distances, each equal to ``((points[j] - query) ** 2).sum(-1)``
-    bit for bit.  The block's distance matrices are freed before the yield,
-    so callers never hold them while they work.  A block with a non-finite
-    query raises ``ValueError`` when it is reached.
+    bit for bit.  A block holds :func:`_block_rows` queries, and its
+    distances are computed and selected one tile of about ``_TILE_BYTES`` at
+    a time, so neither the search nor its callers hold a (block, n) matrix.
+    A block with a non-finite query raises ``ValueError`` when it is
+    reached.
 
     Dispatch depends on (t, n, d) alone.  A search with ``t * 32 <= n`` in
     ``d >= 8`` dimensions is prefiltered (:func:`_prefiltered`): it rescores
@@ -269,8 +274,9 @@ def neighbor_blocks(
     point_sq = None
     if t * _PREFILTER_RATIO <= index.n and index.dim >= _PREFILTER_MIN_DIM:
         point_sq = _safe_sq_norms(index.points)
-    for start in range(0, queries.shape[0], _BLOCK):
-        rows = slice(start, min(start + _BLOCK, queries.shape[0]))
+    step = _block_rows(t, index.dim)
+    for start in range(0, queries.shape[0], step):
+        rows = slice(start, min(start + step, queries.shape[0]))
         q = queries[rows]
         if not np.all(np.isfinite(q)):
             bad = rows.start + int(np.argmin(np.isfinite(q).all(axis=1)))
@@ -283,6 +289,15 @@ def neighbor_blocks(
             yield rows, *_prefiltered(index, q, t, point_sq, query_sq)
 
 
+def _block_rows(t: int, d: int) -> int:
+    """Query rows per block of a search ``t`` deep in ``d`` dimensions.
+
+    Rows are independent, so the size changes no output; longer blocks let
+    the classifiers run each step loop over more queries at once.
+    """
+    return max(_BLOCK, _BLOCK_BYTES // (8 * (2 * t + d)))
+
+
 def _checked_queries(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
     """``queries``, after checking that they are an (m, d) matrix."""
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -291,12 +306,17 @@ def _checked_queries(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
 
 
 def _exact(index: NeighborIndex, queries: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, sqd)`` of the ``t`` nearest points from the full distance matrix."""
-    d2 = sq_distance_chunk(index, queries)
-    order = np.empty((d2.shape[0], t), dtype=np.int64)
-    for i in range(d2.shape[0]):
-        order[i] = nearest_order(d2[i], t)
-    return order, np.take_along_axis(d2, order, axis=1)
+    """``(order, sqd)`` of the ``t`` nearest points from every distance, one
+    tile of about ``_TILE_BYTES`` of them at a time."""
+    m, n = queries.shape[0], index.n
+    order = np.empty((m, t), dtype=np.int64)
+    sqd = np.empty((m, t))
+    rows = max(1, _TILE_BYTES // (8 * n))
+    for start in range(0, m, rows):
+        for i, row in enumerate(sq_distance_chunk(index, queries[start : start + rows]), start):
+            order[i] = nearest_order(row, t)
+            sqd[i] = row[order[i]]
+    return order, sqd
 
 
 def _safe_sq_norms(x: np.ndarray) -> np.ndarray | None:

@@ -173,7 +173,8 @@ def _bag_blocks(
     query ``rows.start + i``, j < min(t, n), and ``bags[i, j]`` its
     membership row.  The blocks come from :func:`knn_index.neighbor_blocks`,
     or from the first min(t, n) columns of a precomputed ``order`` of the
-    queries, cut into blocks of as many rows as a search block holds.
+    queries, cut into blocks of as many rows as a search min(t, n) deep
+    holds (:func:`knn_index._block_rows`).
     """
     if index.n != train.n or index.dim != train.dim:
         raise ValueError(
@@ -192,7 +193,8 @@ def _bag_blocks(
         raise ValueError(
             f"order of shape {order.shape} does not give {t} neighbors for each of {m} queries"
         )
-    blocks = (slice(s, min(s + knn_index._BLOCK, m)) for s in range(0, m, knn_index._BLOCK))
+    step = knn_index._block_rows(t, index.dim)
+    blocks = (slice(s, min(s + step, m)) for s in range(0, m, step))
     return m, ((rows, order[rows, :t], memb[order[rows, :t]]) for rows in blocks)
 
 

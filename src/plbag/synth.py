@@ -28,7 +28,8 @@ import numpy as np
 from . import knn_index
 from .core import LabelSpace, PartialDataset, membership_to_masks
 
-# Most k-means clusters; kmeans_labels holds an (n, k) float64 distance matrix.
+# Most k-means clusters; kmeans_labels holds (k, n) float64 distances beside
+# its index's two copies of the points.
 MAX_CLUSTERS = 256
 
 # Lloyd runs per k-means call (the lowest inertia wins) and steps per run.
@@ -63,32 +64,67 @@ class SynthBagConfig:
 
 
 def kmeans_labels(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded Lloyd clustering; best inertia over ``KMEANS_RESTARTS`` runs wins."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    """Seeded Lloyd clustering; best inertia over ``KMEANS_RESTARTS`` runs wins.
+
+    The centres query one index over the points, so each iteration's (k, n)
+    distances are the transpose of the points' distances to the centres, bit
+    for bit; each point takes the first centre at its smallest distance, as
+    ``argmin`` over its row would.
+    """
+    index = knn_index.build(points)
+    points, n = index.points, index.n
     k = min(k, n)
     best_assign: np.ndarray | None = None
     best_inertia = np.inf
     for _ in range(KMEANS_RESTARTS):
         centers = points[rng.choice(n, size=k, replace=False)].copy()
         assign = np.full(n, -1, dtype=np.int64)
-        d2 = knn_index.sq_distance_chunk(knn_index.build(centers), points)
+        d2t = knn_index.sq_distance_chunk(index, centers)
         for _ in range(KMEANS_MAX_ITER):
-            new_assign = d2.argmin(axis=1)
+            new_assign = _first_nearest(d2t)
             if np.array_equal(new_assign, assign):
                 break
             assign = new_assign
-            for j in range(k):
-                members = assign == j
-                if members.any():
-                    centers[j] = points[members].mean(axis=0)
-            d2 = knn_index.sq_distance_chunk(knn_index.build(centers), points)
-        inertia = float(d2[np.arange(n), assign].sum())
+            _update_centers(points, assign, centers)
+            if not np.all(np.isfinite(centers)):
+                raise ValueError("points must be finite")
+            d2t = knn_index.sq_distance_chunk(index, centers)
+        inertia = float(d2t[assign, np.arange(n)].sum())
         if inertia < best_inertia:
             best_inertia = inertia
             best_assign = assign.copy()
     assert best_assign is not None
     return best_assign
+
+
+def _first_nearest(d2t: np.ndarray) -> np.ndarray:
+    """Per column of the (k, n) ``d2t``, the first row at its smallest value."""
+    low = d2t.min(axis=0)
+    assign = np.full(d2t.shape[1], d2t.shape[0] - 1, dtype=np.int64)
+    for j in range(d2t.shape[0] - 2, -1, -1):
+        assign[d2t[j] == low] = j
+    return assign
+
+
+def _update_centers(points: np.ndarray, assign: np.ndarray, centers: np.ndarray) -> None:
+    """Move each nonempty cluster's centre to ``points[assign == j].mean(axis=0)``.
+
+    For d >= 2 numpy sums those rows one after another, as ``bincount``
+    adds each bin's weights, so one pass gives the same bits.  A single
+    column it sums pairwise, so d = 1 keeps the masked mean.
+    """
+    k, d = centers.shape
+    if d == 1:
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                centers[j] = points[members].mean(axis=0)
+        return
+    counts = np.bincount(assign, minlength=k)
+    flat = (assign[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=points.ravel(), minlength=k * d).reshape(k, d)
+    filled = counts > 0
+    centers[filled] = sums[filled] / counts[filled, None]
 
 
 def _corrupt_anchors(

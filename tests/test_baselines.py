@@ -181,6 +181,48 @@ class TestAknnOracle:
             assert any(step is not None for _, step in expected)
 
 
+class TestQualifyingCounts:
+    """``_qualifying_counts`` equals the float rule ``q / k - 1 / c >= delta``
+    scanned over every count q of every step k."""
+
+    @staticmethod
+    def scanned(deltas, c):
+        t = deltas.shape[0]
+        ks = np.arange(1, t + 1)[:, None]
+        q = np.arange(t + 1)[None, :]
+        passes = (q <= ks) & (q / ks - 1.0 / c >= deltas[:, None])
+        return np.where(passes.any(axis=1), passes.argmax(axis=1), ks[:, 0] + 1)
+
+    @pytest.mark.parametrize("mode", ["pointwise", "uniform"])
+    @pytest.mark.parametrize("c", [2, 3, 7, 10, 64])
+    def test_every_step_matches_the_float_rule(self, mode, c):
+        for c1 in (0.02, 0.1, 0.5, 1.7):
+            for delta in (1e-3, 0.1, 0.6):
+                for n, dim in ((10, 1), (400, 2), (400, 16), (10**6, 3)):
+                    cfg = PlaknnConfig(c1=c1, delta=delta, mode=mode)
+                    deltas = cfg.threshold(n, np.arange(1, min(n, 400) + 1), c, dim)
+                    need = baselines._qualifying_counts(deltas, c)
+                    assert np.array_equal(need, self.scanned(deltas, c)), (c1, delta, n, dim)
+
+    @pytest.mark.parametrize("c", [2, 3, 7, 10, 64])
+    def test_thresholds_at_a_count_value(self, c):
+        # a threshold equal to the float value of some count q at step k is
+        # met by q itself; (delta + 1 / c) k may round to just above q
+        # and one ulp above it is met only by q + 1, though it may round to q
+        rng = np.random.default_rng(c)
+        ks = np.arange(1, 401)
+        at = (rng.random(400) * (ks + 1)).astype(int) / ks - 1.0 / c
+        for deltas in (at, np.nextafter(at, np.inf)):
+            need = baselines._qualifying_counts(deltas, c)
+            assert np.array_equal(need, self.scanned(deltas, c))
+
+    def test_bounds(self):
+        # a threshold no count reaches needs k + 1, one every count clears needs 0
+        deltas = np.array([0.6, 5.0, np.inf, -1.0, -0.5])
+        assert baselines._qualifying_counts(deltas, 2).tolist() == [2, 3, 4, 0, 0]
+        assert np.array_equal(baselines._qualifying_counts(deltas, 2), self.scanned(deltas, 2))
+
+
 class TestPrecomputedOrder:
     """``order=`` from ``knn_index.neighbor_blocks`` at a larger depth gives
     what searching gives, in all three batch functions: block by block, as
@@ -192,14 +234,16 @@ class TestPrecomputedOrder:
         rng = np.random.default_rng(n)
         train = random_partial_dataset(rng, n, 2, 4)
         index = knn_index.build(train.features)
-        queries = rng.normal(size=(600, 2))  # three blocks, the last one partial
+        rows = knn_index._block_rows(min(T + 5, n), 2)
+        m = 2 * rows + rows // 3
+        queries = rng.normal(size=(m, 2))  # three blocks, the last one partial
         cfg = PlaknnConfig(T=T)
         blocks = list(knn_index.neighbor_blocks(index, queries, T + 5))
         assert len(blocks) == 3
         searched = plaknn.classify_batch_detail(train, index, queries, cfg)
         aknn = baselines.aknn_batch(train, index, queries, cfg)
         fixed = {k: baselines.fixed_k_batch(train, index, queries, k) for k in (1, 7, min(T, n))}
-        stacked = (slice(0, 600), np.concatenate([order for _, order, _ in blocks]), None)
+        stacked = (slice(0, m), np.concatenate([order for _, order, _ in blocks]), None)
         for rows, order, _ in blocks + [stacked]:
             q = queries[rows]
             given = plaknn.classify_batch_detail(train, index, q, cfg, order=order)
@@ -222,15 +266,16 @@ class TestPrecomputedOrder:
         ids=["plaknn", "aknn", "fixed_k"],
     )
     def test_a_long_order_is_read_one_block_at_a_time(self, classify, depth):
-        # 4,096 queries are 16 blocks; gathering the bag rows of the whole
-        # order at once peaked at 16.8 (fixed_k) to 57 (aknn) blocks' rows
+        # 16 blocks of queries; gathering the bag rows of the whole order at
+        # once peaked at 16.8 (fixed_k) to 57 (aknn) blocks' rows
         rng = np.random.default_rng(5)
         train = random_partial_dataset(rng, 400, 2, 10)
         index = knn_index.build(train.features)
-        queries = rng.normal(size=(4096, 2))
-        blocks = knn_index.neighbor_blocks(index, queries, 200)
-        order = np.vstack([order for _, order, _ in blocks])
-        block_rows = knn_index._BLOCK * 200 * 10  # bytes of one block's boolean bag rows
+        rows = knn_index._block_rows(200, 2)
+        queries = rng.normal(size=(rows, 2))
+        (_, order, _), = knn_index.neighbor_blocks(index, queries, 200)
+        queries, order = np.tile(queries, (16, 1)), np.tile(order, (16, 1))
+        block_rows = rows * 200 * 10  # bytes of one block's boolean bag rows
         tracemalloc.start()
         try:
             classify(train, index, queries, depth, order=order)

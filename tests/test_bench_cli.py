@@ -579,6 +579,35 @@ class TestLoaderBoundary:
         assert err.count("\n") == 1
         assert err.startswith(f"data error: {data}: the features' bounding box has a squared diagonal")
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_dataset_squared_spans_must_be_normal(self, tmp_path, capsys, scale):
+        # the largest span squares to a subnormal (1e-160) or to 0 (1e-170),
+        # where every method read 0.333333 instead of the rows' 1e-150 errors
+        x = np.random.default_rng(0).standard_normal((60, 2)) * scale
+        data, cfg = self._dataset_config(tmp_path, [(a, b, 1 + int(a > 0)) for a, b in x.tolist()])
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == 3 and stdout == "" and not out.exists()
+        assert err.count("\n") == 1
+        assert err.startswith(f"data error: {data}: the features' largest span")
+
+    def test_pipeline_and_constant_features_are_not_refused(self, tmp_path, capsys):
+        # realworld's cube root ranks 1e-170 rows as it ranks them at scale 1,
+        # and constant features (span 0) tie every pair by design
+        x = np.random.default_rng(0).standard_normal((60, 2))
+        pipeline = "[pipeline]\nvariant = realworld\nsmoothing_k = 5\ndensity_k = 10\n"
+        printed = []
+        for scale in (1.0, 1e-170):
+            rows = [(a, b, 1 + int(a > 0)) for a, b in (x * scale).tolist()]
+            _, cfg = self._dataset_config(tmp_path, rows)
+            cfg.write_text(cfg.read_text() + pipeline)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        _, cfg = self._dataset_config(tmp_path, [(1e-170, -2.0, 1 + i % 2) for i in range(60)])
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("n", [50, 51])
     def test_dataset_rows_bounded_by_max_samples(self, tmp_path, capsys, monkeypatch, n):
         monkeypatch.setattr(bench_cli, "MAX_SAMPLES", 50)
@@ -768,11 +797,12 @@ DIFFERENTIAL_CASES = {
         noise_grid=(0.0, 0.3), repetitions=3, base_seed=5, n_samples=200,
         plaknn=PlaknnConfig(T=40), synth=SynthBagConfig(n_clusters=4, alpha_max=0.5),
     ),
-    # 600 test points: two full query blocks and a partial third
+    # 600 test points: T deep enough for the 256-row floor, so two full
+    # query blocks and a partial third
     "gaussian_clusters_blocks": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=ALL_METHODS, fixed_k=5,
         noise_grid=(0.0, 0.3), repetitions=1, base_seed=7, n_samples=3000,
-        plaknn=PlaknnConfig(T=30),
+        plaknn=PlaknnConfig(T=1100),
     ),
     "fixed_k_above_T": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=("fixed_k",), fixed_k=30,
@@ -830,7 +860,8 @@ class TestRunAgainstOracle:
     def test_a_case_spans_several_blocks(self):
         config = DIFFERENTIAL_CASES["gaussian_clusters_blocks"](None)
         m = config.n_samples - bench_cli._n_train(config.n_samples, config.train_fraction)
-        assert m > 2 * knn_index._BLOCK and m % knn_index._BLOCK
+        rows = knn_index._block_rows(config.plaknn.T, 2)
+        assert m > 2 * rows and m % rows
 
 
 class TestBenchmarkEntryPoint:
@@ -840,11 +871,13 @@ class TestBenchmarkEntryPoint:
     in order."""
 
     def test_each_jobs_calls_cover_its_test_points_in_order(self, tmp_path, monkeypatch):
-        csv = write_csv_dataset(tmp_path / "data.csv", n=1500)  # 300 test points, two blocks
+        # 300 test points; at T = 1,100 the block rule gives 256 rows: two blocks
+        csv = write_csv_dataset(tmp_path / "data.csv", n=1500)
         config = ExperimentConfig(
             dataset=csv, methods=ALL_METHODS, noise_grid=(0.0, 0.5), repetitions=3,
-            base_seed=8, plaknn=PlaknnConfig(T=20),
+            base_seed=8, plaknn=PlaknnConfig(T=1100),
         )
+        rows = knn_index._block_rows(config.plaknn.T, 3)
         original = bench_cli.classify_batch_detail
         signature = inspect.signature(original)
         calls = []
@@ -866,7 +899,7 @@ class TestBenchmarkEntryPoint:
             assert {"train", "index", "queries", "config"} <= set(args)
             assert args["config"] == config.plaknn
             assert args["index"].n == args["train"].n
-            assert args["queries"].shape[0] <= knn_index._BLOCK
+            assert args["queries"].shape[0] <= rows
             matches = [
                 job for job, (masks, _) in jobs.items()
                 if np.array_equal(args["train"].bag_masks, masks)
@@ -947,15 +980,15 @@ class TestRepetitionMemory:
 
     def test_large_T_run_stays_within_a_few_blocks(self, tmp_path, capsys):
         # 2,000 training and 2,000 test points, T = 2,000: a whole (2000, 2000)
-        # int64 order is 32 MB.  One 256-query block's arrays are 4.1 MB each:
-        # its distances, order and order distances, and aknn's counts; the
+        # int64 order is 32 MB.  At this depth the block rule gives its floor
+        # of 256 queries, whose order and order distances are 4.1 MB each; the
         # previous block's are dropped before the next one is searched.
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "[experiment]\nscenario = two_gaussians\nn_samples = 4000\ntrain_fraction = 0.5\n"
             "repetitions = 1\nmethods = aknn\n[plaknn]\nT = 2000\n"
         )
-        block_array = knn_index._BLOCK * 2000 * 8
+        block_array = knn_index._block_rows(2000, 2) * 2000 * 8
         tracemalloc.start()
         try:
             code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -964,6 +997,23 @@ class TestRepetitionMemory:
             tracemalloc.stop()
         assert code == 0 and capsys.readouterr().out.startswith("method=aknn")
         assert peak < 5 * block_array
+
+    def test_cluster_grid_peak(self):
+        # the benchmark's clusters shape: k-means holds (k, n) distances and
+        # the search one tile of them, so no (block, n_train) matrix is live
+        config = ExperimentConfig(
+            scenario="gaussian_clusters", n_samples=5000, methods=ALL_METHODS, fixed_k=10,
+            noise_grid=(0.0, 0.3), repetitions=1,
+        )
+        # a small run first, so that lazy imports stay out of the peak
+        run(replace(config, n_samples=300, plaknn=PlaknnConfig(T=20)))
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5e6
 
 
 class TestInfiniteC1:

@@ -131,8 +131,8 @@ class TestNearestOrderHelper:
             assert np.array_equal(got, full[:limit])
 
     def test_chunk_distances_match_single_query(self):
-        # the 600-query batch spans several blocks; every row must equal the
-        # same query run as a one-row block
+        # every row of the 600-query batch must equal the same query run as
+        # a one-row block (TestBlockRule splits such a batch into blocks)
         rng = np.random.default_rng(15)
         for n, m, t in ((40, 9, 40), (300, 600, 20)):
             index = knn_index.build(rng.normal(size=(n, 5)))
@@ -184,7 +184,8 @@ class TestPrefixes:
             order, sqd = self.stacked(index, queries, t)
             assert np.array_equal(deep[:, :t], order), t
             assert deep_sqd[:, :t].tobytes() == sqd.tobytes(), t
-        assert [t for _, t, _ in calls] == [1, 1, 3, 3, 10, 10]
+        blocks = {t: -(-queries.shape[0] // knn_index._block_rows(t, 10)) for t in (1, 3, 10)}
+        assert [t for _, t, _ in calls] == [t for t in (1, 3, 10) for _ in range(blocks[t])]
 
 
 class TestNonFiniteQueries:
@@ -192,19 +193,66 @@ class TestNonFiniteQueries:
     block is reached, on both dispatch paths; earlier blocks are yielded."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("n, d, prefiltered", [(90, 2, False), (320, 8, True)])
-    def test_rejected_once_its_block_is_reached(self, monkeypatch, value, n, d, prefiltered):
+    @pytest.mark.parametrize(
+        "n, d, t, prefiltered", [(90, 2, 90, False), (320, 8, 3, True)],
+        ids=["90-2-False", "320-8-True"],
+    )
+    def test_rejected_once_its_block_is_reached(self, monkeypatch, value, n, d, t, prefiltered):
         calls = record_prefiltered(monkeypatch)
         rng = np.random.default_rng(29)
         index = knn_index.build(rng.normal(size=(n, d)))
-        queries = rng.normal(size=(300, d))
-        queries[280, d - 1] = value
-        blocks = knn_index.neighbor_blocks(index, queries, 3)
-        rows, order, _ = next(blocks)
-        assert rows == slice(0, 256) and order.shape == (256, 3)
-        with pytest.raises(ValueError, match="queries must be finite; query 280 is not"):
+        rows = knn_index._block_rows(t, d)
+        queries = rng.normal(size=(rows + 44, d))
+        queries[rows + 24, d - 1] = value
+        blocks = knn_index.neighbor_blocks(index, queries, t)
+        first, order, _ = next(blocks)
+        assert first == slice(0, rows) and order.shape == (rows, t)
+        with pytest.raises(ValueError, match=f"queries must be finite; query {rows + 24} is not"):
             next(blocks)
-        assert [q.shape[0] for q, _, _ in calls] == ([256] if prefiltered else [])
+        assert [q.shape[0] for q, _, _ in calls] == ([rows] if prefiltered else [])
+
+
+class TestBlockRule:
+    """``neighbor_blocks`` cuts max(256, 4 MiB / (8 (2 t + d))) query rows: a
+    block's order, its distances and one float copy of its queries."""
+
+    def test_rows(self):
+        assert knn_index._block_rows(400, 2) == 653
+        assert knn_index._block_rows(400, 16) == 642
+        assert knn_index._block_rows(1019, 2) == 257
+        for t in (1020, 2000, 10**5):  # deep searches keep the floor
+            assert knn_index._block_rows(t, 2) == 256
+        assert knn_index._block_rows(10, 2000) == 259  # the width term
+        assert knn_index._block_rows(1, 10**5) == 256
+
+    @staticmethod
+    def assert_blocks_equal_one_row_searches(index, queries, t, sizes, rows):
+        blocks = list(knn_index.neighbor_blocks(index, queries, t))
+        assert [b[0].stop - b[0].start for b in blocks] == sizes
+        order = np.concatenate([b[1] for b in blocks])
+        sqd = np.concatenate([b[2] for b in blocks])
+        for i in rows:
+            (_, one_order, one_sqd), = knn_index.neighbor_blocks(index, queries[i : i + 1], t)
+            assert np.array_equal(order[i], one_order[0]), i
+            assert sqd[i].tobytes() == one_sqd[0].tobytes(), i
+
+    def test_deep_search_in_floor_blocks(self, monkeypatch):
+        calls = record_prefiltered(monkeypatch)
+        rng = np.random.default_rng(31)
+        index = knn_index.build(rng.integers(-4, 5, size=(1100, 3)).astype(float))
+        queries = rng.integers(-4, 5, size=(600, 3)).astype(float)
+        self.assert_blocks_equal_one_row_searches(index, queries, 1100, [256, 256, 88], range(600))
+        assert calls == []
+
+    def test_wide_prefiltered_search(self, monkeypatch):
+        calls = record_prefiltered(monkeypatch)
+        rng = np.random.default_rng(32)
+        index = knn_index.build(rng.normal(size=(320, 2000)))
+        queries = rng.normal(size=(600, 2000))
+        # each block's first and last rows, and a sample between them
+        rows = sorted({0, 258, 259, 517, 518, 599, *rng.choice(600, size=30, replace=False)})
+        self.assert_blocks_equal_one_row_searches(index, queries, 10, [259, 259, 82], rows)
+        assert [q.shape[0] for q, _, _ in calls] == [259, 259, 82] + [1] * len(rows)
 
 
 class TestDistanceKernel:
@@ -393,9 +441,10 @@ class TestPrefilter:
                  (3, 96, 20, True), (9, 200, 12, False)]
         for t, n, d, expected in cases:
             index = knn_index.build(rng.normal(size=(n, d)))
-            queries = rng.normal(size=(300, d))  # two blocks
+            queries = rng.normal(size=(300, d))
             blocks = list(knn_index.neighbor_blocks(index, queries, t))
-            assert (len(calls) == 2) == expected
+            assert len(blocks) == -(-300 // knn_index._block_rows(t, d))
+            assert (len(calls) == len(blocks)) == expected
             assert np.array_equal(np.concatenate([b[1] for b in blocks]),
                                   knn_index._exact(index, queries, t)[0])
             calls.clear()

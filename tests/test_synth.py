@@ -5,8 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from plbag import knn_index
 from plbag.core import LabelSpace, masks_to_membership
 from plbag.synth import (
+    _first_nearest,
+    _update_centers,
     SynthBagConfig,
     analytic_scenario,
     bag_clusters,
@@ -64,7 +67,7 @@ def kmeans_oracle(points, k, rng, restarts=10, max_iter=100):
 
 
 class TestKmeansOracle:
-    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("d", [1, 2, 16])
     def test_matches_tensor_oracle(self, d):
         rng = np.random.default_rng(40 + d)
         cases = [
@@ -75,6 +78,64 @@ class TestKmeansOracle:
         for seed, (feats, k) in enumerate(cases):
             got = kmeans_labels(feats, k, np.random.default_rng(seed))
             assert np.array_equal(got, kmeans_oracle(feats, k, np.random.default_rng(seed)))
+
+
+def masked_mean_oracle(points, assign, centers):
+    """The former centre update: one masked mean per nonempty cluster."""
+    centers = centers.copy()
+    for j in range(centers.shape[0]):
+        members = assign == j
+        if members.any():
+            centers[j] = points[members].mean(axis=0)
+    return centers
+
+
+class TestKmeansKernels:
+    """The one-pass centre update and the first-minimum assignment give the
+    former kernels' bytes; both rest on numpy's summation order, so a
+    failure names the running numpy."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 64, 129, 200])
+    def test_center_update_matches_masked_mean(self, d):
+        rng = np.random.default_rng(700 + d)
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            for _ in range(4):
+                n = int(rng.integers(1, 300))
+                k = int(rng.integers(1, 41))
+                points = rng.normal(size=(n, d)) * scale + scale * rng.normal(size=d)
+                used = rng.choice(k, size=int(rng.integers(1, k + 1)), replace=False)
+                assign = used[rng.integers(0, used.shape[0], size=n)]  # empty clusters
+                centers = rng.normal(size=(k, d))
+                want = masked_mean_oracle(points, assign, centers)
+                _update_centers(points, assign, centers)
+                assert centers.tobytes() == want.tobytes(), (
+                    f"d={d} scale={scale}: centres differ under numpy {np.__version__}"
+                )
+
+    def test_center_update_on_integer_grids(self):
+        rng = np.random.default_rng(720)
+        for d in (1, 2, 5, 16):
+            points = rng.integers(-3, 4, size=(200, d)).astype(float)
+            assign = rng.integers(0, 9, size=200) * 2  # odd clusters empty
+            centers = rng.normal(size=(20, d))
+            want = masked_mean_oracle(points, assign, centers)
+            _update_centers(points, assign, centers)
+            assert centers.tobytes() == want.tobytes(), (
+                f"d={d}: centres differ under numpy {np.__version__}"
+            )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_first_nearest_matches_argmin(self, d):
+        # integer grids: many points tie between centres, and k > n leaves
+        # centres that no point takes
+        rng = np.random.default_rng(740 + d)
+        for n, k in ((1, 1), (5, 9), (60, 4), (200, 30), (300, 300)):
+            points = rng.integers(-2, 3, size=(n, d)).astype(float)
+            centers = rng.integers(-2, 3, size=(k, d)).astype(float)
+            d2 = knn_index.sq_distance_chunk(knn_index.build(centers), points)
+            d2t = knn_index.sq_distance_chunk(knn_index.build(points), centers)
+            assert d2t.T.tobytes() == d2.tobytes(), f"numpy {np.__version__}"
+            assert np.array_equal(_first_nearest(d2t), d2.argmin(axis=1)), (n, k)
 
 
 class TestKmeans:

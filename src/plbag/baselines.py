@@ -8,9 +8,9 @@ unlike the margin-elimination classifier it looks only at the leading
 frequency, never at gaps between labels.  ``aknn_decision`` gives one
 query's label together with the neighborhood size at which it qualified.
 
-Both rules are vectorized over the neighbor bags of
-:func:`plaknn._bag_blocks`, which searches or takes a precomputed neighbor
-order.
+Both rules read each query's neighbor bags as membership rows through the
+neighbor order of :func:`plaknn._order_blocks`, which searches or takes a
+precomputed order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ import numpy as np
 
 from . import knn_index
 from .core import PartialDataset
-from .plaknn import PlaknnConfig, _bag_blocks, _schedule
+from .plaknn import PlaknnConfig, _order_blocks, _schedule, _smallest_count
+
+# Columns of the first chunk aknn reads (see _qualify).
+_FIRST_CHUNK = 32
 
 
 def fixed_k_batch(
@@ -35,10 +38,13 @@ def fixed_k_batch(
     :func:`plaknn.classify_batch_detail`."""
     if not 1 <= k <= train.n:
         raise ValueError(f"k must be in 1..{train.n}, got {k}")
-    m, blocks = _bag_blocks(train, index, queries, k, order)
+    memb, m, blocks = _order_blocks(train, index, queries, k, order)
     labels = np.empty(m, dtype=np.int64)
-    for rows, _, bags in blocks:
-        labels[rows] = np.argmax(bags.sum(axis=1), axis=1) + 1
+    for rows, block in blocks:
+        counts = np.zeros((block.shape[0], memb.shape[1]), dtype=np.int32)
+        for j in range(k):
+            counts += memb[block[:, j]]
+        labels[rows] = np.argmax(counts, axis=1) + 1
     return labels
 
 
@@ -50,54 +56,62 @@ def _aknn(
     *,
     order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and qualification steps (0: none within the cap) per query.
-
-    Labels are scanned one at a time so temporaries stay (block, T), and a
-    count qualifies by one integer comparison (see :func:`_qualifying_counts`).
-    ``order`` as in :func:`plaknn.classify_batch_detail`.
+    """Labels and qualification steps (0: none within the cap) per query,
+    one :func:`_qualify` call per block.  ``order`` as in
+    :func:`plaknn.classify_batch_detail`.
     """
     t_cap, deltas = _schedule(train, config)
-    c = train.label_space.c
-    need = _qualifying_counts(deltas, c)
-    m, blocks = _bag_blocks(train, index, queries, t_cap, order)
+    need = _qualifying_counts(deltas, train.label_space.c)
+    memb, m, blocks = _order_blocks(train, index, queries, t_cap, order)
     labels = np.empty(m, dtype=np.int64)
     steps = np.empty(m, dtype=np.int64)
-    for rows, _, bags in blocks:
-        first = np.full(bags.shape[0], t_cap)  # t_cap: no hit yet
-        best = np.zeros(bags.shape[0], dtype=np.int64)
-        at_cap = np.empty((bags.shape[0], c), dtype=np.int64)
-        for y in range(c):
-            counts = np.cumsum(bags[:, :, y], axis=1, dtype=np.int32)
-            qualified = counts >= need
-            hit = np.where(qualified.any(axis=1), np.argmax(qualified, axis=1), t_cap)
-            best = np.where(hit < first, y, best)
-            first = np.minimum(hit, first)
-            at_cap[:, y] = counts[:, -1]
-        missed = first == t_cap
-        best[missed] = np.argmax(at_cap[missed], axis=1)
-        labels[rows] = best + 1
-        steps[rows] = np.where(missed, 0, first + 1)
+    for rows, block in blocks:
+        labels[rows], steps[rows] = _qualify(memb, block, need)
+    return labels, steps
+
+
+def _qualify(memb: np.ndarray, order: np.ndarray, need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and qualification steps (0: none within the cap) over a batch;
+    ``memb[order[q, k-1]]`` is query q's k-th nearest bag row, for k up to
+    ``len(need)``.
+
+    Columns are read in chunks of doubling width, the first
+    ``_FIRST_CHUNK`` wide, with each query's counts carried from chunk to
+    chunk.  A chunk is narrower when its int32 label counts would pass
+    ``knn_index._BLOCK_BYTES``, down to one column.  A query leaves at the chunk where a label first qualifies,
+    so only the queries that never do read all the columns.  Within a chunk
+    the first qualifying (step, label) in row-major order wins: the
+    earliest step, then the smallest label.  A query that never qualifies
+    gets the most frequent label at the cap, the smallest on ties.
+    """
+    m, c = order.shape[0], memb.shape[1]
+    t_cap = need.shape[0]
+    labels = np.empty(m, dtype=np.int64)
+    steps = np.zeros(m, dtype=np.int64)
+    rows = np.arange(m)
+    counts = np.zeros((m, c), dtype=np.int32)
+    lo, width = 0, _FIRST_CHUNK
+    while rows.size and lo < t_cap:
+        room = knn_index._BLOCK_BYTES // (4 * c * rows.size)
+        hi = min(lo + max(1, min(width, room)), t_cap)
+        cum = np.cumsum(memb[order[rows, lo:hi]], axis=1, dtype=np.int32)
+        cum += counts[:, None, :]
+        qualified = (cum >= need[lo:hi, None]).reshape(rows.size, -1)
+        first = np.argmax(qualified, axis=1)
+        hit = qualified[np.arange(rows.size), first]
+        labels[rows[hit]] = first[hit] % c + 1
+        steps[rows[hit]] = lo + first[hit] // c + 1
+        rows, counts = rows[~hit], cum[~hit, -1]
+        lo, width = hi, 2 * width
+    labels[rows] = np.argmax(counts, axis=1) + 1
     return labels, steps
 
 
 def _qualifying_counts(deltas: np.ndarray, c: int) -> np.ndarray:
-    """``need[k-1]``: the fewest of k bags holding a label for it to qualify.
-
-    A count q qualifies at step k when ``q / k - 1 / c >= deltas[k-1]`` in
-    floats.  Rounding is monotone, so that holds for every q from the
-    smallest passing one on; k + 1 means no count passes.  The real bound
-    ``(delta + 1 / c) k`` is off by less than one from it, so one step down
-    or up against the float test itself finds it.
-    """
-    ks = np.arange(1, deltas.shape[0] + 1, dtype=np.float64)
-
-    def passes(q: np.ndarray) -> np.ndarray:
-        return (q <= ks) & (q / ks - 1.0 / c >= deltas)
-
-    need = np.clip(np.ceil((deltas + 1.0 / c) * ks), 0.0, ks + 1.0)
-    need = np.where((need >= 1.0) & passes(need - 1.0), need - 1.0, need)
-    need = np.where(passes(need) | (need > ks), need, need + 1.0)
-    return need.astype(np.int32)
+    """``need[k-1]``: the fewest of k bags holding a label for it to qualify,
+    ``q / k - 1 / c >= deltas[k-1]`` in floats; k + 1 means no count passes
+    (see :func:`plaknn._smallest_count`)."""
+    return _smallest_count(deltas, 1.0 / c)
 
 
 def aknn_decision(

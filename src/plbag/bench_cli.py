@@ -27,12 +27,17 @@ clustering of ``make_bags`` scenarios, the pipeline fit and transform, the
 neighbor index, and one neighbor search of the test points at the deepest
 neighbor count any method needs.  Each noise level draws its bags from the
 generator state the shared steps left, which is exactly what a fresh
-repetition at that level would draw.  The search then walks the test points
-one query block at a time, and every (noise level, method) job classifies
-each block from a prefix of that block's order, so a repetition holds one
-block's order (see ``knn_index._block_rows``), never one for all test
-points.  ``wall_time_ms`` sums one job's classification over the blocks
-and excludes the shared work.
+repetition at that level would draw.  The search walks the test points one
+query block at a time (``knn_index._block_rows``) and copies each block's
+order into an int32 order for a batch of test points, as many as
+``plaknn._batch_rows`` fits with the classifiers' per-query state in 4 MiB
+(all 1,000 test points of a 5,000-point ``gaussian_clusters`` sample at
+T = 400).  Every (noise level, method) job classifies a batch in one call
+before the next batch is filled, reading each test point's bags as
+membership rows through a prefix of the batch's order.  So a repetition
+holds one batch's order and one search block, never an order for all test
+points, and no bag tensor.  ``wall_time_ms`` sums one job's classification
+over the batches and excludes the shared work.
 """
 
 from __future__ import annotations
@@ -63,8 +68,9 @@ from .core import (
     load_dataset,
     save_dataset,
 )
-from .plaknn import PlaknnConfig, _neighbor_cap, classify_batch_detail
+from .plaknn import PlaknnConfig, _batch_rows, _neighbor_cap, classify_batch_detail
 from .synth import (
+    SCENARIOS,
     AnalyticScenario,
     SynthBagConfig,
     analytic_scenario,
@@ -77,16 +83,19 @@ from .synth import (
 METHODS = ("plaknn", "aknn", "fixed_k")
 
 # Largest scenario sample, and the most rows bench run takes from a dataset.
-# Besides O(n d) arrays (the sample, the index, the
-# bags of each noise level, the job records' labels of the test points), a
-# repetition holds one query block at a time: its (rows, depth) order and
-# distances with depth <= n_train, the classifiers' (rows, depth)
-# temporaries and (rows, depth, c) boolean bag rows, and one distance tile
-# of about 256 KB.  knn_index._block_rows keeps the order and distances of
-# a block within 4 MiB unless it falls to its 256-row floor, as it does
-# from a depth of about 1,020, so at 80,000 training points each 8-byte
-# array is at most 164 MB, and the bag rows of gaussian_clusters (c = 10)
-# are 205 MB.  The k-means of make_bags holds (synth.MAX_CLUSTERS = 256, n)
+# Besides O(n d) arrays (the sample, the index, the bags of each noise
+# level, the job records' labels of the test points), a repetition holds
+# one batch of test points and one search block at a time.  The batch is an
+# int32 (rows, depth) order with depth <= n_train, the classifiers' O(c)
+# state per row, and aknn's counts of the columns it reads at once, at most
+# 4 MiB unless one column's are more.  The block is its (rows, depth) int64
+# order and float64 distances and one distance tile of about 256 KB.
+# knn_index._block_rows keeps a block's order and distances within 4 MiB,
+# and plaknn._batch_rows a batch's order and state, unless they fall to
+# their 256-row floor, as blocks do from a depth of about 1,020 and batches
+# (c = 10) from about 3,940.  So at 80,000 training points the block's two
+# arrays are at most 164 MB each and the batch's order 82 MB.  The k-means
+# of make_bags holds (synth.MAX_CLUSTERS = 256, n)
 # float64 distances beside its index's two copies of the points: 164 MB
 # too, and 205 MB for the 100,000 points of bench synth.  Each noise level
 # adds its training bags (8 bytes per training point) and, per method, the
@@ -127,6 +136,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if (self.scenario is None) == (self.dataset is None):
             raise ConfigError("exactly one of 'scenario' and 'dataset' must be set")
+        if self.scenario is not None and self.scenario not in SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         for m in self.methods:
@@ -253,9 +264,10 @@ def _split_rep(
     return trains, x[test_idx], y[test_idx]
 
 
-def _block_calls(config: ExperimentConfig, index: knn_index.NeighborIndex) -> dict[str, tuple]:
+def _batch_calls(config: ExperimentConfig, index: knn_index.NeighborIndex) -> dict[str, tuple]:
     """Each method's neighbor depth and its call ``(train, queries, order)`` on
-    one query block, which gives the block's labels and plaknn's iterations."""
+    one batch of test points, which gives the batch's labels and plaknn's
+    iterations."""
 
     def plaknn(train, queries, order):
         detail = classify_batch_detail(train, index, queries, config.plaknn, order=order)
@@ -273,15 +285,40 @@ def _block_calls(config: ExperimentConfig, index: knn_index.NeighborIndex) -> di
 
 @dataclass
 class _Job:
-    """One (noise level, method) job: its training set and block call, the
-    call's outputs per block, and their summed wall time."""
+    """One (noise level, method) job: its training set and batch call, the
+    call's outputs per batch, and their summed wall time."""
 
     noise: float
     method: str
     train: PartialDataset
     call: Callable[..., tuple[np.ndarray, ...]]
-    blocks: list[tuple[np.ndarray, ...]] = field(default_factory=list)
+    batches: list[tuple[np.ndarray, ...]] = field(default_factory=list)
     wall_ms: float = 0.0
+
+
+def _order_batches(
+    index: knn_index.NeighborIndex, queries: np.ndarray, depth: int, rows: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(batch, order)`` for consecutive batches of ``rows`` queries (the
+    last may be shorter): the int32 order of the batch's ``min(depth, n)``
+    nearest training points, copied from the search's blocks as they come.
+    One buffer holds every batch, so each must be used up before the next
+    is drawn.
+    """
+    m = queries.shape[0]
+    batch = np.empty((min(rows, m), min(depth, index.n)), dtype=np.int32)
+    start = filled = 0
+    for _, order, sqd in knn_index.neighbor_blocks(index, queries, depth):
+        del sqd  # unread; freed before the jobs run, it stays out of their memory peak
+        at = 0
+        while at < order.shape[0]:
+            take = min(order.shape[0] - at, batch.shape[0] - filled)
+            batch[filled : filled + take] = order[at : at + take]
+            at, filled = at + take, filled + take
+            if filled == batch.shape[0] or start + filled == m:
+                yield slice(start, start + filled), batch[:filled]
+                start, filled = start + filled, 0
+        del order  # drop this block before the next one is searched
 
 
 def _run_rep(
@@ -296,8 +333,10 @@ def _run_rep(
     search of the test points are shared by all jobs; only the bags depend
     on the noise level, so the index and any pipeline are built from the
     first training set's features, and a pipeline rebinds every training set
-    to the index's points.  The search runs one query block at a time, and
-    every job classifies each block before the next one is searched.
+    to the index's points.  The search's blocks are copied into batches of
+    test points (:func:`_order_batches`, sized by ``plaknn._batch_rows``),
+    and every job classifies each batch, one call per job, before the next
+    batch is filled.
     """
     seed = config.base_seed + rep
     trains, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
@@ -312,25 +351,24 @@ def _run_rep(
         index = knn_index.build(fitted.transformed_train)
         # the index's read-only copy: every noise level shares it uncopied
         trains = [train.with_features(index.points) for train in trains]
-    calls = _block_calls(config, index)
+    calls = _batch_calls(config, index)
     jobs = [
         _Job(noise, method, train, calls[method][1])
         for noise, train in zip(config.noise_grid, trains)
         for method in config.methods
     ]
-    # deep enough for every method: each one cuts its own prefix
+    # deep enough for every method: each one reads its own prefix
     depth = max(calls[method][0] for method in config.methods)
-    for rows, order, sqd in knn_index.neighbor_blocks(index, test_x, depth):
-        del sqd  # unread; freed before the jobs run, it stays out of their memory peak
+    rows = _batch_rows(min(depth, index.n), trains[0].label_space.c)
+    for batch, order in _order_batches(index, test_x, depth, rows):
         for job in jobs:
             started = time.perf_counter()
-            job.blocks.append(job.call(job.train, test_x[rows], order))
+            job.batches.append(job.call(job.train, test_x[batch], order))
             job.wall_ms += (time.perf_counter() - started) * 1000.0
-        del order  # drop this block before the next one is searched
     results: list[ResultRow] = []
     preds: list[PredictionRow] = []
     for job in jobs:
-        labels, *iterations = (np.concatenate(column) for column in zip(*job.blocks))
+        labels, *iterations = (np.concatenate(column) for column in zip(*job.batches))
         mean_iters = float(iterations[0].mean()) if iterations else None
         error = float((labels != test_y).mean())
         row = ResultRow(job.method, job.noise, rep, seed, job.train.n, error, mean_iters, job.wall_ms)

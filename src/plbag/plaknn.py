@@ -8,12 +8,15 @@ Few neighbors suffice when one label clearly leads; close races
 automatically draw in more neighbors.  If more than one candidate survives
 after T steps, the label that came closest to eliminating all others wins.
 
-The rule lives in :func:`_step` (one step's margins and eliminations) and
-:func:`_eliminate` (the step loop over a block of queries, O(c) state per
-query).  :func:`classify_batch` runs the kernel on each block of neighbor
-bags from :func:`_bag_blocks`, the one source of bags for this module and
-:mod:`plbag.baselines`; :func:`classify` runs it on one query and rebuilds
-the full :class:`EliminationTrace` from the counts with a single vectorized
+The rule lives in :func:`_step` (one step's margins and eliminations, whose
+test compares integer count gaps with a table from :func:`_smallest_count`)
+and :func:`_eliminate` (the step loop over a batch of queries, O(c) int32
+state per query).  The kernel reads query q's k-th bag as the membership row
+``memb[order[q, k-1]]``, so no (queries, T, c) bag tensor is built.
+:func:`classify_batch` runs it on each block of :func:`_order_blocks`, the
+one source of neighbor orders for this module and :mod:`plbag.baselines`;
+:func:`classify` runs it on one query and rebuilds the full
+:class:`EliminationTrace` from the counts with a single vectorized
 :func:`_step` call, so both return the same labels by construction.
 """
 
@@ -161,20 +164,39 @@ def _schedule(train: PartialDataset, config: PlaknnConfig) -> tuple[int, np.ndar
     return t_cap, config.threshold(train.n, np.arange(1, t_cap + 1), train.label_space.c, train.dim)
 
 
-def _bag_blocks(
+# Bytes per label and query that the elimination kernel holds, the per-row
+# cost :func:`_batch_rows` counts beside the order: 21 of state (int32
+# counts and elimination steps, alive flags, float64 best margins with their
+# int32 steps) and about 43 of one step's temporaries, the float64 margin
+# row above all.
+_STATE_BYTES = 64
+
+
+def _batch_rows(t: int, c: int) -> int:
+    """Queries per classification batch over an order ``t`` deep with ``c`` labels.
+
+    As many as hold the batch's int32 order (4 t bytes per query) and the
+    kernels' per-query state (``_STATE_BYTES`` per label) in
+    ``knn_index._BLOCK_BYTES``, and at least ``knn_index._BLOCK``.  Rows
+    are independent, so the size changes no output.
+    """
+    return max(knn_index._BLOCK, knn_index._BLOCK_BYTES // (4 * t + _STATE_BYTES * c))
+
+
+def _order_blocks(
     train: PartialDataset,
     index: knn_index.NeighborIndex,
     queries: np.ndarray,
     t: int,
     order: np.ndarray | None,
-) -> tuple[int, Iterator[tuple[slice, np.ndarray, np.ndarray]]]:
-    """The query count m, after checking the inputs, and ``(rows, order,
-    bags)`` blocks: ``order[i, j]`` is the (j+1)-th nearest training point of
-    query ``rows.start + i``, j < min(t, n), and ``bags[i, j]`` its
-    membership row.  The blocks come from :func:`knn_index.neighbor_blocks`,
-    or from the first min(t, n) columns of a precomputed ``order`` of the
-    queries, cut into blocks of as many rows as a search min(t, n) deep
-    holds (:func:`knn_index._block_rows`).
+) -> tuple[np.ndarray, int, Iterator[tuple[slice, np.ndarray]]]:
+    """The membership matrix and the query count m, after checking the
+    inputs, and ``(rows, order)`` blocks: ``order[i, j]`` is the (j+1)-th
+    nearest training point of query ``rows.start + i`` for j < min(t, n),
+    so ``memb[order[i, j]]`` is its bag row.  The blocks are the searched
+    ones of :func:`knn_index.neighbor_blocks`, or the batches
+    (:func:`_batch_rows`) of a precomputed ``order`` of the queries, read
+    in place.
     """
     if index.n != train.n or index.dim != train.dim:
         raise ValueError(
@@ -186,81 +208,124 @@ def _bag_blocks(
     m = queries.shape[0]
     if order is None:
         blocks = knn_index.neighbor_blocks(index, queries, t)
-        return m, ((rows, block, memb[block]) for rows, block, _ in blocks)
+        return memb, m, ((rows, block) for rows, block, _ in blocks)
     t = min(t, index.n)
     order = np.asarray(order)
     if order.ndim != 2 or order.shape[0] != m or order.shape[1] < t:
         raise ValueError(
             f"order of shape {order.shape} does not give {t} neighbors for each of {m} queries"
         )
-    step = knn_index._block_rows(t, index.dim)
-    blocks = (slice(s, min(s + step, m)) for s in range(0, m, step))
-    return m, ((rows, order[rows, :t], memb[order[rows, :t]]) for rows in blocks)
+    step = _batch_rows(t, train.label_space.c)
+    batches = (slice(s, min(s + step, m)) for s in range(0, m, step))
+    return memb, m, ((rows, order[rows]) for rows in batches)
+
+
+def _smallest_count(deltas: np.ndarray, shift: float) -> np.ndarray:
+    """``out[k-1]``: the smallest count q of k neighbors with
+    ``q / k - shift >= deltas[k-1]`` in floats; k + 1 when no q <= k passes.
+
+    Rounding is monotone, so the test holds for every q from the smallest
+    passing one on, and a count passes exactly when it is at least
+    ``out[k-1]``.  The real bound ``(delta + shift) k`` is off by less than
+    one from it, so one step down or up against the float test itself finds
+    it.  The elimination gap test ``g / k >= delta_k`` is shift 0.0 (x - 0.0
+    is x in floats), and aknn's qualification shift ``1 / c``.
+    """
+    ks = np.arange(1, deltas.shape[0] + 1, dtype=np.float64)
+
+    def passes(q: np.ndarray) -> np.ndarray:
+        return (q <= ks) & (q / ks - shift >= deltas)
+
+    need = np.clip(np.ceil((deltas + shift) * ks), 0.0, ks + 1.0)
+    need = np.where((need >= 1.0) & passes(need - 1.0), need - 1.0, need)
+    need = np.where(passes(need) | (need > ks), need, need + 1.0)
+    return need.astype(np.int32)
 
 
 def _step(
-    tau: np.ndarray, alive: np.ndarray, k: int | np.ndarray, delta_k: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    tau: np.ndarray,
+    alive: np.ndarray,
+    k: int | np.ndarray,
+    delta_k: float | np.ndarray,
+    gap_k: int | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One elimination step over the label axis; broadcasts over leading axes.
 
-    Returns the margin row ``sqrt(k) * (delta_k - (tau - m2) / k)``, with m2
-    the runner-up count among alive labels, and the alive labels whose count
-    trails the leader's by at least ``k * delta_k``.
+    Returns the margin row ``sqrt(k) * (delta_k - (tau - m2) / k)``, with m1
+    the leading and m2 the runner-up count among alive labels; the alive
+    labels whose count trails m1 by at least ``gap_k``, the smallest
+    integer gap g with ``g / k >= delta_k`` in floats
+    (:func:`_smallest_count`); and, over the leading axes, whether the
+    runner-up falls, which leaves one alive label of the two or more there
+    were.
     """
     c = tau.shape[-1]
-    capped = np.where(alive, tau, -1)
-    m1 = capped.max(axis=-1, keepdims=True)
-    m2 = np.partition(capped, c - 2, axis=-1)[..., c - 2 : c - 1]
+    top = np.partition(np.where(alive, tau, -1), (c - 2, c - 1), axis=-1)
+    m2, m1 = top[..., c - 2 : c - 1], top[..., c - 1 :]
     margin = np.sqrt(k) * (delta_k - (tau - m2) / k)
-    return margin, alive & ((m1 - tau) / k >= delta_k)
+    return margin, alive & (m1 - tau >= gap_k), (m1 - m2 >= gap_k)[..., 0]
 
 
 def _eliminate(
-    nb: np.ndarray, deltas: np.ndarray
+    memb: np.ndarray, order: np.ndarray, deltas: np.ndarray, gaps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Elimination over a block; ``nb[q, k-1]`` is query q's k-th nearest bag row.
+    """Elimination over a batch; ``memb[order[q, k-1]]`` is query q's k-th
+    nearest bag row, for k up to ``len(deltas)``.
 
     Returns labels, iterations, disambiguated flags and ``eliminated_at[q, y-1]``,
-    the step at which label y fell (0: it survived).  An active query keeps its
-    counts, its alive labels and, per label, the smallest margin so far with
-    the first step that reached it; it leaves the active set at the step it
-    finishes.  The winner is the alive label with the smallest (margin, step,
-    label), which is the row-major argmin over the margin matrix.
+    the step at which label y fell (0: it survived).  Each query keeps int32
+    counts, its alive labels, the step each label fell and, per label, the
+    smallest margin so far with the first step that reached it.  A query's
+    results are written at the step it finishes; the winner is the alive
+    label with the smallest (margin, step, label), which is the row-major
+    argmin over the margin matrix.  Finished queries leave the state arrays
+    once they are a tenth of them; until then they keep stepping unread,
+    and a query down to one alive label eliminates nothing more, since
+    every gap threshold is at least 1.
     """
-    m, t_cap, c = nb.shape
+    m, c = order.shape[0], memb.shape[1]
+    t_cap = deltas.shape[0]
     labels = np.empty(m, dtype=np.int64)
     iterations = np.empty(m, dtype=np.int64)
     disambiguated = np.empty(m, dtype=bool)
-    eliminated_at = np.zeros((m, c), dtype=np.int64)
+    eliminated_at = np.empty((m, c), dtype=np.int32)
     rows = np.arange(m)
-    tau = np.zeros((m, c), dtype=np.int64)
+    running = np.ones(m, dtype=bool)
+    tau = np.zeros((m, c), dtype=np.int32)
     alive = np.ones((m, c), dtype=bool)
+    fell = np.zeros((m, c), dtype=np.int32)
     best = np.full((m, c), np.inf)
-    best_k = np.zeros((m, c), dtype=np.int64)
-    k = 0
-    while rows.size:
-        k += 1
-        tau += nb[rows, k - 1]
-        margin, elim = _step(tau, alive, k, deltas[k - 1])
-        better = alive & (margin < best)
-        np.copyto(best, margin, where=better)
-        np.copyto(best_k, k, where=better)
-        alive &= ~elim
-        q, y = np.nonzero(elim)
-        eliminated_at[rows[q], y] = k
-        single = alive.sum(axis=1) == 1
-        done = single | (k == t_cap)
+    best_k = np.zeros((m, c), dtype=np.int32)
+    left, finished = m, 0
+    for k in range(1, t_cap + 1):
+        if not left:
+            break
+        tau += memb.take(order[rows, k - 1], axis=0)
+        margin, elim, settled = _step(tau, alive, k, deltas[k - 1], gaps[k - 1])
+        # a dead label's best margin is never read again
+        better = margin < best
+        np.minimum(best, margin, out=best)
+        np.copyto(best_k, np.int32(k), where=better)
+        alive ^= elim
+        np.copyto(fell, np.int32(k), where=elim)
+        done = running & settled if k < t_cap else running
         if not done.any():
             continue
-        score = np.where(alive[done], best[done], np.inf)
+        out = np.flatnonzero(done)
+        score = np.where(alive[out], best[out], np.inf)
         tied = score == score.min(axis=1, keepdims=True)
-        first = np.where(tied, best_k[done], t_cap + 1)
-        out = rows[done]
-        labels[out] = np.argmax(tied & (first == first.min(axis=1, keepdims=True)), axis=1) + 1
-        iterations[out] = k
-        disambiguated[out] = ~single[done]
-        keep = ~done
-        rows, tau, alive, best, best_k = rows[keep], tau[keep], alive[keep], best[keep], best_k[keep]
+        first = np.where(tied, best_k[out], t_cap + 1)
+        labels[rows[out]] = np.argmax(tied & (first == first.min(axis=1, keepdims=True)), axis=1) + 1
+        iterations[rows[out]] = k
+        disambiguated[rows[out]] = ~settled[out]
+        eliminated_at[rows[out]] = fell[out]
+        running[out] = False
+        left -= out.size
+        finished += out.size
+        if left and finished * 10 >= rows.size:
+            rows, tau, alive, fell = rows[running], tau[running], alive[running], fell[running]
+            best, best_k, running = best[running], best_k[running], running[running]
+            finished = 0
     return labels, iterations, disambiguated, eliminated_at
 
 
@@ -272,18 +337,20 @@ def classify(
 ) -> tuple[int, EliminationTrace]:
     """Classify one query, returning the label and the elimination trace."""
     t_cap, deltas = _schedule(train, config)
-    _, blocks = _bag_blocks(train, index, np.asarray(x, dtype=np.float64)[None, :], t_cap, None)
-    (_, order, bags), = blocks
-    labels, iterations, disambiguated, eliminated_at = _eliminate(bags, deltas)
+    gaps = _smallest_count(deltas, 0.0)
+    query = np.asarray(x, dtype=np.float64)[None, :]
+    memb, _, blocks = _order_blocks(train, index, query, t_cap, None)
+    (_, order), = blocks
+    labels, iterations, disambiguated, eliminated_at = _eliminate(memb, order, deltas, gaps)
 
     # replay the K steps at once: counts, alive-before-step masks, one _step
     n_steps = int(iterations[0])
     neighbors = order[0, :n_steps]
     ks = np.arange(1, n_steps + 1)[:, None]
-    tau = np.cumsum(bags[0, :n_steps], axis=0, dtype=np.int64)
+    tau = np.cumsum(memb[neighbors], axis=0, dtype=np.int64)
     fell = eliminated_at[0]
     alive = (fell == 0) | (fell >= ks)
-    margin, elim = _step(tau, alive, ks, deltas[:n_steps, None])
+    margin, elim, _ = _step(tau, alive, ks, deltas[:n_steps, None], gaps[:n_steps, None])
     survivors = alive & ~elim
     ys = range(1, train.label_space.c + 1)
     steps = zip(neighbors.tolist(), deltas.tolist(), tau.tolist(), survivors.tolist(), elim.tolist())
@@ -340,14 +407,15 @@ def classify_batch_detail(
     """Labels, iterations and disambiguated flags for a batch of queries.
 
     ``order``, when given, is a precomputed neighbor order of ``queries``
-    with at least ``min(T, n)`` columns, read one block of rows at a time
-    (see :func:`_bag_blocks`); the result is the same as searching.
+    with at least ``min(T, n)`` columns, read in place one batch of
+    :func:`_batch_rows` rows at a time; the result is the same as searching.
     """
     t_cap, deltas = _schedule(train, config)
-    m, blocks = _bag_blocks(train, index, queries, t_cap, order)
+    gaps = _smallest_count(deltas, 0.0)
+    memb, m, blocks = _order_blocks(train, index, queries, t_cap, order)
     labels = np.empty(m, dtype=np.int64)
     iterations = np.empty(m, dtype=np.int64)
     disambiguated = np.zeros(m, dtype=bool)
-    for rows, _, bags in blocks:
-        labels[rows], iterations[rows], disambiguated[rows], _ = _eliminate(bags, deltas)
+    for rows, block in blocks:
+        labels[rows], iterations[rows], disambiguated[rows], _ = _eliminate(memb, block, deltas, gaps)
     return BatchResult(labels, iterations, disambiguated)

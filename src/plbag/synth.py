@@ -36,6 +36,9 @@ MAX_CLUSTERS = 256
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
 
+# Names analytic_scenario builds, in the order its docstring gives them.
+SCENARIOS = ("two_gaussians", "relaxed_two_gaussians", "gaussian_clusters")
+
 # Half-width of the square [-GRID_EXTENT, GRID_EXTENT]^2 over which the
 # analytic scenarios' oracles integrate.
 GRID_EXTENT = 8.0
@@ -423,6 +426,8 @@ def analytic_scenario(name: str) -> AnalyticScenario:
     spaced on the circle of radius 3, no built-in bag process (pair it with
     :func:`make_bags`).
     """
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     if name == "two_gaussians":
         return AnalyticScenario(
             name=name,
@@ -441,13 +446,12 @@ def analytic_scenario(name: str) -> AnalyticScenario:
             swap_halfwidth=halfwidth,
             theta=theta,
         )
-    if name == "gaussian_clusters":
-        c = 10
-        angles = 2.0 * math.pi * np.arange(c) / c
-        return AnalyticScenario(
-            name=name,
-            means=3.0 * np.column_stack([np.cos(angles), np.sin(angles)]),
-            label_space=LabelSpace(c),
-            has_bag_process=False,
-        )
-    raise ValueError(f"unknown scenario {name!r}")
+    # gaussian_clusters
+    c = 10
+    angles = 2.0 * math.pi * np.arange(c) / c
+    return AnalyticScenario(
+        name=name,
+        means=3.0 * np.column_stack([np.cos(angles), np.sin(angles)]),
+        label_space=LabelSpace(c),
+        has_bag_process=False,
+    )

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plbag import bench_cli, knn_index, preprocess
+from plbag import bench_cli, knn_index, plaknn, preprocess
 from plbag.baselines import aknn_batch, fixed_k_batch
 from plbag.bench_cli import (
     ConfigError,
@@ -804,6 +804,13 @@ DIFFERENTIAL_CASES = {
         noise_grid=(0.0, 0.3), repetitions=1, base_seed=7, n_samples=3000,
         plaknn=PlaknnConfig(T=1100),
     ),
+    # 1,500 test points at T = 1,100: batches of 832 rows, the first ending
+    # inside the search's fourth 256-row block
+    "gaussian_clusters_batches": lambda csv: ExperimentConfig(
+        scenario="gaussian_clusters", methods=ALL_METHODS, fixed_k=5,
+        noise_grid=(0.0, 0.3), repetitions=1, base_seed=7, n_samples=3000,
+        train_fraction=0.5, plaknn=PlaknnConfig(T=1100),
+    ),
     "fixed_k_above_T": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=("fixed_k",), fixed_k=30,
         noise_grid=(0.0, 0.3), repetitions=2, base_seed=6, n_samples=150,
@@ -863,21 +870,29 @@ class TestRunAgainstOracle:
         rows = knn_index._block_rows(config.plaknn.T, 2)
         assert m > 2 * rows and m % rows
 
+    def test_a_case_spans_several_batches(self):
+        config = DIFFERENTIAL_CASES["gaussian_clusters_batches"](None)
+        m = config.n_samples - bench_cli._n_train(config.n_samples, config.train_fraction)
+        rows = plaknn._batch_rows(config.plaknn.T, 10)
+        assert m > rows and rows % knn_index._block_rows(config.plaknn.T, 2)
+
 
 class TestBenchmarkEntryPoint:
     """``run`` calls ``bench_cli.classify_batch_detail`` with bindable train,
-    index, queries and config, once per query block of each (noise,
+    index, queries and config, once per batch of test points of each (noise,
     repetition) job, and the queries of a job's calls are its test points,
     in order."""
 
     def test_each_jobs_calls_cover_its_test_points_in_order(self, tmp_path, monkeypatch):
-        # 300 test points; at T = 1,100 the block rule gives 256 rows: two blocks
-        csv = write_csv_dataset(tmp_path / "data.csv", n=1500)
+        # 1,200 test points; at T = 1,100 the batch rule gives 900 rows: two
+        # batches, the first ending inside the search's fourth 256-row block
+        csv = write_csv_dataset(tmp_path / "data.csv", n=2400)
         config = ExperimentConfig(
             dataset=csv, methods=ALL_METHODS, noise_grid=(0.0, 0.5), repetitions=3,
-            base_seed=8, plaknn=PlaknnConfig(T=1100),
+            train_fraction=0.5, base_seed=8, plaknn=PlaknnConfig(T=1100),
         )
-        rows = knn_index._block_rows(config.plaknn.T, 3)
+        rows = plaknn._batch_rows(config.plaknn.T, 4)
+        assert rows % knn_index._block_rows(config.plaknn.T, 3)
         original = bench_cli.classify_batch_detail
         signature = inspect.signature(original)
         calls = []
@@ -907,7 +922,7 @@ class TestBenchmarkEntryPoint:
             assert len(matches) == 1
             seen[matches[0]].append(args["queries"])
         for job, (_, test_x) in jobs.items():
-            assert len(seen[job]) == 2
+            assert len(seen[job]) == math.ceil(test_x.shape[0] / rows) == 2
             assert np.array_equal(np.concatenate(seen[job]), test_x)
 
     def test_noise_levels_share_the_transformed_features(self, tmp_path, monkeypatch):
@@ -972,6 +987,29 @@ class TestBenchmarkEntryPoint:
         for train in trains:
             assert np.shares_memory(train.features, first.features)
             assert np.shares_memory(train.truths, first.truths)
+
+
+class TestOrderBatches:
+    """``_order_batches`` copies the search's blocks into int32 batches of a
+    given number of rows, the last one shorter; together they are the
+    search's order."""
+
+    @pytest.mark.parametrize("depth", [1100, 1500], ids=["below_n", "above_n"])
+    @pytest.mark.parametrize("rows", [1, 100, 256, 300, 700, 2000])
+    def test_batches_concatenate_to_the_search(self, rows, depth):
+        # 700 queries searched 1,100 or 1,200 deep: blocks of 256 rows
+        rng = np.random.default_rng(rows)
+        index = knn_index.build(rng.normal(size=(1200, 3)))
+        queries = rng.normal(size=(700, 3))
+        want = np.concatenate([o for _, o, _ in knn_index.neighbor_blocks(index, queries, depth)])
+        got = []
+        for batch, order in bench_cli._order_batches(index, queries, depth, rows):
+            assert order.dtype == np.int32
+            assert order.shape == (batch.stop - batch.start, min(depth, 1200))
+            assert batch.start == sum(g.shape[0] for g in got)
+            got.append(order.copy())
+        assert [g.shape[0] for g in got] == [min(rows, 700 - s) for s in range(0, 700, rows)]
+        assert np.array_equal(np.concatenate(got), want)
 
 
 class TestRepetitionMemory:
@@ -1330,8 +1368,16 @@ class TestErrorMessages:
              "{path}:2: key outside any section"),
             ("synth", "[experiment]\ndataset = data.csv\n",
              "bench synth needs a scenario in [experiment]"),
+            # once a ValueError traceback from analytic_scenario, exit 1
+            ("run", "[experiment]\nscenario = nope\n",
+             "unknown scenario 'nope'; choose from ('two_gaussians', 'relaxed_two_gaussians',"
+             " 'gaussian_clusters')"),
+            ("synth", "[experiment]\nscenario = nope\n",
+             "unknown scenario 'nope'; choose from ('two_gaussians', 'relaxed_two_gaussians',"
+             " 'gaussian_clusters')"),
         ],
-        ids=["no_methods", "noise_range", "key_outside_section", "synth_without_scenario"],
+        ids=["no_methods", "noise_range", "key_outside_section", "synth_without_scenario",
+             "run_unknown_scenario", "synth_unknown_scenario"],
     )
     def test_config_exit_2(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "exp.cfg"

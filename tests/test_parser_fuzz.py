@@ -372,7 +372,8 @@ def well_formed_config(draw) -> bytes:
         if section == "pipeline" and "variant" not in keys and draw(st.booleans()):
             keys = []
         for key in draw(st.permutations(keys)):
-            bad = draw(st.integers(0, 19)) == 0
+            # the required scenario stays valid: an unknown name refuses the file
+            bad = draw(st.integers(0, 19)) == 0 and key != "scenario"
             value = draw(BAD_VALUE if bad else VALID_VALUES[section][key])
             lines.append(f"{key} = {value}")
     return "\n".join(lines).encode()

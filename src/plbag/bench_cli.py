@@ -387,8 +387,8 @@ def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: 
 
     A label's count gap over k neighbors is at most k, so a threshold above 1
     eliminates nothing; thresholds fall as k grows, so the one at the
-    largest k decides.  Returns ``config`` with T cut to n_train, warning
-    once when it was above, so the classifiers do not warn on every call.
+    largest k decides.  Returns ``config`` with T cut to n_train, so the
+    classifiers do not warn on every call; :func:`run` warns once instead.
     """
     if "fixed_k" in config.methods and config.fixed_k > n_train:
         raise ConfigError(f"fixed_k = {config.fixed_k} exceeds the {n_train} training points")
@@ -404,8 +404,7 @@ def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: 
                 f"[plaknn] the threshold at k = {k} is {value:.6g} > 1, so no label can"
                 " ever be eliminated; lower c1 or d0"
             )
-        plaknn = replace(config.plaknn, T=_neighbor_cap(config.plaknn.T, n_train))
-        config = replace(config, plaknn=plaknn)
+        config = replace(config, plaknn=replace(config.plaknn, T=min(config.plaknn.T, n_train)))
     return config
 
 
@@ -458,8 +457,12 @@ def run(config: ExperimentConfig, dump_predictions: bool = False) -> RunResult:
     else:
         n, dim = config.n_samples, source.means.shape[1]
     n_train = _n_train(n, config.train_fraction)
-    config = _check_neighbor_counts(config, n_train, source.label_space.c, dim)
-    outputs = [_run_rep(config, source, rep, dump_predictions) for rep in range(config.repetitions)]
+    checked = _check_neighbor_counts(config, n_train, source.label_space.c, dim)
+    outputs = [_run_rep(checked, source, rep, dump_predictions) for rep in range(config.repetitions)]
+    # a T above n_train warns only once every repetition has succeeded, so a
+    # run that fails prints its one error line alone
+    if checked.plaknn.T < config.plaknn.T:
+        _neighbor_cap(config.plaknn.T, n_train)
 
     rows = [row for out, _ in outputs for row in out]
     rows.sort(key=lambda r: (r.method, r.noise, r.repetition))

@@ -18,29 +18,31 @@ at the first one.
 The *advantage* of a support point quantifies how far the leading bag
 frequencies stay ahead of the rest over growing neighborhoods.
 :func:`advantage_report` computes it exactly for every atom, from one table
-of per-atom bag frequencies, by one cumulative sweep over the distinct ball
-radii around each atom.
+of per-atom bag frequencies, by a cumulative sweep over the distinct ball
+radii around each atom, run over a block of atoms at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
+from . import knn_index
 from .core import (
     PROB_TOL,
     Atom,
     BagGenMatrix,
     DiscreteDistribution,
     LabelDistribution,
+    _freeze,
     argmax_set,
     bag_frequencies_at,
-    label_frequencies,
+    bag_membership_matrix,
 )
 
 # Smallest-to-largest singular-value ratio at or below which a bag process's
@@ -50,6 +52,14 @@ RANK_TOL = 1e-8
 # Flat-Dirichlet label distributions, drawn from seed 0, that probe a
 # process's alignment after the simplex vertices and edge midpoints.
 ALIGNMENT_PROBES = 200
+# Dirichlet probes tested per stacked product: the vertices and midpoints
+# fail most processes, and a Dirichlet failure tends to come early.
+_PROBE_CHUNK = 32
+
+# Bytes of one (block, A) float64 array of the advantage sweep: a block
+# holds as many atoms as fit, at least one.  A dozen such arrays are alive
+# at once, so a larger budget shows in the process's peak memory.
+_SWEEP_BYTES = 64 * 1024
 
 
 def is_reconstructible(m: BagGenMatrix) -> bool:
@@ -114,16 +124,37 @@ class ProcessProbe:
     counterexample: LabelDistribution | None
 
 
-def _default_probe_rows(c: int) -> Iterator[np.ndarray]:
-    """Vertices, edge midpoints, then Dirichlet rows, drawn only when reached."""
-    yield from np.eye(c)
-    for i, j in itertools.combinations(range(c), 2):
-        probs = np.zeros(c)
-        probs[i] = probs[j] = 0.5
-        yield probs
-    draws = np.random.default_rng(0).dirichlet(np.ones(c), size=ALIGNMENT_PROBES)
-    for row in draws:
-        yield row / row.sum()
+@functools.cache
+def _simplex_probes(c: int) -> tuple[np.ndarray, np.ndarray, tuple[LabelDistribution, ...]]:
+    """The c vertices, then the edge midpoints, of the simplex: their rows
+    and argmax masks, read-only, and the label distributions a failure at
+    each returns, built once per c (checking a ``LabelDistribution`` costs
+    more than probing a process with all of them)."""
+    pairs = list(itertools.combinations(range(c), 2))
+    midpoints = np.zeros((len(pairs), c))
+    for k, (i, j) in enumerate(pairs):
+        midpoints[k, [i, j]] = 0.5
+    rows = _freeze(np.concatenate([np.eye(c), midpoints]))
+    return rows, _freeze(_argmax_mask(rows)), tuple(LabelDistribution(row) for row in rows)
+
+
+def _argmax_mask(values: np.ndarray) -> np.ndarray:
+    """:func:`argmax_set` of every row, as a boolean mask over the last axis."""
+    return values >= values.max(axis=-1, keepdims=True) - PROB_TOL
+
+
+def _first_violation(m: BagGenMatrix, rows: np.ndarray, tops: np.ndarray) -> int | None:
+    """Index of the first probe row whose bag frequencies under ``m`` have
+    another argmax set than the row's mask in ``tops``, or None.
+
+    numpy runs each stacked product as one gemv per row, the call that
+    ``m.entries @ row`` and ``core.label_frequencies`` make, so the
+    frequencies carry the same bits; one GEMM over all rows would not.
+    """
+    marginals = np.matmul(m.entries, rows[:, :, None])
+    freqs = marginals.transpose(0, 2, 1) @ bag_membership_matrix(m.c)
+    bad = (_argmax_mask(freqs[:, 0]) != tops).any(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def is_label_aligned_process(m: BagGenMatrix) -> ProcessProbe:
@@ -131,13 +162,23 @@ def is_label_aligned_process(m: BagGenMatrix) -> ProcessProbe:
 
     The probes are every simplex vertex, every edge midpoint, and
     ``ALIGNMENT_PROBES`` flat-Dirichlet samples (from seed 0), tested in that
-    order as plain probability rows; the samples are drawn only once the
-    vertices and midpoints pass.  The first violation of alignment under the
-    induced bag marginal is returned as a counterexample.
+    order as plain probability rows, the vertices and midpoints in one
+    stacked product and the samples ``_PROBE_CHUNK`` at a time; the samples
+    are drawn only once the vertices and midpoints pass.  The first
+    violation of alignment under the induced bag marginal is returned as a
+    counterexample.
     """
-    for row in _default_probe_rows(m.c):
-        if argmax_set(label_frequencies(m.entries @ row)) != argmax_set(row):
-            return ProcessProbe(False, LabelDistribution(row))
+    rows, tops, probes = _simplex_probes(m.c)
+    hit = _first_violation(m, rows, tops)
+    if hit is not None:
+        return ProcessProbe(False, probes[hit])
+    draws = np.random.default_rng(0).dirichlet(np.ones(m.c), size=ALIGNMENT_PROBES)
+    draws /= draws.sum(axis=1, keepdims=True)
+    for start in range(0, ALIGNMENT_PROBES, _PROBE_CHUNK):
+        chunk = draws[start : start + _PROBE_CHUNK]
+        hit = _first_violation(m, chunk, _argmax_mask(chunk))
+        if hit is not None:
+            return ProcessProbe(False, LabelDistribution(chunk[hit]))
     return ProcessProbe(True, None)
 
 
@@ -172,61 +213,73 @@ def _frequency_table(d: DiscreteDistribution) -> np.ndarray:
     return np.stack([bag_frequencies_at(d, i) for i in range(d.n_atoms)])
 
 
-def _atom_advantage(
-    atom_index: int,
+def _block_sweep(
+    index: knn_index.NeighborIndex,
+    atoms: np.ndarray,
     freqs: np.ndarray,
+    top: np.ndarray,
     masses: np.ndarray,
-    locations: np.ndarray,
     mass_cap: float,
-) -> AtomAdvantage:
-    """One atom's advantage as one cumulative sweep over the distinct radii.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(advantage, p, gamma) of each atom in ``atoms``, none a full tie, by
+    one cumulative sweep over the distinct radii around each.
 
-    Balls centered at the atom change content only at the distinct
-    atom-to-atom distances.  Atoms are sorted by distance (stable, so ties
-    keep their index order) and ``np.cumsum`` accumulates their masses and
-    mass-weighted frequencies in that order, the same sequential additions as
-    adding one atom at a time; indexing the sums at the last atom of each
-    radius gives every prefix ball.  gamma at a level is the running minimum
-    of the lead of the top labels over the rest, and the witness is the first
-    level with the largest ``p * gamma**2``.  Levels past the first ball of
-    mass ``mass_cap`` need no exclusion: their p is ``mass_cap`` too and their
-    gamma is no larger, so they never beat it and ``argmax`` keeps the first.
+    Balls centered at an atom change content only at the distinct
+    atom-to-atom distances.  Each row's atoms are sorted by distance (stable,
+    so ties keep their index order; a row without ties has only one sorting
+    permutation, so only rows with ties are sorted again by a stable sort)
+    and ``np.cumsum`` accumulates their masses and mass-weighted frequencies
+    in that order, the same sequential additions as adding one atom at a
+    time; the last position of each radius closes a prefix ball.  One label
+    at a time, the lead of the top labels over the rest is the smallest top
+    frequency less the largest other one.  gamma at a level is the running
+    minimum of that lead over the balls, and the witness is the first level
+    with the largest ``p * gamma**2``: positions inside a tie get an infinite
+    lead and a value of -inf, so the running minimum and ``argmax`` see only
+    ball ends.  Levels past the first ball of mass ``mass_cap`` need no
+    exclusion: their p is ``mass_cap`` too and their gamma is no larger, so
+    they never beat it.
     """
-    c = freqs.shape[1]
-    top = argmax_set(freqs[atom_index])
-    top_sorted = tuple(sorted(top))
-    if len(top) == c:
-        return AtomAdvantage(atom_index, top_sorted, 1.0, None, None)
-
     # an overflow is reported below as ValueError, not as a numpy warning
     with np.errstate(over="ignore"):
-        sqd = ((locations - locations[atom_index][None, :]) ** 2).sum(axis=1)
-    order = np.argsort(sqd, kind="stable")
-    sorted_d = sqd[order]
+        sqd = knn_index.sq_distance_chunk(index, index.points[atoms])
+    order = np.argsort(sqd, axis=1)
+    sorted_sqd = np.take_along_axis(sqd, order, axis=1)
     # locations are distinct, so only the atom's own squared distance may be
     # 0; a subnormal one has lost the precision that orders the balls
-    if np.any(sorted_d[1:2] < np.finfo(np.float64).tiny) or not sorted_d[-1] < np.inf:
+    tiny = np.finfo(np.float64).tiny
+    bad = ~(sorted_sqd[:, -1] < np.inf) | (sorted_sqd[:, 1:2] < tiny).any(axis=1)
+    if bad.any():
         raise ValueError(
-            f"atom {atom_index}: squared distances to the other atoms underflow or overflow"
+            f"atom {atoms[np.argmax(bad)]}: squared distances to the other atoms"
+            " underflow or overflow"
         )
-    ends = np.append(np.flatnonzero(np.diff(sorted_d) > 0), len(order) - 1)
-    cum_mass = np.cumsum(masses[order])[ends]
-    weighted = np.cumsum(masses[order, None] * freqs[order], axis=0)[ends]
-    ball_freqs = weighted / cum_mass[:, None]
-
-    top_idx = np.array(top_sorted) - 1
-    rest_idx = np.array([y - 1 for y in range(1, c + 1) if y not in top])
-    margins = ball_freqs[:, top_idx].min(axis=1) - ball_freqs[:, rest_idx].max(axis=1)
-    gamma = np.maximum(np.minimum.accumulate(margins), 0.0)
+    inside = np.diff(sorted_sqd, axis=1) == 0.0
+    ties = inside.any(axis=1)
+    if ties.any():
+        order[ties] = np.argsort(sqd[ties], axis=1, kind="stable")
+    mass = masses[order]
+    cum_mass = np.cumsum(mass, axis=1)
+    top_min = np.full(sqd.shape, np.inf)
+    rest_max = np.full(sqd.shape, -np.inf)
+    for y, column in enumerate(freqs.T):
+        ball = np.cumsum(mass * column[order], axis=1) / cum_mass
+        is_top = top[atoms, y, None]
+        np.minimum(top_min, np.where(is_top, ball, np.inf), out=top_min)
+        np.maximum(rest_max, np.where(is_top, -np.inf, ball), out=rest_max)
+    margins = top_min - rest_max
+    margins[:, :-1][inside] = np.inf
+    gamma = np.maximum(np.minimum.accumulate(margins, axis=1), 0.0)
     p_level = np.minimum(cum_mass, mass_cap)
     values = p_level * gamma * gamma
-    best = int(np.argmax(values))
-    if not values[best] > 0.0:
-        return AtomAdvantage(
-            atom_index, top_sorted, 0.0, float(min(masses[atom_index], mass_cap)), 0.0
-        )
-    return AtomAdvantage(
-        atom_index, top_sorted, float(values[best]), float(p_level[best]), float(gamma[best])
+    values[:, :-1][inside] = -np.inf
+    at = np.arange(len(atoms)), np.argmax(values, axis=1)
+    # no positive level: the atom alone, scoring 0
+    found = values[at] > 0.0
+    return (
+        np.where(found, values[at], 0.0),
+        np.where(found, p_level[at], np.minimum(masses[atoms], mass_cap)),
+        np.where(found, gamma[at], 0.0),
     )
 
 
@@ -250,16 +303,37 @@ def advantage_report(d: DiscreteDistribution, mass_cap: float = 1.0) -> Advantag
     gamma at mass level p is the smallest lead of the top bag-frequency
     labels over all other labels across every ball of mass up to p, and the
     advantage is the best ``p * gamma**2`` over levels p up to ``mass_cap``.
-    ``entries[i]`` is atom i's; all atoms share one frequency table.  An atom
+    ``entries[i]`` is atom i's; all atoms share one frequency table, and the
+    atoms that are not full ties are swept in blocks of ``_SWEEP_BYTES`` per
+    (block, A) array (:func:`_block_sweep`).  The first atom, in index order,
     whose squared distances to the others underflow or overflow raises
-    ``ValueError``.
+    ``ValueError``; a full tie needs no distances and raises nothing.
     """
     if not 0.0 < mass_cap <= 1.0:
         raise ValueError(f"mass_cap must be in (0, 1], got {mass_cap}")
     freqs, masses, locations = _frequency_table(d), d.masses(), d.locations()
-    return AdvantageReport(
-        tuple(_atom_advantage(i, freqs, masses, locations, mass_cap) for i in range(d.n_atoms))
-    )
+    top = _argmax_mask(freqs)
+    tied = top.all(axis=1)
+    live = np.flatnonzero(~tied)
+    # a lone atom may have no coordinates; one zero coordinate keeps its distance 0
+    index = knn_index.build(locations if locations.shape[1] else np.zeros((1, 1)))
+    advantage, p, gamma = np.empty(d.n_atoms), np.empty(d.n_atoms), np.empty(d.n_atoms)
+    rows = max(1, _SWEEP_BYTES // (8 * d.n_atoms))
+    for start in range(0, live.size, rows):
+        atoms = live[start : start + rows]
+        advantage[atoms], p[atoms], gamma[atoms] = _block_sweep(
+            index, atoms, freqs, top, masses, mass_cap
+        )
+    entries = []
+    for i, row in enumerate(top.tolist()):
+        labels = tuple(y for y, is_top in enumerate(row, 1) if is_top)
+        if tied[i]:
+            entries.append(AtomAdvantage(i, labels, 1.0, None, None))
+        else:
+            entries.append(
+                AtomAdvantage(i, labels, float(advantage[i]), float(p[i]), float(gamma[i]))
+            )
+    return AdvantageReport(tuple(entries))
 
 
 @dataclass(frozen=True)

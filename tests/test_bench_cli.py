@@ -1288,13 +1288,45 @@ class TestPipelineDataError:
         cfg.write_text(
             f"[experiment]\ndataset = {data}\nrepetitions = 1\n[pipeline]\nvariant = {variant}\n"
         )
-        # 240 training points against the default T = 400
-        with pytest.warns(RuntimeWarning, match="T=400 exceeds the 240"):
+        # 240 training points against the default T = 400, but the run fails
+        # before any repetition succeeds, so the T > n warning is not issued
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
-        assert code == 3
+        assert code == 3 and caught == []
         assert err.count("\n") == 1 and err.startswith("data error:")
         assert "density scaling is undefined" in err
+
+    def test_coincident_points_exit_3_without_the_T_warning(self, tmp_path, capsys):
+        # 24 training points at one location against T = 400
+        data = tmp_path / "same.csv"
+        data.write_text("x1,x2,bag,y\n" + "".join(f"1.0,2.0,{y},{y}\n" for y in [1, 2] * 15))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"[experiment]\ndataset = {data}\nrepetitions = 1\n[pipeline]\nvariant = vision\n"
+            "smoothing_k = 2\ndensity_k = 2\n[plaknn]\nT = 400\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3 and caught == []
+        assert err.count("\n") == 1 and err.startswith("data error:")
+        assert "all training points coincide" in err
+
+    def test_a_run_that_succeeds_warns_once_through_main(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 2\n"
+            "[plaknn]\nT = 100\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+        assert "T=100 exceeds the 48" in str(caught[0].message)
 
 
 # one complete c = 2 atom, lines 2-6 of a file that starts with "labels 2"

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -522,6 +523,120 @@ class TestAdvantageSweep:
                 advantage_report(d, mass_cap=cap)
 
 
+def record_blocks(monkeypatch, rows: int, n_atoms: int) -> list[int]:
+    """Cut the advantage sweep into blocks of ``rows`` atoms; the returned
+    list fills with the size of each block as it is swept."""
+    monkeypatch.setattr(theory, "_SWEEP_BYTES", rows * 8 * n_atoms)
+    sizes: list[int] = []
+    sweep = theory._block_sweep
+
+    def recording(index, atoms, *args):
+        sizes.append(len(atoms))
+        return sweep(index, atoms, *args)
+
+    monkeypatch.setattr(theory, "_block_sweep", recording)
+    return sizes
+
+
+class TestAdvantageBlocks:
+    """The sweep over blocks of atoms against the per-atom loop, entry for
+    entry, with blocks far smaller than the budget makes them."""
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["gaussian", "integer_grid"])
+    def test_several_blocks_match_loop(self, monkeypatch, grid):
+        rng = np.random.default_rng(79 + grid)
+        full_ties = tied_radii = capped = 0
+        for trial in range(12):
+            c = int(rng.integers(2, 7))
+            d = tie_heavy_distribution(rng, int(rng.integers(16, 30)), c, grid)
+            cap = (1.0, float(rng.uniform(0.05, 0.6)), 1e-3)[trial % 3]
+            expected = tuple(advantage_loop_oracle(d, i, cap) for i in range(d.n_atoms))
+            live = sum(e.p is not None for e in expected)
+            # at least 3 blocks, the last one partial
+            rows = next(r for r in range(2, live) if live % r and live > 2 * r)
+            sizes = record_blocks(monkeypatch, rows, d.n_atoms)
+            assert advantage_report(d, cap).entries == expected
+            assert len(sizes) >= 3 and sizes[:-1] == [rows] * (len(sizes) - 1)
+            assert 0 < sizes[-1] < rows and sum(sizes) == live
+            full_ties += live < d.n_atoms
+            capped += cap < 1.0
+            sqd = ((d.locations()[:, None] - d.locations()[None]) ** 2).sum(axis=2)
+            tied_radii += any(len(np.unique(row)) < d.n_atoms for row in sqd)
+        assert full_ties >= 6 and capped == 8
+        assert tied_radii == (12 if grid else 0)
+
+    def test_one_atom(self, monkeypatch):
+        sizes = record_blocks(monkeypatch, 1, 1)
+        rng = np.random.default_rng(83)
+        for c in range(2, 7):
+            for probs in (rng.dirichlet(np.ones(c)), np.full(c, 1.0 / c)):
+                for dim in (0, 1, 3):
+                    d = single_atom(probs / probs.sum(), mixed_process(rng, c), dim)
+                    for cap in (1.0, 0.4):
+                        assert advantage_report(d, cap).entries == (advantage_loop_oracle(d, 0, cap),)
+        # the uniform-label atoms tie under some processes only
+        assert 30 <= len(sizes) < 60 and set(sizes) == {1}
+
+    def test_only_full_ties_sweep_nothing(self, monkeypatch):
+        sizes = record_blocks(monkeypatch, 2, 5)
+        atoms = tuple(
+            Atom(np.array([float(x)]), 0.2, LabelDistribution(np.full(3, 1 / 3)), BagGenMatrix.identity(3))
+            for x in range(5)
+        )
+        d = DiscreteDistribution(atoms, LabelSpace(3))
+        assert advantage_report(d).entries == tuple(advantage_loop_oracle(d, i) for i in range(5))
+        assert sizes == []
+
+    @staticmethod
+    def _near_pair(tied: tuple[bool, bool]) -> DiscreteDistribution:
+        """Atoms 0-4 at x = 1..5, atoms 5 and 6 at 0 and 1e-170, whose squared
+        distance underflows to 0; ``tied`` makes atom 5 or 6 a full tie."""
+        rng = np.random.default_rng(89)
+        ident = BagGenMatrix.identity(3)
+        locations = [1.0, 2.0, 3.0, 4.0, 5.0, 0.0, 1e-170]
+        flags = (False,) * 5 + tied
+        atoms = tuple(
+            Atom(
+                np.array([x]),
+                1 / 7,
+                LabelDistribution(np.full(3, 1 / 3)) if flag else random_label_dist(rng, 3),
+                ident,
+            )
+            for x, flag in zip(locations, flags)
+        )
+        return DiscreteDistribution(atoms, LabelSpace(3))
+
+    @pytest.mark.parametrize(("tied", "first"), [((False, False), 5), ((True, False), 6)])
+    def test_distance_error_names_the_first_failing_atom(self, monkeypatch, tied, first):
+        # blocks of 2 live atoms: the third one, the last swept, raises
+        sizes = record_blocks(monkeypatch, 2, 7)
+        with pytest.raises(ValueError, match=f"^atom {first}: squared distances to the other"):
+            advantage_report(self._near_pair(tied))
+        assert sizes == [2, 2, 2]
+
+    def test_full_ties_whose_distances_underflow_raise_nothing(self, monkeypatch):
+        d = self._near_pair((True, True))
+        sizes = record_blocks(monkeypatch, 2, 7)
+        assert advantage_report(d).entries == tuple(advantage_loop_oracle(d, i) for i in range(7))
+        assert sizes == [2, 2, 1]
+
+    def test_peak_memory_follows_the_budget(self):
+        # a dozen (block, A) arrays of the budget are alive at once; besides
+        # them the report holds O(A c): the frequency table, the rows it is
+        # stacked from, the masks and the entries.  One (A, A) float64 array
+        # alone would be 32 MB.
+        n_atoms = 2000
+        d = random_discrete_distribution(np.random.default_rng(97), n_atoms, 5)
+        tracemalloc.start()
+        try:
+            advantage_report(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 16 * theory._SWEEP_BYTES + 512 * n_atoms
+        assert peak < bound < 8 * n_atoms**2
+
+
 class TestProbesAgainstOracle:
     """Lazy probe rows against the up-front ``LabelDistribution`` probes:
     the same verdict and the same counterexample bytes."""
@@ -566,6 +681,52 @@ class TestProbesAgainstOracle:
         # a probe distribution of another label count is refused by the marginal
         with pytest.raises(ValueError, match="disagree on c"):
             BagGenMatrix.identity(3).marginal(LabelDistribution(np.array([0.5, 0.5])))
+
+    @pytest.mark.parametrize("c", range(2, 7))
+    def test_every_label_count_matches_oracle(self, c):
+        rng = np.random.default_rng(101 + c)
+        processes = [
+            BagGenMatrix.identity(c),
+            mixed_identity_full(c, 0.4),
+            BagGenMatrix.permutation(list(range(c, 0, -1))),
+        ]
+        processes += [symmetric_inclusion(rng, c) for _ in range(8)]
+        processes += [random_baggen(rng, c) for _ in range(4)]
+        seen = set()
+        for m in processes:
+            got, want = is_label_aligned_process(m), probe_oracle(m)
+            assert got.aligned_so_far == want.aligned_so_far
+            if want.counterexample is None:
+                assert got.counterexample is None
+            else:
+                assert got.counterexample.probs.tobytes() == want.counterexample.probs.tobytes()
+            seen.add(self._where(want))
+        assert {"aligned", "vertex"} <= seen
+        rows, tops, _ = theory._simplex_probes(c)
+        assert not rows.flags.writeable and not tops.flags.writeable
+
+    @pytest.mark.parametrize("chunk", [1, 7, 200])
+    def test_chunk_size_does_not_change_the_verdict(self, monkeypatch, chunk):
+        # symmetric processes pass the vertices and midpoints and fail at a
+        # Dirichlet probe; identities pass every probe
+        rng = np.random.default_rng(103)
+        processes = [symmetric_inclusion(rng, int(rng.integers(3, 7))) for _ in range(40)]
+        processes += [BagGenMatrix.identity(c) for c in (2, 5)]
+        want = [probe_oracle(m) for m in processes]
+        monkeypatch.setattr(theory, "_PROBE_CHUNK", chunk)
+        for m, w in zip(processes, want):
+            got = is_label_aligned_process(m)
+            assert got.aligned_so_far == w.aligned_so_far
+            if w.counterexample is not None:
+                assert got.counterexample.probs.tobytes() == w.counterexample.probs.tobytes()
+        # failures inside the first chunk of 7 and past the default chunk of 32
+        at = []
+        for m, w in zip(processes, want):
+            if w.counterexample is not None:
+                draws = np.random.default_rng(0).dirichlet(np.ones(m.c), size=theory.ALIGNMENT_PROBES)
+                rows = [row.tobytes() for row in draws / draws.sum(axis=1, keepdims=True)]
+                at.append(rows.index(w.counterexample.probs.tobytes()))
+        assert len(at) == 40 and min(at) < 7 and max(at) >= 32
 
     def test_dirichlet_rows_drawn_only_when_reached(self, monkeypatch):
         # a vertex fails first, so the generator is never asked for samples

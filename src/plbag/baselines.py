@@ -9,8 +9,8 @@ frequency, never at gaps between labels.  ``aknn_decision`` gives one
 query's label together with the neighborhood size at which it qualified.
 
 Both rules read each query's neighbor bags as membership rows through the
-neighbor order of :func:`plaknn._order_blocks`, which searches or takes a
-precomputed order.
+int32 neighbor-order batches of :func:`plaknn._order_blocks`, searched or
+cut from a precomputed order.
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ def _aknn(
     order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and qualification steps (0: none within the cap) per query,
-    one :func:`_qualify` call per block.  ``order`` as in
+    one :func:`_qualify` call per batch.  ``order`` as in
     :func:`plaknn.classify_batch_detail`.
     """
     t_cap, deltas = _schedule(train, config)
-    need = _qualifying_counts(deltas, train.label_space.c)
+    # need[k-1]: the fewest of k bags holding a label for it to qualify
+    need = _smallest_count(deltas, 1.0 / train.label_space.c)
     memb, m, blocks = _order_blocks(train, index, queries, t_cap, order)
     labels = np.empty(m, dtype=np.int64)
     steps = np.empty(m, dtype=np.int64)
@@ -105,13 +106,6 @@ def _qualify(memb: np.ndarray, order: np.ndarray, need: np.ndarray) -> tuple[np.
         lo, width = hi, 2 * width
     labels[rows] = np.argmax(counts, axis=1) + 1
     return labels, steps
-
-
-def _qualifying_counts(deltas: np.ndarray, c: int) -> np.ndarray:
-    """``need[k-1]``: the fewest of k bags holding a label for it to qualify,
-    ``q / k - 1 / c >= deltas[k-1]`` in floats; k + 1 means no count passes
-    (see :func:`plaknn._smallest_count`)."""
-    return _smallest_count(deltas, 1.0 / c)
 
 
 def aknn_decision(

@@ -27,17 +27,16 @@ clustering of ``make_bags`` scenarios, the pipeline fit and transform, the
 neighbor index, and one neighbor search of the test points at the deepest
 neighbor count any method needs.  Each noise level draws its bags from the
 generator state the shared steps left, which is exactly what a fresh
-repetition at that level would draw.  The search walks the test points one
-query block at a time (``knn_index._block_rows``) and copies each block's
-order into an int32 order for a batch of test points, as many as
-``plaknn._batch_rows`` fits with the classifiers' per-query state in 4 MiB
-(all 1,000 test points of a 5,000-point ``gaussian_clusters`` sample at
-T = 400).  Every (noise level, method) job classifies a batch in one call
-before the next batch is filled, reading each test point's bags as
-membership rows through a prefix of the batch's order.  So a repetition
-holds one batch's order and one search block, never an order for all test
-points, and no bag tensor.  ``wall_time_ms`` sums one job's classification
-over the batches and excludes the shared work.
+repetition at that level would draw.  The search comes as int32 orders for
+batches of test points from ``plaknn._order_batches``, the batching every
+classifier call uses (all 1,000 test points of a 5,000-point
+``gaussian_clusters`` sample at T = 400 are one batch).  Every (noise
+level, method) job classifies a batch in one call before the next batch is
+filled, reading each test point's bags as membership rows through a prefix
+of the batch's order.  So a repetition holds one batch's order and one
+search block, never an order for all test points, and no bag tensor.
+``wall_time_ms`` sums one job's classification over the batches and
+excludes the shared work.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ import csv
 import operator
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterator
@@ -68,7 +68,7 @@ from .core import (
     load_dataset,
     save_dataset,
 )
-from .plaknn import PlaknnConfig, _batch_rows, _neighbor_cap, classify_batch_detail
+from .plaknn import PlaknnConfig, _neighbor_cap, _order_batches, classify_batch_detail
 from .synth import (
     SCENARIOS,
     AnalyticScenario,
@@ -91,10 +91,11 @@ METHODS = ("plaknn", "aknn", "fixed_k")
 # 4 MiB unless one column's are more.  The block is its (rows, depth) int64
 # order and float64 distances and one distance tile of about 256 KB.
 # knn_index._block_rows keeps a block's order and distances within 4 MiB,
-# and plaknn._batch_rows a batch's order and state, unless they fall to
-# their 256-row floor, as blocks do from a depth of about 1,020 and batches
-# (c = 10) from about 3,940.  So at 80,000 training points the block's two
-# arrays are at most 164 MB each and the batch's order 82 MB.  The k-means
+# and plaknn._batch_rows a batch's order and state, in every classifier
+# call, unless they fall to their 256-row floor, as blocks do from a depth
+# of about 1,020 and batches (c = 10) from about 3,940.  So at 80,000
+# training points the block's two arrays are at most 164 MB each and the
+# batch's order 82 MB.  The k-means
 # of make_bags holds (synth.MAX_CLUSTERS = 256, n)
 # float64 distances beside its index's two copies of the points: 164 MB
 # too, and 205 MB for the 100,000 points of bench synth.  Each noise level
@@ -296,31 +297,6 @@ class _Job:
     wall_ms: float = 0.0
 
 
-def _order_batches(
-    index: knn_index.NeighborIndex, queries: np.ndarray, depth: int, rows: int
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(batch, order)`` for consecutive batches of ``rows`` queries (the
-    last may be shorter): the int32 order of the batch's ``min(depth, n)``
-    nearest training points, copied from the search's blocks as they come.
-    One buffer holds every batch, so each must be used up before the next
-    is drawn.
-    """
-    m = queries.shape[0]
-    batch = np.empty((min(rows, m), min(depth, index.n)), dtype=np.int32)
-    start = filled = 0
-    for _, order, sqd in knn_index.neighbor_blocks(index, queries, depth):
-        del sqd  # unread; freed before the jobs run, it stays out of their memory peak
-        at = 0
-        while at < order.shape[0]:
-            take = min(order.shape[0] - at, batch.shape[0] - filled)
-            batch[filled : filled + take] = order[at : at + take]
-            at, filled = at + take, filled + take
-            if filled == batch.shape[0] or start + filled == m:
-                yield slice(start, start + filled), batch[:filled]
-                start, filled = start + filled, 0
-        del order  # drop this block before the next one is searched
-
-
 def _run_rep(
     config: ExperimentConfig,
     source: PartialDataset | AnalyticScenario,
@@ -333,10 +309,9 @@ def _run_rep(
     search of the test points are shared by all jobs; only the bags depend
     on the noise level, so the index and any pipeline are built from the
     first training set's features, and a pipeline rebinds every training set
-    to the index's points.  The search's blocks are copied into batches of
-    test points (:func:`_order_batches`, sized by ``plaknn._batch_rows``),
-    and every job classifies each batch, one call per job, before the next
-    batch is filled.
+    to the index's points.  The search comes in batches of test points
+    (``plaknn._order_batches``), and every job classifies each batch, one
+    call per job, before the next batch is filled.
     """
     seed = config.base_seed + rep
     trains, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
@@ -359,8 +334,7 @@ def _run_rep(
     ]
     # deep enough for every method: each one reads its own prefix
     depth = max(calls[method][0] for method in config.methods)
-    rows = _batch_rows(min(depth, index.n), trains[0].label_space.c)
-    for batch, order in _order_batches(index, test_x, depth, rows):
+    for batch, order in _order_batches(index, test_x, depth, trains[0].label_space.c):
         for job in jobs:
             started = time.perf_counter()
             job.batches.append(job.call(job.train, test_x[batch], order))
@@ -767,8 +741,13 @@ def _theory_text(d: DiscreteDistribution, report: theory.AdvantageReport) -> str
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
-    result = run(config, dump_predictions=args.dump_predictions)
-    emit(result, args.out, timings=config.timings)
+    # run's warnings are shown once emit has written, so a run whose output
+    # cannot be written prints its one error line alone
+    with warnings.catch_warnings(record=True) as held:
+        result = run(config, dump_predictions=args.dump_predictions)
+        emit(result, args.out, timings=config.timings)
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, line=w.line)
     header, *lines = _table(SummaryRow, result.summary)
     for cells in lines:
         print(" ".join(f"{name}={cell}" for name, cell in zip(header, cells)))

@@ -293,9 +293,8 @@ def _block_rows(t: int, d: int) -> int:
     """Query rows per block of a search ``t`` deep in ``d`` dimensions.
 
     Rows are independent, so the size changes no output.  The size bounds
-    the search's own memory: the classifiers run on batches that
-    ``plaknn._batch_rows`` sizes from the same budget, and ``bench run``
-    copies the blocks into them.
+    the search's own memory alone: ``plaknn._order_batches`` copies the
+    blocks into the classifiers' batches, which ``plaknn._batch_rows`` sizes.
     """
     return max(_BLOCK, _BLOCK_BYTES // (8 * (2 * t + d)))
 

@@ -13,7 +13,7 @@ test compares integer count gaps with a table from :func:`_smallest_count`)
 and :func:`_eliminate` (the step loop over a batch of queries, O(c) int32
 state per query).  The kernel reads query q's k-th bag as the membership row
 ``memb[order[q, k-1]]``, so no (queries, T, c) bag tensor is built.
-:func:`classify_batch` runs it on each block of :func:`_order_blocks`, the
+:func:`classify_batch` runs it on each batch of :func:`_order_blocks`, the
 one source of neighbor orders for this module and :mod:`plbag.baselines`;
 :func:`classify` runs it on one query and rebuilds the full
 :class:`EliminationTrace` from the counts with a single vectorized
@@ -177,10 +177,37 @@ def _batch_rows(t: int, c: int) -> int:
 
     As many as hold the batch's int32 order (4 t bytes per query) and the
     kernels' per-query state (``_STATE_BYTES`` per label) in
-    ``knn_index._BLOCK_BYTES``, and at least ``knn_index._BLOCK``.  Rows
-    are independent, so the size changes no output.
+    ``knn_index._BLOCK_BYTES``, and at least ``knn_index._BLOCK``.  Every
+    kernel call in this module and :mod:`plbag.baselines` gets a batch of
+    this size, searched or cut from a given order.  Rows are independent,
+    so the size changes no output.
     """
     return max(knn_index._BLOCK, knn_index._BLOCK_BYTES // (4 * t + _STATE_BYTES * c))
+
+
+def _order_batches(
+    index: knn_index.NeighborIndex, queries: np.ndarray, depth: int, c: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(batch, order)`` for consecutive batches of :func:`_batch_rows` queries
+    (the last may be shorter): the int32 order of the batch's
+    ``min(depth, n)`` nearest training points, copied from the search's
+    blocks as they come.  One buffer holds every batch, so each must be used
+    up before the next is drawn.
+    """
+    m, t = queries.shape[0], min(depth, index.n)
+    batch = np.empty((min(_batch_rows(t, c), m), t), dtype=np.int32)
+    start = filled = 0
+    for _, order, sqd in knn_index.neighbor_blocks(index, queries, depth):
+        del sqd  # unread; freed before the kernels run, it stays out of their memory peak
+        at = 0
+        while at < order.shape[0]:
+            take = min(order.shape[0] - at, batch.shape[0] - filled)
+            batch[filled : filled + take] = order[at : at + take]
+            at, filled = at + take, filled + take
+            if filled == batch.shape[0] or start + filled == m:
+                yield slice(start, start + filled), batch[:filled]
+                start, filled = start + filled, 0
+        del order  # drop this block before the next one is searched
 
 
 def _order_blocks(
@@ -191,12 +218,11 @@ def _order_blocks(
     order: np.ndarray | None,
 ) -> tuple[np.ndarray, int, Iterator[tuple[slice, np.ndarray]]]:
     """The membership matrix and the query count m, after checking the
-    inputs, and ``(rows, order)`` blocks: ``order[i, j]`` is the (j+1)-th
-    nearest training point of query ``rows.start + i`` for j < min(t, n),
-    so ``memb[order[i, j]]`` is its bag row.  The blocks are the searched
-    ones of :func:`knn_index.neighbor_blocks`, or the batches
-    (:func:`_batch_rows`) of a precomputed ``order`` of the queries, read
-    in place.
+    inputs, and ``(rows, order)`` batches of :func:`_batch_rows` queries:
+    ``order[i, j]`` is the (j+1)-th nearest training point of query
+    ``rows.start + i`` for j < min(t, n), so ``memb[order[i, j]]`` is its
+    bag row.  The batches are searched (:func:`_order_batches`) or cut from
+    a precomputed ``order`` of the queries, read in place.
     """
     if index.n != train.n or index.dim != train.dim:
         raise ValueError(
@@ -205,17 +231,16 @@ def _order_blocks(
         )
     queries = knn_index._checked_queries(index, np.asarray(queries, dtype=np.float64))
     memb = train.membership_matrix()
-    m = queries.shape[0]
+    m, c = queries.shape[0], train.label_space.c
     if order is None:
-        blocks = knn_index.neighbor_blocks(index, queries, t)
-        return memb, m, ((rows, block) for rows, block, _ in blocks)
+        return memb, m, _order_batches(index, queries, t, c)
     t = min(t, index.n)
     order = np.asarray(order)
     if order.ndim != 2 or order.shape[0] != m or order.shape[1] < t:
         raise ValueError(
             f"order of shape {order.shape} does not give {t} neighbors for each of {m} queries"
         )
-    step = _batch_rows(t, train.label_space.c)
+    step = _batch_rows(t, c)
     batches = (slice(s, min(s + step, m)) for s in range(0, m, step))
     return memb, m, ((rows, order[rows]) for rows in batches)
 

@@ -182,8 +182,9 @@ class TestAknnOracle:
 
 
 class TestQualifyingCounts:
-    """``_qualifying_counts`` equals the float rule ``q / k - 1 / c >= delta``
-    scanned over every count q of every step k."""
+    """aknn's qualifying counts, ``plaknn._smallest_count`` at shift ``1 / c``,
+    equal the float rule ``q / k - 1 / c >= delta`` scanned over every count
+    q of every step k."""
 
     @staticmethod
     def scanned(deltas, c):
@@ -201,7 +202,7 @@ class TestQualifyingCounts:
                 for n, dim in ((10, 1), (400, 2), (400, 16), (10**6, 3)):
                     cfg = PlaknnConfig(c1=c1, delta=delta, mode=mode)
                     deltas = cfg.threshold(n, np.arange(1, min(n, 400) + 1), c, dim)
-                    need = baselines._qualifying_counts(deltas, c)
+                    need = plaknn._smallest_count(deltas, 1.0 / c)
                     assert np.array_equal(need, self.scanned(deltas, c)), (c1, delta, n, dim)
 
     @pytest.mark.parametrize("c", [2, 3, 7, 10, 64])
@@ -213,14 +214,14 @@ class TestQualifyingCounts:
         ks = np.arange(1, 401)
         at = (rng.random(400) * (ks + 1)).astype(int) / ks - 1.0 / c
         for deltas in (at, np.nextafter(at, np.inf)):
-            need = baselines._qualifying_counts(deltas, c)
+            need = plaknn._smallest_count(deltas, 1.0 / c)
             assert np.array_equal(need, self.scanned(deltas, c))
 
     def test_bounds(self):
         # a threshold no count reaches needs k + 1, one every count clears needs 0
         deltas = np.array([0.6, 5.0, np.inf, -1.0, -0.5])
-        assert baselines._qualifying_counts(deltas, 2).tolist() == [2, 3, 4, 0, 0]
-        assert np.array_equal(baselines._qualifying_counts(deltas, 2), self.scanned(deltas, 2))
+        assert plaknn._smallest_count(deltas, 1.0 / 2).tolist() == [2, 3, 4, 0, 0]
+        assert np.array_equal(plaknn._smallest_count(deltas, 1.0 / 2), self.scanned(deltas, 2))
 
 
 class TestPrecomputedOrder:
@@ -304,6 +305,55 @@ class TestPrecomputedOrder:
             baselines.fixed_k_batch(train, index, queries, 4, order=order),
             baselines.fixed_k_batch(train, index, queries, 4),
         )
+
+
+class TestOneBatching:
+    """A search and a given order reach the kernels as the same int32
+    batches of ``plaknn._batch_rows`` queries, so a search's memory follows
+    the label count as a given order's does."""
+
+    def test_kernels_see_the_same_batches(self, monkeypatch):
+        # at c = 64 the batch rule gives 990 rows: batches of 990, 990 and 520
+        # queries, where the search's one block holds all 2,500
+        rng = np.random.default_rng(9)
+        train = random_partial_dataset(rng, 300, 2, 64)
+        index = knn_index.build(train.features)
+        queries = rng.normal(size=(2500, 2))
+        cfg = PlaknnConfig(T=35)
+        order = np.concatenate([o for _, o, _ in knn_index.neighbor_blocks(index, queries, 35)])
+        seen = []
+
+        def recorder(kernel):
+            def record(memb, block, table, *rest):
+                seen[-1].append((kernel.__name__, block.shape, block.dtype))
+                return kernel(memb, block, table, *rest)
+            return record
+
+        monkeypatch.setattr(plaknn, "_eliminate", recorder(plaknn._eliminate))
+        monkeypatch.setattr(baselines, "_qualify", recorder(baselines._qualify))
+        for given in (None, order.astype(np.int32)):
+            seen.append([])
+            plaknn.classify_batch_detail(train, index, queries, cfg, order=given)
+            baselines.aknn_batch(train, index, queries, cfg, order=given)
+        assert seen[0] == seen[1]
+        assert [shape for _, shape, _ in seen[0]] == [(990, 35), (990, 35), (520, 35)] * 2
+
+    def test_a_searched_batch_call_stays_small(self):
+        # 20,000 queries in d = 2 are one 0.31 MB search block; the kernels'
+        # O(c) state per query is not held for all of them at once
+        rng = np.random.default_rng(4)
+        train = random_partial_dataset(rng, 200, 2, 64)
+        index = knn_index.build(train.features)
+        queries = rng.normal(size=(20_000, 2))
+        cfg = PlaknnConfig(T=2)
+        plaknn.classify_batch_detail(train, index, queries[:10], cfg)  # lazy imports
+        tracemalloc.start()
+        try:
+            plaknn.classify_batch_detail(train, index, queries, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCapWarning:

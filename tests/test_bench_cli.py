@@ -38,7 +38,7 @@ from plbag.bench_cli import (
 )
 from plbag.core import DataFormatError, LabelSpace, PartialDataset, load_dataset, save_dataset
 from plbag.plaknn import PlaknnConfig, classify_batch_detail
-from plbag.synth import SynthBagConfig, make_bags, remove_truth_noise
+from plbag.synth import SCENARIOS, SynthBagConfig, make_bags, remove_truth_noise
 
 
 FULL_CONFIG = """
@@ -421,6 +421,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and err.startswith("data error:")
+
+    def test_T_warning_waits_until_the_output_is_written(self, tmp_path):
+        # T = 100 against 48 training points: the run warns once its files
+        # are written, and an --out it cannot create prints one error line
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 1\n"
+            "[plaknn]\nT = 100\n"
+        )
+        (tmp_path / "afile").write_text("")
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "afile" / "x"))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("data error:")
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0 and (tmp_path / "out" / "results.csv").exists()
+        message, _source_line = proc.stderr.splitlines()
+        assert "RuntimeWarning: iteration cap T=100 exceeds the 48" in message
 
 
 class TestNeighborCountsAgainstSplit:
@@ -990,24 +1007,28 @@ class TestBenchmarkEntryPoint:
 
 
 class TestOrderBatches:
-    """``_order_batches`` copies the search's blocks into int32 batches of a
-    given number of rows, the last one shorter; together they are the
-    search's order."""
+    """``plaknn._order_batches`` copies the search's blocks into int32 batches
+    of ``plaknn._batch_rows`` rows, the last one shorter; together they are
+    the search's order."""
 
     @pytest.mark.parametrize("depth", [1100, 1500], ids=["below_n", "above_n"])
     @pytest.mark.parametrize("rows", [1, 100, 256, 300, 700, 2000])
-    def test_batches_concatenate_to_the_search(self, rows, depth):
-        # 700 queries searched 1,100 or 1,200 deep: blocks of 256 rows
+    def test_batches_concatenate_to_the_search(self, rows, depth, monkeypatch):
+        # 700 queries searched 1,100 or 1,200 deep: blocks of 256 rows, and
+        # batches of ``rows`` in place of the batch rule's size
+        sized = []
+        monkeypatch.setattr(plaknn, "_batch_rows", lambda t, c: sized.append((t, c)) or rows)
         rng = np.random.default_rng(rows)
         index = knn_index.build(rng.normal(size=(1200, 3)))
         queries = rng.normal(size=(700, 3))
         want = np.concatenate([o for _, o, _ in knn_index.neighbor_blocks(index, queries, depth)])
         got = []
-        for batch, order in bench_cli._order_batches(index, queries, depth, rows):
+        for batch, order in plaknn._order_batches(index, queries, depth, 10):
             assert order.dtype == np.int32
             assert order.shape == (batch.stop - batch.start, min(depth, 1200))
             assert batch.start == sum(g.shape[0] for g in got)
             got.append(order.copy())
+        assert sized == [(min(depth, 1200), 10)]
         assert [g.shape[0] for g in got] == [min(rows, 700 - s) for s in range(0, 700, rows)]
         assert np.array_equal(np.concatenate(got), want)
 
@@ -1419,3 +1440,102 @@ class TestErrorMessages:
         assert (code, out) == (2, "")
         assert err == "config error: " + message.format(path=cfg) + "\n"
         assert not (tmp_path / "out").exists()
+
+
+@st.composite
+def csv_texts(draw):
+    """A small ``bench run`` CSV: tiny, one-row, constant, duplicated or
+    integer features, scaled by 1e-300 to 1e200."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 12]) | st.integers(6, 80))
+    dim, c = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["normal", "constant", "duplicate", "integer"]))
+    scale = 10.0 ** draw(st.sampled_from([-300, -170, -150, -5, 0, 0, 0, 3, 150, 160, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.standard_normal((n, dim))
+    if kind == "constant":
+        x[:] = x[0]
+    elif kind == "duplicate":
+        x = x[rng.integers(0, max(1, n // 3), size=n)]
+    elif kind == "integer":
+        x = np.round(4 * x)
+    y = rng.integers(1, c + 1, size=n)
+    bags = rng.random((n, c)) < 0.3
+    bags[np.arange(n), y - 1] = True
+    rows = "".join(
+        ",".join(repr(float(v)) for v in row * scale)
+        + "," + ";".join(str(j + 1) for j in np.flatnonzero(bag)) + f",{label}\n"
+        for row, bag, label in zip(x, bags, y)
+    )
+    return ",".join(f"x{j + 1}" for j in range(dim)) + ",bag,y\n" + rows
+
+
+@st.composite
+def run_inputs(draw):
+    """``(config text, CSV text or None, --out under a plain file,
+    --dump-predictions)`` for one ``bench run``, from the ranges of the CLI
+    probe; ``{dataset}`` in the config stands for the CSV's path."""
+    data = draw(st.none() | csv_texts())
+    if data is None:
+        name = draw(st.sampled_from(SCENARIOS + ("nope", "Two_Gaussians", "")))
+        source = f"scenario = {name}\nn_samples = {draw(st.integers(10, 150))}\n"
+    else:
+        source = "dataset = {dataset}\n"
+    methods = draw(st.lists(st.sampled_from(bench_cli.METHODS), min_size=1, max_size=3, unique=True))
+    noise = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), min_size=1, max_size=3, unique=True))
+    variant = draw(st.sampled_from(["none", "none", "vision", "realworld"]))
+    text = (
+        "[experiment]\n" + source
+        + f"methods = {','.join(methods)}\n"
+        + f"fixed_k = {draw(st.integers(1, 30))}\n"
+        + f"noise_grid = {','.join(map(str, noise))}\n"
+        + f"train_fraction = {draw(st.floats(0.01, 0.99)):.3f}\n"
+        + f"repetitions = {draw(st.integers(1, 2))}\n"
+        + f"base_seed = {draw(st.integers(0, 1000))}\n"
+        + f"[plaknn]\nT = {draw(st.sampled_from([1, 2, 5, 400, 100_000]) | st.integers(1, 200))}\n"
+        + f"[synth]\nn_clusters = {draw(st.integers(1, 256))}\n"
+        + f"[pipeline]\nvariant = {variant}\n"
+    )
+    if variant != "none":
+        text += f"smoothing_k = {draw(st.integers(1, 8))}\ndensity_k = {draw(st.integers(1, 8))}\n"
+    return text, data, draw(st.integers(0, 5)) == 0, draw(st.integers(0, 2)) == 0
+
+
+def _show_on_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+class TestCliContract:
+    """Any ``bench run`` input ends in exit 0, 2 or 3.  Exit 2 or 3 prints
+    one stderr line, a warning included, and exit 0 reruns to the same
+    bytes."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=run_inputs())
+    def test_exit_codes_and_messages(self, inputs):
+        text, data, under_file, dump = inputs
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            # shown on stderr, not raised: a warning is one more stderr line
+            warnings.simplefilter("default")
+            warnings.showwarning = _show_on_stderr
+            tmp = Path(tmp)
+            if data is not None:
+                (tmp / "data.csv").write_text(data)
+            cfg = tmp / "exp.cfg"
+            cfg.write_text(text.format(dataset=tmp / "data.csv"))
+            (tmp / "afile").write_text("")
+            outputs = []
+            for out in ["afile/x"] if under_file else ["a", "b"]:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                argv = ["run", "--config", str(cfg), "--out", str(tmp / out)]
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv + ["--dump-predictions"] * dump)
+                assert code in (0, 2, 3)
+                if code:
+                    err = stderr.getvalue()
+                    assert err.count("\n") == 1, err
+                    assert err.startswith(("config error:", "data error:")), err
+                    return
+                files = sorted((tmp / out).iterdir())
+                outputs.append((stdout.getvalue(), [(f.name, f.read_bytes()) for f in files]))
+            assert outputs[0] == outputs[1]

@@ -106,7 +106,7 @@ def run_kernels(memb, order, deltas):
     got = plaknn._eliminate(memb, order, deltas, plaknn._smallest_count(deltas, 0.0))
     assert all(np.array_equal(a, b) for a, b in zip(got, eliminated))
     qualified = aknn_oracle(nb, deltas)
-    got = baselines._qualify(memb, order, baselines._qualifying_counts(deltas, c))
+    got = baselines._qualify(memb, order, plaknn._smallest_count(deltas, 1.0 / c))
     assert all(np.array_equal(a, b) for a, b in zip(got, qualified))
     return eliminated, qualified
 

@@ -50,7 +50,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -102,16 +102,21 @@ METHODS = ("plaknn", "aknn", "fixed_k")
 # adds its training bags (8 bytes per training point) and, per method, the
 # int64 labels of every test point (plaknn also keeps their iteration
 # counts): 1.28 MB per level at 80,000 training and 20,000 test points with
-# all three methods.  ``--dump-predictions`` adds one ``PredictionRow`` per
-# test point, method and level, about 168 bytes each (tracemalloc over
-# 200,000 rows): 20,000 test points x 3 methods x 128 levels are 7.68 M rows,
-# about 1.29 GB per repetition, and ``run`` holds every repetition's rows
-# until they are written.
+# all three methods.  ``--dump-predictions`` keeps each job's labels, one
+# byte per test point, and each repetition's test truths, 8 bytes per test
+# point, and ``run`` holds every repetition's until ``emit`` writes them: at
+# train_fraction 0.8, 20,000 test points x 3 methods x 128 levels are
+# 7.68 MB per repetition, 768 MB at MAX_REPETITIONS; at train_fraction 0.01
+# (99,000 test points) about 38 MB per repetition.
 MAX_SAMPLES = 100_000
 
 # Longest noise grid.  A repetition holds every level's bags and job outputs
 # at once, so 128 levels hold about 164 MB at MAX_SAMPLES.
 MAX_NOISE_LEVELS = 128
+
+# Most repetitions: criterion 07 runs 50 and the default is 20.  Dumped
+# predictions grow with it (see MAX_SAMPLES).
+MAX_REPETITIONS = 100
 
 
 class ConfigError(ValueError):
@@ -162,8 +167,8 @@ class ExperimentConfig:
             raise ConfigError(f"noise levels must be distinct, got {self.noise_grid}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ConfigError(f"repetitions must be in 1..{MAX_REPETITIONS}, got {self.repetitions}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.scenario is not None and not 10 <= self.n_samples <= MAX_SAMPLES:
@@ -203,9 +208,16 @@ class PredictionRow:
 
 @dataclass
 class RunResult:
+    """A grid's result rows, sorted by (method, noise, repetition), and its
+    summary.  ``predictions`` is ``None`` unless predictions were dumped; then
+    it holds one ``(truths, labels)`` pair per entry of ``rows``, in the same
+    order: the repetition's test truths and the job's uint8 predicted labels,
+    both in test-point order.  :func:`emit` expands each pair into the job's
+    :class:`PredictionRow` lines."""
+
     rows: list[ResultRow]
     summary: list[SummaryRow]
-    predictions: list[PredictionRow] | None
+    predictions: list[tuple[np.ndarray, np.ndarray]] | None
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +314,11 @@ def _run_rep(
     source: PartialDataset | AnalyticScenario,
     rep: int,
     dump_predictions: bool,
-) -> tuple[list[ResultRow], list[PredictionRow]]:
-    """Every (noise level, method) job of repetition ``rep``, one :class:`_Job` each.
+) -> list[tuple[ResultRow, tuple[np.ndarray, np.ndarray] | None]]:
+    """Every (noise level, method) job of repetition ``rep``, one :class:`_Job`
+    each, as its result row and, when ``dump_predictions`` is set, the
+    repetition's test truths (one array shared by every job) and the job's
+    uint8 labels; without it no label array outlives the repetition.
 
     The split, the features, the pipeline, the index and one neighbor
     search of the test points are shared by all jobs; only the bags depend
@@ -339,20 +354,15 @@ def _run_rep(
             started = time.perf_counter()
             job.batches.append(job.call(job.train, test_x[batch], order))
             job.wall_ms += (time.perf_counter() - started) * 1000.0
-    results: list[ResultRow] = []
-    preds: list[PredictionRow] = []
+    results = []
     for job in jobs:
         labels, *iterations = (np.concatenate(column) for column in zip(*job.batches))
         mean_iters = float(iterations[0].mean()) if iterations else None
         error = float((labels != test_y).mean())
         row = ResultRow(job.method, job.noise, rep, seed, job.train.n, error, mean_iters, job.wall_ms)
-        results.append(row)
-        if dump_predictions:
-            preds.extend(
-                PredictionRow(job.method, job.noise, rep, i, int(test_y[i]), int(labels[i]))
-                for i in range(test_y.shape[0])
-            )
-    return results, preds
+        # labels are 1..c with c <= MAX_LABELS = 64, so one byte each
+        results.append((row, (test_y, labels.astype(np.uint8)) if dump_predictions else None))
+    return results
 
 
 def _check_neighbor_counts(config: ExperimentConfig, n_train: int, c: int, dim: int) -> ExperimentConfig:
@@ -432,18 +442,17 @@ def run(config: ExperimentConfig, dump_predictions: bool = False) -> RunResult:
         n, dim = config.n_samples, source.means.shape[1]
     n_train = _n_train(n, config.train_fraction)
     checked = _check_neighbor_counts(config, n_train, source.label_space.c, dim)
-    outputs = [_run_rep(checked, source, rep, dump_predictions) for rep in range(config.repetitions)]
+    reps = (_run_rep(checked, source, rep, dump_predictions) for rep in range(config.repetitions))
+    jobs = [job for rep_jobs in reps for job in rep_jobs]
     # a T above n_train warns only once every repetition has succeeded, so a
     # run that fails prints its one error line alone
     if checked.plaknn.T < config.plaknn.T:
         _neighbor_cap(config.plaknn.T, n_train)
 
-    rows = [row for out, _ in outputs for row in out]
-    rows.sort(key=lambda r: (r.method, r.noise, r.repetition))
-    predictions = None
-    if dump_predictions:
-        predictions = [p for _, out in outputs for p in out]
-        predictions.sort(key=lambda p: (p.method, p.noise, p.repetition, p.index))
+    # each job's labels are in index order, so this one sort orders predictions too
+    jobs.sort(key=lambda job: (job[0].method, job[0].noise, job[0].repetition))
+    rows = [row for row, _ in jobs]
+    predictions = [pred for _, pred in jobs] if dump_predictions else None
 
     summary: list[SummaryRow] = []
     for method in config.methods:
@@ -464,9 +473,10 @@ _CELLS = {"float": _fmt, "float | None": lambda v: "" if v is None else _fmt(v),
           "int": lambda v: v, "str": lambda v: v}
 
 
-def _table(cls: type, rows: list, timings: bool = False) -> Iterator[list]:
-    """The field names of the row dataclass ``cls``, then the cells of each row;
-    ``wall_time_ms`` cells are empty unless ``timings`` is set."""
+def _table(cls: type, rows: Iterable, timings: bool = False) -> Iterator[list]:
+    """The field names of the row dataclass ``cls``, then the cells of each of
+    ``rows``, any iterable of ``cls`` instances, read once; ``wall_time_ms``
+    cells are empty unless ``timings`` is set."""
     names = [f.name for f in fields(cls)]
     yield names
     cells = [_CELLS[f.type] for f in fields(cls)]
@@ -484,9 +494,14 @@ def emit(result: RunResult, out_dir: str | Path, timings: bool = False) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    predictions = None if result.predictions is None else (
+        PredictionRow(row.method, row.noise, row.repetition, i, truth, label)
+        for row, (truths, labels) in zip(result.rows, result.predictions, strict=True)
+        for i, (truth, label) in enumerate(zip(truths.tolist(), labels.tolist()))
+    )
     for name, cls, rows in [("results.csv", ResultRow, result.rows),
                             ("summary.csv", SummaryRow, result.summary),
-                            ("predictions.csv", PredictionRow, result.predictions)]:
+                            ("predictions.csv", PredictionRow, predictions)]:
         if rows is not None:
             with (out / name).open("w", newline="") as fh:
                 csv.writer(fh, lineterminator="\n").writerows(_table(cls, rows, timings))

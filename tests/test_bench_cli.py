@@ -258,14 +258,10 @@ class TestRun:
 
     def test_predictions_recount_matches_error_rate(self):
         result = run(tiny_config(), dump_predictions=True)
-        for row in result.rows:
-            preds = [
-                p
-                for p in result.predictions
-                if (p.method, p.noise, p.repetition) == (row.method, row.noise, row.repetition)
-            ]
-            assert preds
-            recount = sum(p.truth != p.predicted for p in preds) / len(preds)
+        assert len(result.predictions) == len(result.rows)
+        for row, (truths, labels) in zip(result.rows, result.predictions):
+            assert labels.dtype == np.uint8 and labels.shape == truths.shape != (0,)
+            recount = int(np.count_nonzero(truths != labels)) / len(labels)
             assert recount == pytest.approx(row.error_rate, abs=1e-12)
 
 
@@ -828,6 +824,13 @@ DIFFERENTIAL_CASES = {
         noise_grid=(0.0, 0.3), repetitions=1, base_seed=7, n_samples=3000,
         train_fraction=0.5, plaknn=PlaknnConfig(T=1100),
     ),
+    # the grid out of order: run's one sort must give the oracle's order of
+    # rows and of predictions
+    "unsorted_grid": lambda csv: ExperimentConfig(
+        scenario="two_gaussians", methods=("plaknn", "fixed_k"), fixed_k=5,
+        noise_grid=(0.5, 0.0, 0.2), repetitions=2, base_seed=8, n_samples=100,
+        plaknn=PlaknnConfig(T=20),
+    ),
     "fixed_k_above_T": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=("fixed_k",), fixed_k=30,
         noise_grid=(0.0, 0.3), repetitions=2, base_seed=6, n_samples=150,
@@ -840,6 +843,17 @@ def strip_walls(rows):
     return [replace(r, wall_time_ms=0.0) for r in rows]
 
 
+def prediction_rows(result):
+    """``result.predictions`` as one :class:`PredictionRow` per test point of
+    each row's job, in the order of ``result.rows``."""
+    assert len(result.predictions) == len(result.rows)
+    return [
+        PredictionRow(row.method, row.noise, row.repetition, i, int(truths[i]), int(labels[i]))
+        for row, (truths, labels) in zip(result.rows, result.predictions)
+        for i in range(len(truths))
+    ]
+
+
 class TestRunAgainstOracle:
     """``run`` shares one split, pipeline, clustering and neighbor search per
     repetition; its results equal the job-by-job oracle's."""
@@ -850,7 +864,7 @@ class TestRunAgainstOracle:
         want = run_oracle(config, dump_predictions=True)
         assert strip_walls(got.rows) == strip_walls(want.rows)
         assert got.summary == want.summary
-        assert got.predictions == want.predictions
+        assert prediction_rows(got) == want.predictions
         return got
 
     @pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
@@ -1035,7 +1049,8 @@ class TestOrderBatches:
 
 class TestRepetitionMemory:
     """A repetition holds one query block's search, not an order with a row
-    for every test point and a column for every neighbor."""
+    for every test point and a column for every neighbor, and a run holds
+    its dumped predictions as label arrays."""
 
     def test_large_T_run_stays_within_a_few_blocks(self, tmp_path, capsys):
         # 2,000 training and 2,000 test points, T = 2,000: a whole (2000, 2000)
@@ -1073,6 +1088,28 @@ class TestRepetitionMemory:
         finally:
             tracemalloc.stop()
         assert peak < 9.5e6
+
+    def test_dumped_predictions_are_held_as_labels(self):
+        # 100 test points x 3 methods x 4 levels x 20 repetitions are 24,000
+        # predictions: one byte per label, the repetition's 100 truths and
+        # each job's array headers come to about 3.3 bytes a prediction, and
+        # one PredictionRow object per prediction would take about 140
+        config = ExperimentConfig(
+            scenario="two_gaussians", n_samples=500, methods=ALL_METHODS, fixed_k=5,
+            noise_grid=(0.0, 0.1, 0.2, 0.3), repetitions=20, plaknn=PlaknnConfig(T=10),
+        )
+        # a small run first, so that lazy imports stay out of the held memory
+        run(replace(config, n_samples=60, repetitions=1), dump_predictions=True)
+        held = {}
+        for dump in (False, True):
+            tracemalloc.start()
+            try:
+                result = run(config, dump_predictions=dump)
+                held[dump] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del result
+        assert held[True] - held[False] < 8 * 24_000
 
 
 class TestInfiniteC1:
@@ -1143,10 +1180,11 @@ def emit_oracle(result, out_dir, timings=False):
         with (out / "predictions.csv").open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["method", "noise", "repetition", "index", "truth", "predicted"])
-            for p in result.predictions:
-                writer.writerow(
-                    [p.method, _fmt_oracle(p.noise), p.repetition, p.index, p.truth, p.predicted]
-                )
+            for r, (truths, labels) in zip(result.rows, result.predictions):
+                for i in range(len(truths)):
+                    writer.writerow(
+                        [r.method, _fmt_oracle(r.noise), r.repetition, i, int(truths[i]), int(labels[i])]
+                    )
 
 
 def summary_lines_oracle(summary):
@@ -1167,22 +1205,37 @@ CELL_FLOATS = st.one_of(
 CELL_INTS = st.integers(-(2**64), 2**64)
 CELL_STRS = st.sampled_from(["plaknn", "aknn", "fixed_k", "", "a,b", 'q"t', "x y"])
 
-RUN_RESULTS = st.builds(
-    RunResult,
-    rows=st.lists(
+# one job's (int64 truths, uint8 labels), as run keeps them
+JOB_PREDICTIONS = st.integers(0, 4).flatmap(
+    lambda m: st.tuples(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=m, max_size=m).map(
+            lambda v: np.array(v, dtype=np.int64)
+        ),
+        st.lists(st.integers(0, 255), min_size=m, max_size=m).map(
+            lambda v: np.array(v, dtype=np.uint8)
+        ),
+    )
+)
+
+
+@st.composite
+def run_results(draw):
+    """A :class:`RunResult` with printable cells and, or not, one prediction
+    pair per row."""
+    rows = draw(st.lists(
         st.builds(ResultRow, CELL_STRS, CELL_FLOATS, CELL_INTS, CELL_INTS, CELL_INTS,
                   CELL_FLOATS, st.none() | CELL_FLOATS, CELL_FLOATS),
         max_size=6,
-    ),
-    summary=st.lists(
+    ))
+    summary = draw(st.lists(
         st.builds(SummaryRow, CELL_STRS, CELL_FLOATS, CELL_FLOATS, CELL_FLOATS, CELL_INTS),
         max_size=6,
-    ),
-    predictions=st.none() | st.lists(
-        st.builds(PredictionRow, CELL_STRS, CELL_FLOATS, CELL_INTS, CELL_INTS, CELL_INTS, CELL_INTS),
-        max_size=6,
-    ),
-)
+    ))
+    predictions = draw(st.none() | st.lists(JOB_PREDICTIONS, min_size=len(rows), max_size=len(rows)))
+    return RunResult(rows=rows, summary=summary, predictions=predictions)
+
+
+RUN_RESULTS = run_results()
 
 
 class TestEmitAgainstOracle:
@@ -1236,17 +1289,18 @@ class TestConfigBounds:
              "at most 128 noise levels are allowed, got 129"),
             # pointwise mode would ignore d0
             ("run", "[plaknn]\nd0 = 3\n", "section [plaknn]: d0 applies only in uniform mode"),
+            # run holds every repetition's dumped predictions until they are written
+            ("run", "repetitions = 101\n", "repetitions must be in 1..100, got 101"),
         ],
         ids=["run_n_samples", "synth_n_samples", "run_base_seed", "synth_seed", "d0_1e400",
              "d0_1e308", "c1_1e308", "run_n_clusters", "synth_n_clusters", "c1_never_eliminates",
-             "noise_levels_129", "d0_pointwise"],
+             "noise_levels_129", "d0_pointwise", "repetitions_101"],
     )
     @pytest.mark.filterwarnings("error")
     def test_exit_2_with_one_line(self, tmp_path, capsys, command, text, message):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "[experiment]\nscenario = two_gaussians\nrepetitions = 1\n" + text
-        )
+        reps = "" if text.startswith("repetitions") else "repetitions = 1\n"
+        cfg.write_text("[experiment]\nscenario = two_gaussians\n" + reps + text)
         code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
@@ -1264,6 +1318,10 @@ class TestConfigBounds:
     def test_most_noise_levels_are_accepted(self):
         grid = tuple(i / 127 for i in range(bench_cli.MAX_NOISE_LEVELS))
         assert len(ExperimentConfig(scenario="two_gaussians", noise_grid=grid).noise_grid) == 128
+
+    def test_most_repetitions_are_accepted(self):
+        config = ExperimentConfig(scenario="two_gaussians", repetitions=bench_cli.MAX_REPETITIONS)
+        assert config.repetitions == 100
 
 
 class TestDistinctGrid:
@@ -1489,7 +1547,7 @@ def run_inputs(draw):
         + f"fixed_k = {draw(st.integers(1, 30))}\n"
         + f"noise_grid = {','.join(map(str, noise))}\n"
         + f"train_fraction = {draw(st.floats(0.01, 0.99)):.3f}\n"
-        + f"repetitions = {draw(st.integers(1, 2))}\n"
+        + f"repetitions = {draw(st.integers(1, 2) | st.just(bench_cli.MAX_REPETITIONS + 1))}\n"
         + f"base_seed = {draw(st.integers(0, 1000))}\n"
         + f"[plaknn]\nT = {draw(st.sampled_from([1, 2, 5, 400, 100_000]) | st.integers(1, 200))}\n"
         + f"[synth]\nn_clusters = {draw(st.integers(1, 256))}\n"

@@ -16,6 +16,12 @@ neighbor counts (``smoothing_k``, ``density_k``, ``T``, ``fixed_k``) small
 against its 400 training rows, some of them exact repeats, so that every
 neighbor search of the run takes ``knn_index``'s prefiltered path.
 
+``vision_deep`` runs the ``vision`` pipeline in 8 dimensions with 560
+training rows, ``fixed_k`` = 10 and ``T`` = 100.  17 (560 // 32) is the
+deepest search ``knn_index`` prefilters, and plaknn or aknn need more than
+17 neighbors for 100 and 95 of the 140 test points in repetitions 0 and 1
+(counted over both noise levels).  30 of the 700 rows are exact repeats.
+
 ``golden/synth`` holds two ``bench synth`` configs with the datasets they
 wrote: ``two_gaussians`` (the scenario's own bag process, with anchor noise)
 and ``gaussian_clusters`` (the cluster-varying ``make_bags`` process).
@@ -56,6 +62,7 @@ CASES = (
     "vision_csv",
     "realworld_csv",
     "vision_small_k",
+    "vision_deep",
 )
 OUTPUTS = ("results.csv", "summary.csv", "predictions.csv", "stdout.txt")
 THEORY = GOLDEN / "theory"
@@ -206,10 +213,29 @@ def _write_small_k_dataset(path: Path) -> None:
     save_dataset(data, path)
 
 
+def _write_deep_dataset(path: Path) -> None:
+    """Four Gaussian classes in 8 dimensions, 30 of the 700 rows repeated
+    exactly, with cluster-varying bags."""
+    from plbag.core import LabelSpace, save_dataset
+    from plbag.synth import SynthBagConfig, make_bags
+
+    rng = np.random.default_rng(50)
+    means = 1.5 * rng.standard_normal((4, 8))
+    truths = rng.integers(1, 5, size=700)
+    features = means[truths - 1] + rng.standard_normal((700, 8))
+    features[670:] = features[:30]
+    truths[670:] = truths[:30]
+    data = make_bags(
+        features, truths, LabelSpace(4), SynthBagConfig(n_clusters=4, alpha_max=0.6, seed=51)
+    )
+    save_dataset(data, path)
+
+
 def regenerate() -> None:
     _write_vision_dataset(GOLDEN / "vision_csv" / "bags.csv")
     _write_realworld_dataset(GOLDEN / "realworld_csv" / "bags.csv")
     _write_small_k_dataset(GOLDEN / "vision_small_k" / "bags.csv")
+    _write_deep_dataset(GOLDEN / "vision_deep" / "bags.csv")
     for name in CASES:
         _run_case(name, GOLDEN / name)
     for name in SYNTH_CASES:

@@ -24,19 +24,27 @@ timings are only written when ``timings = true``).  The noise level changes
 only the training bags, so a repetition builds the rest once and shares it
 across noise levels and methods: the split and scenario sample, the k-means
 clustering of ``make_bags`` scenarios, the pipeline fit and transform, the
-neighbor index, and one neighbor search of the test points at the deepest
-neighbor count any method needs.  Each noise level draws its bags from the
-generator state the shared steps left, which is exactly what a fresh
-repetition at that level would draw.  The search comes as int32 orders for
-batches of test points from ``plaknn._order_batches``, the batching every
-classifier call uses (all 1,000 test points of a 5,000-point
-``gaussian_clusters`` sample at T = 400 are one batch).  Every (noise
-level, method) job classifies a batch in one call before the next batch is
-filled, reading each test point's bags as membership rows through a prefix
-of the batch's order.  So a repetition holds one batch's order and one
-search block, never an order for all test points, and no bag tensor.
-``wall_time_ms`` sums one job's classification over the batches and
-excludes the shared work.
+neighbor index, and the neighbor search of the test points.  Each noise
+level draws its bags from the generator state the shared steps left, which
+is exactly what a fresh repetition at that level would draw.
+
+The search reaches the deepest neighbor count any method needs, in one or
+two steps.  Where ``knn_index`` prefilters a shallower search that still
+covers ``fixed_k`` (``knn_index.prefilter_depth``), every job first
+classifies all test points from that search, with plaknn and aknn capped at
+its depth; the test points that plaknn or aknn of any job leave undecided
+at the cap are searched again, full depth, and every job classifies them
+again.  Thresholds depend on the neighbor count alone, so the capped run is
+a prefix of the full one and the outputs equal those of one full-depth
+search.  Each search comes as int32 orders for batches of test points from
+``plaknn._order_batches``, the batching every classifier call uses (all
+1,000 test points of a 5,000-point ``gaussian_clusters`` sample at T = 400
+are one batch).  Every (noise level, method) job classifies a batch in one
+call before the next batch is filled, reading each test point's bags as
+membership rows through a prefix of the batch's order.  So a repetition
+holds one batch's order and one search block, never an order for all test
+points, and no bag tensor.  ``wall_time_ms`` sums one job's classification
+over the batches and excludes the shared work.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import knn_index, preprocess, theory
-from .baselines import aknn_batch, fixed_k_batch
+from .baselines import _aknn, fixed_k_batch
 from .core import (
     MAX_ENUMERABLE_LABELS,
     Atom,
@@ -278,35 +286,73 @@ def _split_rep(
 
 
 def _batch_calls(config: ExperimentConfig, index: knn_index.NeighborIndex) -> dict[str, tuple]:
-    """Each method's neighbor depth and its call ``(train, queries, order)`` on
-    one batch of test points, which gives the batch's labels and plaknn's
-    iterations."""
+    """Each method's neighbor depth and its call ``(train, queries, order, t)``
+    on one batch of test points whose order is ``t`` deep.  A call gives the
+    batch's labels, plaknn's iterations (None for the other methods) and the
+    rows it leaves undecided: those that plaknn or aknn, capped at t < T,
+    would read past the t-th neighbor.
 
-    def plaknn(train, queries, order):
-        detail = classify_batch_detail(train, index, queries, config.plaknn, order=order)
-        return detail.labels, detail.iterations
+    Every threshold depends on the neighbor count k alone, so a run capped
+    at t is the first t steps of the run capped at T: a plaknn row that
+    settles within t steps, and an aknn row that qualifies within them, get
+    the labels and iterations of the full run.
+    """
+    cap = config.plaknn.T
 
-    def aknn(train, queries, order):
-        return (aknn_batch(train, index, queries, config.plaknn, order=order),)
+    def plaknn(train, queries, order, t):
+        capped = replace(config.plaknn, T=min(t, cap))
+        detail = classify_batch_detail(train, index, queries, capped, order=order)
+        undecided = (t < cap) & detail.disambiguated & (detail.iterations == t)
+        return detail.labels, detail.iterations, undecided
 
-    def fixed_k(train, queries, order):
-        return (fixed_k_batch(train, index, queries, config.fixed_k, order=order),)
+    def aknn(train, queries, order, t):
+        capped = replace(config.plaknn, T=min(t, cap))
+        labels, steps = _aknn(train, index, queries, capped, order=order)
+        return labels, None, (t < cap) & (steps == 0)
 
-    return {"plaknn": (config.plaknn.T, plaknn), "aknn": (config.plaknn.T, aknn),
-            "fixed_k": (config.fixed_k, fixed_k)}
+    def fixed_k(train, queries, order, t):
+        labels = fixed_k_batch(train, index, queries, config.fixed_k, order=order)
+        return labels, None, np.zeros(labels.shape, dtype=bool)
+
+    return {"plaknn": (cap, plaknn), "aknn": (cap, aknn), "fixed_k": (config.fixed_k, fixed_k)}
 
 
 @dataclass
 class _Job:
     """One (noise level, method) job: its training set and batch call, the
-    call's outputs per batch, and their summed wall time."""
+    labels and plaknn iterations its calls gave each test point, and their
+    summed wall time."""
 
     noise: float
     method: str
     train: PartialDataset
-    call: Callable[..., tuple[np.ndarray, ...]]
-    batches: list[tuple[np.ndarray, ...]] = field(default_factory=list)
+    call: Callable[..., tuple]
+    labels: np.ndarray
+    iterations: np.ndarray
     wall_ms: float = 0.0
+
+
+def _classify_rows(
+    jobs: list[_Job], index: knn_index.NeighborIndex, test_x: np.ndarray, rows: np.ndarray, t: int, c: int
+) -> np.ndarray:
+    """Classify the test points ``rows`` with every job, from a search ``t``
+    deep that comes in batches (``plaknn._order_batches``), and write each
+    job's outputs at those points.  Every job classifies a batch, one call
+    each, before the next batch is filled.  Returns the points that some
+    job left undecided."""
+    queries = test_x[rows]
+    undecided = np.zeros(rows.shape[0], dtype=bool)
+    for batch, order in _order_batches(index, queries, t, c):
+        at = rows[batch]
+        for job in jobs:
+            started = time.perf_counter()
+            labels, iterations, left = job.call(job.train, queries[batch], order, t)
+            job.wall_ms += (time.perf_counter() - started) * 1000.0
+            job.labels[at] = labels
+            if iterations is not None:
+                job.iterations[at] = iterations
+            undecided[batch] |= left
+    return rows[undecided]
 
 
 def _run_rep(
@@ -320,13 +366,16 @@ def _run_rep(
     repetition's test truths (one array shared by every job) and the job's
     uint8 labels; without it no label array outlives the repetition.
 
-    The split, the features, the pipeline, the index and one neighbor
-    search of the test points are shared by all jobs; only the bags depend
-    on the noise level, so the index and any pipeline are built from the
-    first training set's features, and a pipeline rebinds every training set
-    to the index's points.  The search comes in batches of test points
-    (``plaknn._order_batches``), and every job classifies each batch, one
-    call per job, before the next batch is filled.
+    The split, the features, the pipeline, the index and the neighbor
+    searches of the test points are shared by all jobs; only the bags
+    depend on the noise level, so the index and any pipeline are built from
+    the first training set's features, and a pipeline rebinds every training
+    set to the index's points.  The test points are searched as deep as
+    ``knn_index`` prefilters, when that covers ``fixed_k`` and falls short
+    of T, else as deep as the deepest method reads.  Every job classifies
+    them from that search, and the points that plaknn or aknn of any job
+    left undecided are searched again, full depth, and classified again by
+    every job.
     """
     seed = config.base_seed + rep
     trains, test_x, test_y = _split_rep(config, source, np.random.default_rng(seed))
@@ -342,26 +391,28 @@ def _run_rep(
         # the index's read-only copy: every noise level shares it uncopied
         trains = [train.with_features(index.points) for train in trains]
     calls = _batch_calls(config, index)
+    m = test_x.shape[0]
     jobs = [
-        _Job(noise, method, train, calls[method][1])
+        _Job(noise, method, train, calls[method][1], np.empty(m, np.int64), np.empty(m, np.int64))
         for noise, train in zip(config.noise_grid, trains)
         for method in config.methods
     ]
     # deep enough for every method: each one reads its own prefix
     depth = max(calls[method][0] for method in config.methods)
-    for batch, order in _order_batches(index, test_x, depth, trains[0].label_space.c):
-        for job in jobs:
-            started = time.perf_counter()
-            job.batches.append(job.call(job.train, test_x[batch], order))
-            job.wall_ms += (time.perf_counter() - started) * 1000.0
+    shallow = knn_index.prefilter_depth(index.n, index.dim)
+    floor = config.fixed_k if "fixed_k" in config.methods else 1
+    first = shallow if floor <= shallow < depth else depth
+    c = trains[0].label_space.c
+    deep = _classify_rows(jobs, index, test_x, np.arange(m), first, c)
+    if deep.size:
+        _classify_rows(jobs, index, test_x, deep, depth, c)
     results = []
     for job in jobs:
-        labels, *iterations = (np.concatenate(column) for column in zip(*job.batches))
-        mean_iters = float(iterations[0].mean()) if iterations else None
-        error = float((labels != test_y).mean())
+        mean_iters = float(job.iterations.mean()) if job.method == "plaknn" else None
+        error = float((job.labels != test_y).mean())
         row = ResultRow(job.method, job.noise, rep, seed, job.train.n, error, mean_iters, job.wall_ms)
         # labels are 1..c with c <= MAX_LABELS = 64, so one byte each
-        results.append((row, (test_y, labels.astype(np.uint8)) if dump_predictions else None))
+        results.append((row, (test_y, job.labels.astype(np.uint8)) if dump_predictions else None))
     return results
 
 

@@ -148,14 +148,23 @@ class EliminationTrace:
 
 def _neighbor_cap(t: int, n: int) -> int:
     """``min(t, n)``.  A t above n warns, at the innermost caller outside this
-    package: the user's line, whichever public function it called."""
+    package: the user's line, whichever public function it called.  A frame's
+    module is named by its ``__spec__`` when it has one, so a package module
+    run as ``python -m`` (``__name__`` is ``__main__`` there) still counts as
+    inside the package."""
     if t > n:
         level, frame = 2, sys._getframe(1)
-        while frame.f_back and frame.f_globals.get("__name__", "").startswith(f"{__package__}."):
+        while frame.f_back and _module_name(frame).startswith(f"{__package__}."):
             level, frame = level + 1, frame.f_back
         message = f"iteration cap T={t} exceeds the {n} available neighbors; using T={n}"
         warnings.warn(message, RuntimeWarning, stacklevel=level)
     return min(t, n)
+
+
+def _module_name(frame) -> str:
+    """The name of the module whose code ``frame`` runs."""
+    spec = frame.f_globals.get("__spec__")
+    return spec.name if spec is not None else frame.f_globals.get("__name__", "")
 
 
 def _schedule(train: PartialDataset, config: PlaknnConfig) -> tuple[int, np.ndarray]:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from plbag import bench_cli, knn_index, plaknn, preprocess
+from plbag import baselines, bench_cli, knn_index, plaknn, preprocess
 from plbag.baselines import aknn_batch, fixed_k_batch
 from plbag.bench_cli import (
     ConfigError,
@@ -432,8 +432,24 @@ class TestCli:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("data error:")
         proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0 and (tmp_path / "out" / "results.csv").exists()
-        message, _source_line = proc.stderr.splitlines()
-        assert "RuntimeWarning: iteration cap T=100 exceeds the 48" in message
+        assert proc.stderr.count("RuntimeWarning") == 1
+        assert "RuntimeWarning: iteration cap T=100 exceeds the 48" in proc.stderr.splitlines()[0]
+
+    def test_T_warning_names_a_file_outside_the_package(self, tmp_path):
+        # run as ``python -m plbag.bench_cli`` the harness's module is
+        # ``__main__``; the warning still skips it and names the code that
+        # ran the module, not a line of the package
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\nscenario = two_gaussians\nn_samples = 60\nrepetitions = 1\n"
+            "[plaknn]\nT = 100\n"
+        )
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0
+        where = re.match(r"(.*):\d+: RuntimeWarning: iteration cap", proc.stderr)
+        assert where is not None, proc.stderr
+        package = Path(bench_cli.__file__).parent.resolve()
+        assert not Path(where[1]).resolve().is_relative_to(package), where[1]
 
 
 class TestNeighborCountsAgainstSplit:
@@ -831,6 +847,14 @@ DIFFERENTIAL_CASES = {
         noise_grid=(0.5, 0.0, 0.2), repetitions=2, base_seed=8, n_samples=100,
         plaknn=PlaknnConfig(T=20),
     ),
+    # d = 8 and 560 training points: the first search is 17 (560 // 32)
+    # deep, and the test points that plaknn or aknn leave undecided there
+    # are searched again, 60 deep
+    "csv_deep": lambda csv: ExperimentConfig(
+        dataset=write_csv_dataset(Path(csv).with_name("deep.csv"), n=700, dim=8),
+        methods=ALL_METHODS, fixed_k=6, noise_grid=(0.0, 0.5), repetitions=2, base_seed=3,
+        plaknn=PlaknnConfig(T=60),
+    ),
     "fixed_k_above_T": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=("fixed_k",), fixed_k=30,
         noise_grid=(0.0, 0.3), repetitions=2, base_seed=6, n_samples=150,
@@ -906,6 +930,84 @@ class TestRunAgainstOracle:
         m = config.n_samples - bench_cli._n_train(config.n_samples, config.train_fraction)
         rows = plaknn._batch_rows(config.plaknn.T, 10)
         assert m > rows and rows % knn_index._block_rows(config.plaknn.T, 2)
+
+
+def undecided_oracle(config, source, rep, t):
+    """Test points of repetition ``rep`` that plaknn or aknn, run the full T
+    deep on every noise level, decide only past the ``t``-th neighbor, as
+    (plaknn's, aknn's) masks per noise level."""
+    out = []
+    for noise in config.noise_grid:
+        train, test_x, _ = prepare_rep_oracle(config, source, noise, rep)
+        index = knn_index.build(train.features)
+        iterations = classify_batch_detail(train, index, test_x, config.plaknn).iterations
+        steps = baselines._aknn(train, index, test_x, config.plaknn)[1]
+        out.append((iterations > t, (steps == 0) | (steps > t)))
+    return out
+
+
+class TestShallowSearch:
+    """``run`` searches the test points as deep as the prefilter serves
+    (``n_train // 32`` in ``d >= 8``) when that covers ``fixed_k`` and falls
+    short of T, and searches again, T deep, the points that plaknn or aknn
+    of some job decide only past that depth."""
+
+    @staticmethod
+    def searches(config, monkeypatch):
+        """``(queries, t)`` of every search ``run`` makes for ``config``."""
+        calls = []
+        original = bench_cli._order_batches
+
+        def recorder(index, queries, t, c):
+            calls.append((np.array(queries), t))
+            return original(index, queries, t, c)
+
+        monkeypatch.setattr(bench_cli, "_order_batches", recorder)
+        run(config)
+        return calls
+
+    def test_the_deep_case_deepens_plaknn_and_aknn_points(self, tmp_path):
+        config = DIFFERENTIAL_CASES["csv_deep"](write_csv_dataset(tmp_path / "data.csv"))
+        source = bench_cli._load_source(config)
+        t = knn_index.prefilter_depth(bench_cli._n_train(source.n, config.train_fraction), source.dim)
+        assert config.fixed_k <= t == 17 < config.plaknn.T
+        for rep in range(config.repetitions):
+            plaknn_deep, aknn_deep = zip(*undecided_oracle(config, source, rep, t))
+            # plaknn deepens some points on every noise level, aknn some on
+            # the noisy one; every job also decides some within t
+            assert all(0 < mask.sum() < mask.size for mask in plaknn_deep)
+            assert aknn_deep[-1].sum() > 0
+            assert all(mask.sum() < mask.size for mask in aknn_deep)
+
+    def test_only_undecided_points_are_searched_again(self, tmp_path, monkeypatch):
+        config = DIFFERENTIAL_CASES["csv_deep"](write_csv_dataset(tmp_path / "data.csv"))
+        calls = self.searches(config, monkeypatch)
+        source = load_dataset(config.dataset)
+        assert len(calls) == 2 * config.repetitions
+        for rep in range(config.repetitions):
+            (first, t_first), (again, t_again) = calls[2 * rep : 2 * rep + 2]
+            undecided = np.logical_or.reduce(
+                [mask for masks in undecided_oracle(config, source, rep, 17) for mask in masks]
+            )
+            test_x = prepare_rep_oracle(config, source, 0.0, rep)[1]
+            assert (t_first, t_again) == (17, config.plaknn.T)
+            assert np.array_equal(first, test_x)
+            assert np.array_equal(again, test_x[undecided])
+
+    @pytest.mark.parametrize(
+        "case, change",
+        [("csv", {}), ("csv_deep", {"fixed_k": 18}), ("csv_deep", {"plaknn": PlaknnConfig(T=17)})],
+        ids=["d_below_8", "fixed_k_above_n_train_over_32", "T_within_n_train_over_32"],
+    )
+    def test_one_search_per_repetition(self, tmp_path, monkeypatch, case, change):
+        config = replace(DIFFERENTIAL_CASES[case](write_csv_dataset(tmp_path / "data.csv")), **change)
+        calls = self.searches(config, monkeypatch)
+        depth = max(config.plaknn.T, config.fixed_k)
+        assert len(calls) == config.repetitions
+        assert all(t == depth for _, t in calls)
+        source = load_dataset(config.dataset)
+        for rep, (queries, _) in enumerate(calls):
+            assert np.array_equal(queries, prepare_rep_oracle(config, source, 0.0, rep)[1])
 
 
 class TestBenchmarkEntryPoint:

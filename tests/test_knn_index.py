@@ -346,15 +346,20 @@ class TestPrefilter:
     functions: ``order`` equal and ``sqd`` equal byte for byte."""
 
     def test_every_dimension_and_neighbor_count(self):
+        # Gaussian and integer-grid points, each with exact duplicates: on the
+        # grid most distances tie, so the order within every tie (index
+        # order, from the rescoring's stable sort) is checked at every t
         rng = np.random.default_rng(400)
         for d in range(1, 65):
             n = int(rng.integers(2, 40))
-            points = rng.normal(size=(n, d))
-            points[n // 2 :: 3] = points[: len(points[n // 2 :: 3])]  # exact duplicates
-            queries = np.vstack([rng.normal(size=(4, d)), points[:2]])
-            index = knn_index.build(points)
-            for t in range(1, n + 1):
-                assert_same_search(index, queries, t)
+            gaussian = rng.normal(size=(n, d))
+            grid = rng.integers(-1, 2, size=(n, d)).astype(float)
+            for points, probes in ((gaussian, rng.normal(size=(4, d))), (grid, grid[-4:] + 0.0)):
+                points[n // 2 :: 3] = points[: len(points[n // 2 :: 3])]  # exact duplicates
+                queries = np.vstack([probes, points[:2]])
+                index = knn_index.build(points)
+                for t in range(1, n + 1):
+                    assert_same_search(index, queries, t)
 
     @pytest.mark.parametrize("d", [8, 16, 33])
     def test_random_points_and_integer_grid_ties(self, d):

@@ -320,27 +320,26 @@ def _batch_calls(config: ExperimentConfig, index: knn_index.NeighborIndex) -> di
 @dataclass
 class _Job:
     """One (noise level, method) job: its training set and batch call, the
-    labels and plaknn iterations its calls gave each test point, and their
-    summed wall time."""
+    labels its calls gave each test point (and plaknn's iterations, else
+    None), and their summed wall time."""
 
     noise: float
     method: str
     train: PartialDataset
     call: Callable[..., tuple]
     labels: np.ndarray
-    iterations: np.ndarray
+    iterations: np.ndarray | None
     wall_ms: float = 0.0
 
 
 def _classify_rows(
-    jobs: list[_Job], index: knn_index.NeighborIndex, test_x: np.ndarray, rows: np.ndarray, t: int, c: int
+    jobs: list[_Job], index: knn_index.NeighborIndex, queries: np.ndarray, rows: np.ndarray, t: int, c: int
 ) -> np.ndarray:
-    """Classify the test points ``rows`` with every job, from a search ``t``
-    deep that comes in batches (``plaknn._order_batches``), and write each
-    job's outputs at those points.  Every job classifies a batch, one call
-    each, before the next batch is filled.  Returns the points that some
-    job left undecided."""
-    queries = test_x[rows]
+    """Classify ``queries``, the test points ``rows``, with every job, from a
+    search ``t`` deep that comes in batches (``plaknn._order_batches``), and
+    write each job's outputs at those points.  Every job classifies a batch,
+    one call each, before the next batch is filled.  Returns the points that
+    some job left undecided."""
     undecided = np.zeros(rows.shape[0], dtype=bool)
     for batch, order in _order_batches(index, queries, t, c):
         at = rows[batch]
@@ -393,22 +392,25 @@ def _run_rep(
     calls = _batch_calls(config, index)
     m = test_x.shape[0]
     jobs = [
-        _Job(noise, method, train, calls[method][1], np.empty(m, np.int64), np.empty(m, np.int64))
+        _Job(noise, method, train, calls[method][1], np.empty(m, np.int64),
+             np.empty(m, np.int64) if method == "plaknn" else None)
         for noise, train in zip(config.noise_grid, trains)
         for method in config.methods
     ]
     # deep enough for every method: each one reads its own prefix
     depth = max(calls[method][0] for method in config.methods)
+    # plaknn and aknn stop each test point on its own evidence, most of them
+    # early; fixed_k reads a fixed prefix, which the first search must cover
     shallow = knn_index.prefilter_depth(index.n, index.dim)
     floor = config.fixed_k if "fixed_k" in config.methods else 1
     first = shallow if floor <= shallow < depth else depth
     c = trains[0].label_space.c
     deep = _classify_rows(jobs, index, test_x, np.arange(m), first, c)
     if deep.size:
-        _classify_rows(jobs, index, test_x, deep, depth, c)
+        _classify_rows(jobs, index, test_x[deep], deep, depth, c)
     results = []
     for job in jobs:
-        mean_iters = float(job.iterations.mean()) if job.method == "plaknn" else None
+        mean_iters = None if job.iterations is None else float(job.iterations.mean())
         error = float((job.labels != test_y).mean())
         row = ResultRow(job.method, job.noise, rep, seed, job.train.n, error, mean_iters, job.wall_ms)
         # labels are 1..c with c <= MAX_LABELS = 64, so one byte each

@@ -8,6 +8,7 @@ best of three calls so a cold cache cannot flake the suite.
 """
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -41,7 +42,30 @@ from _fixtures import (
     random_discrete_distribution,
     random_partial_dataset,
 )
+from test_golden import GOLDEN, _assert_golden, _versions
 from test_theory import advantage_oracle
+
+# The headline runs of criteria 05-07, whose results.csv and summary.csv are
+# locked under golden/headline/<name>.
+HEADLINE = GOLDEN / "headline"
+HEADLINE_RUNS = {
+    **{
+        f"criterion_05_n{n}": ExperimentConfig(
+            scenario="two_gaussians", methods=("plaknn",), noise_grid=(0.0,),
+            repetitions=20, base_seed=0, n_samples=n, plaknn=PlaknnConfig(),
+        )
+        for n in (500, 2000, 8000)
+    },
+    "criterion_06": ExperimentConfig(
+        scenario="relaxed_two_gaussians", methods=("plaknn",), noise_grid=(0.0,),
+        repetitions=20, base_seed=0, n_samples=8000, plaknn=PlaknnConfig(),
+    ),
+    "criterion_07": ExperimentConfig(
+        scenario="gaussian_clusters", methods=("plaknn", "fixed_k"), fixed_k=10,
+        noise_grid=(0.0, 0.3), repetitions=50, base_seed=0, n_samples=5000,
+        plaknn=PlaknnConfig(),
+    ),
+}
 
 
 def timed(fn, repeats=3):
@@ -57,6 +81,20 @@ def timed(fn, repeats=3):
 
 def report(criterion, detail, seconds):
     print(f"[criterion {criterion}] PASS ({seconds * 1e3:.3f} ms) {detail}")
+
+
+def headline_run(name, out):
+    """``run`` of the headline config ``name``, its results.csv and
+    summary.csv written by ``emit`` into ``out``."""
+    result = run(HEADLINE_RUNS[name])
+    emit(result, out)
+    return result
+
+
+def assert_headline(name, out):
+    """The files ``headline_run`` wrote into ``out`` equal their goldens."""
+    for fname in ("results.csv", "summary.csv"):
+        _assert_golden(out / fname, HEADLINE / name / fname, HEADLINE / "versions.txt")
 
 
 def test_criterion_01_identical_bag_marginals_different_bayes_labels():
@@ -161,28 +199,22 @@ def test_criterion_04_elimination_hand_trace():
     report(4, f"delta(k=2)={trace.records[1].delta:.5f}", seconds)
 
 
-def test_criterion_05_consistency_trend_two_gaussians():
+def test_criterion_05_consistency_trend_two_gaussians(tmp_path):
     """With truthful singleton bags, mean error shrinks with n and lands
     within 0.05 of the grid-integrated Bayes risk at n=8000."""
     start = time.perf_counter()
     means = {}
     for n in (500, 2000, 8000):
-        config = ExperimentConfig(
-            scenario="two_gaussians",
-            methods=("plaknn",),
-            noise_grid=(0.0,),
-            repetitions=20,
-            base_seed=0,
-            n_samples=n,
-            plaknn=PlaknnConfig(),
-        )
-        means[n] = run(config).summary[0].mean_error
+        name = f"criterion_05_n{n}"
+        means[n] = headline_run(name, tmp_path / name).summary[0].mean_error
     risk = analytic_scenario("two_gaussians").bayes_risk(400)
     seconds = time.perf_counter() - start
     assert risk == pytest.approx(0.15866, abs=5e-4)
     assert means[500] >= means[2000] >= means[8000]
     assert abs(means[8000] - risk) <= 0.05
     assert seconds < 300.0
+    for n in (500, 2000, 8000):
+        assert_headline(f"criterion_05_n{n}", tmp_path / f"criterion_05_n{n}")
     report(
         5,
         f"errors {means[500]:.4f} >= {means[2000]:.4f} >= {means[8000]:.4f}, "
@@ -191,46 +223,28 @@ def test_criterion_05_consistency_trend_two_gaussians():
     )
 
 
-def test_criterion_06_relaxed_alignment_limit_bound():
+def test_criterion_06_relaxed_alignment_limit_bound(tmp_path):
     """A strip of mass 0.1 feeds swapped bags with posterior gap <= 0.05;
     the error stays within theta * P(G) + slack of the Bayes risk."""
     start = time.perf_counter()
     scenario = analytic_scenario("relaxed_two_gaussians")
     assert scenario.region_mass_exact() == pytest.approx(0.1, abs=1e-9)
-    config = ExperimentConfig(
-        scenario="relaxed_two_gaussians",
-        methods=("plaknn",),
-        noise_grid=(0.0,),
-        repetitions=20,
-        base_seed=0,
-        n_samples=8000,
-        plaknn=PlaknnConfig(),
-    )
-    mean_error = run(config).summary[0].mean_error
+    mean_error = headline_run("criterion_06", tmp_path).summary[0].mean_error
     risk = scenario.bayes_risk(400)
     bound = risk + scenario.theta * 0.1 + 0.03
     seconds = time.perf_counter() - start
     assert mean_error <= bound
     assert seconds < 300.0
+    assert_headline("criterion_06", tmp_path)
     report(6, f"error {mean_error:.5f} <= {risk:.5f} + 0.005 + 0.03", seconds)
 
 
-def test_criterion_07_beats_fixed_ten_nn_on_cluster_scenario():
+def test_criterion_07_beats_fixed_ten_nn_on_cluster_scenario(tmp_path):
     """Ten Gaussian clusters with cluster-varying ambiguous bags: the
     adaptive classifier's mean error does not exceed 10-NN's, and the paired
     95% interval excludes any 10-NN edge larger than 0.01."""
     start = time.perf_counter()
-    config = ExperimentConfig(
-        scenario="gaussian_clusters",
-        methods=("plaknn", "fixed_k"),
-        fixed_k=10,
-        noise_grid=(0.0, 0.3),
-        repetitions=50,
-        base_seed=0,
-        n_samples=5000,
-        plaknn=PlaknnConfig(),
-    )
-    result = run(config)
+    result = headline_run("criterion_07", tmp_path)
     seconds = time.perf_counter() - start
     details = []
     for noise in (0.0, 0.3):
@@ -246,6 +260,7 @@ def test_criterion_07_beats_fixed_ten_nn_on_cluster_scenario():
         upper = paired.mean() + half
         assert upper < 0.01
         details.append(f"noise {noise}: diff {paired.mean():.4f}, upper {upper:.4f}")
+    assert_headline("criterion_07", tmp_path)
     report(7, "; ".join(details), seconds)
 
 
@@ -367,3 +382,14 @@ def test_criterion_09_invariant_suites():
 
     seconds = time.perf_counter() - start
     report(9, "monotonicity, traces, advantage oracle, pipeline, determinism", seconds)
+
+
+def regenerate() -> None:
+    """Rewrite the headline goldens from this tree."""
+    for name in HEADLINE_RUNS:
+        headline_run(name, HEADLINE / name)
+    (HEADLINE / "versions.txt").write_text(_versions())
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -31,6 +31,12 @@ and ``gaussian_clusters`` (the cluster-varying ``make_bags`` process).
 (``advantage.csv``).  A refactor that changes any alignment verdict or any
 digit of an advantage, p or gamma changes these bytes.
 
+``golden/headline`` holds the ``results.csv`` and ``summary.csv`` of the
+acceptance runs of criteria 05, 06 and 07 (``tests/test_acceptance.py``),
+T = 400 on up to 8,000 points, with their own ``versions.txt``.  They have
+no ``config.cfg``: the acceptance tests build their configs and compare the
+files, and ``PYTHONPATH=src python tests/test_acceptance.py`` rewrites them.
+
 ``golden/versions.txt`` names the Python and numpy versions that wrote the
 files.  Their bytes depend on numpy's random streams and summation order,
 which numpy does not keep fixed across versions, so a mismatch names both
@@ -76,11 +82,12 @@ def _versions() -> str:
     return f"python {platform.python_version()}\nnumpy {np.__version__}\n"
 
 
-def _assert_golden(path: Path, golden: Path) -> None:
+def _assert_golden(path: Path, golden: Path, versions: Path | None = None) -> None:
     """``path`` holds ``golden``'s bytes; a mismatch names the versions that
-    wrote the goldens and the running ones."""
+    wrote the goldens (``versions``, else ``versions.txt``) and the running
+    ones."""
     if path.read_bytes() != golden.read_bytes():
-        recorded = ", ".join(VERSIONS.read_text().splitlines())
+        recorded = ", ".join((versions or VERSIONS).read_text().splitlines())
         running = ", ".join(_versions().splitlines())
         pytest.fail(
             f"{golden.relative_to(GOLDEN)} differs from its golden;"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import knn_index
 from .core import PartialDataset
-from .plaknn import PlaknnConfig, _order_blocks, _schedule, _smallest_count
+from .plaknn import _BATCH_BYTES, PlaknnConfig, _order_blocks, _schedule, _smallest_count
 
 # Columns of the first chunk aknn reads (see _qualify).
 _FIRST_CHUNK = 32
@@ -79,8 +79,9 @@ def _qualify(memb: np.ndarray, order: np.ndarray, need: np.ndarray) -> tuple[np.
     Columns are read in chunks of doubling width, the first
     ``_FIRST_CHUNK`` wide, with each query's counts carried from chunk to
     chunk.  A chunk is narrower when its int32 label counts would pass
-    ``knn_index._BLOCK_BYTES``, down to one column.  A query leaves at the chunk where a label first qualifies,
-    so only the queries that never do read all the columns.  Within a chunk
+    ``plaknn._BATCH_BYTES``, the batch budget, down to one column.  A query
+    leaves at the chunk where a label first qualifies, so only the queries
+    that never do read all the columns.  Within a chunk
     the first qualifying (step, label) in row-major order wins: the
     earliest step, then the smallest label.  A query that never qualifies
     gets the most frequent label at the cap, the smallest on ties.
@@ -93,7 +94,7 @@ def _qualify(memb: np.ndarray, order: np.ndarray, need: np.ndarray) -> tuple[np.
     counts = np.zeros((m, c), dtype=np.int32)
     lo, width = 0, _FIRST_CHUNK
     while rows.size and lo < t_cap:
-        room = knn_index._BLOCK_BYTES // (4 * c * rows.size)
+        room = _BATCH_BYTES // (4 * c * rows.size)
         hi = min(lo + max(1, min(width, room)), t_cap)
         cum = np.cumsum(memb[order[rows, lo:hi]], axis=1, dtype=np.int32)
         cum += counts[:, None, :]

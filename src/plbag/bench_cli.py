@@ -39,11 +39,12 @@ a prefix of the full one and the outputs equal those of one full-depth
 search.  Each search comes as int32 orders for batches of test points from
 ``plaknn._order_batches``, the batching every classifier call uses (all
 1,000 test points of a 5,000-point ``gaussian_clusters`` sample at T = 400
-are one batch).  Every (noise level, method) job classifies a batch in one
-call before the next batch is filled, reading each test point's bags as
+are one batch), which ``knn_index.search`` writes in place, one call per
+batch.  Every (noise level, method) job classifies a batch in one call
+before the next batch is searched, reading each test point's bags as
 membership rows through a prefix of the batch's order.  So a repetition
-holds one batch's order and one search block, never an order for all test
-points, and no bag tensor.  ``wall_time_ms`` sums one job's classification
+holds one batch's order and one distance tile, never an order for all
+test points, and no bag tensor.  ``wall_time_ms`` sums one job's classification
 over the batches and excludes the shared work.
 """
 
@@ -93,20 +94,19 @@ METHODS = ("plaknn", "aknn", "fixed_k")
 # Largest scenario sample, and the most rows bench run takes from a dataset.
 # Besides O(n d) arrays (the sample, the index, the bags of each noise
 # level, the job records' labels of the test points), a repetition holds
-# one batch of test points and one search block at a time.  The batch is an
-# int32 (rows, depth) order with depth <= n_train, the classifiers' O(c)
-# state per row, and aknn's counts of the columns it reads at once, at most
-# 4 MiB unless one column's are more.  The block is its (rows, depth) int64
-# order and float64 distances and one distance tile of about 256 KB.
-# knn_index._block_rows keeps a block's order and distances within 4 MiB,
-# and plaknn._batch_rows a batch's order and state, in every classifier
-# call, unless they fall to their 256-row floor, as blocks do from a depth
-# of about 1,020 and batches (c = 10) from about 3,940.  So at 80,000
-# training points the block's two arrays are at most 164 MB each and the
-# batch's order 82 MB.  The k-means
-# of make_bags holds (synth.MAX_CLUSTERS = 256, n)
-# float64 distances beside its index's two copies of the points: 164 MB
-# too, and 205 MB for the 100,000 points of bench synth.  Each noise level
+# one batch of test points and one distance tile at a time.  The batch is
+# an int32 (rows, depth) order with depth <= n_train, which the search
+# writes in place, the classifiers' O(c) state per row, and aknn's counts of
+# the columns it reads at once, at most 4 MiB unless one column's are more.
+# The tile is the search's float64 distances of as many query rows as fit
+# about 256 KB, at least one (640 KB at 80,000 training points), with those
+# rows' order and distances.  plaknn._batch_rows keeps a batch's order and
+# state within 4 MiB in every classifier call, unless it falls to its
+# 256-row floor, as batches (c = 10) do from a depth of about 3,940.  So at
+# 80,000 training points the batch's order is at most 82 MB and the tile
+# under 2 MB.  The k-means of make_bags holds (synth.MAX_CLUSTERS = 256, n)
+# float64 distances beside its index's two copies of the points: 164 MB at
+# 80,000 points, and 205 MB for the 100,000 points of bench synth.  Each noise level
 # adds its training bags (8 bytes per training point) and, per method, the
 # int64 labels of every test point (plaknn also keeps their iteration
 # counts): 1.28 MB per level at 80,000 training and 20,000 test points with
@@ -338,7 +338,7 @@ def _classify_rows(
     """Classify ``queries``, the test points ``rows``, with every job, from a
     search ``t`` deep that comes in batches (``plaknn._order_batches``), and
     write each job's outputs at those points.  Every job classifies a batch,
-    one call each, before the next batch is filled.  Returns the points that
+    one call each, before the next batch is searched.  Returns the points that
     some job left undecided."""
     undecided = np.zeros(rows.shape[0], dtype=bool)
     for batch, order in _order_batches(index, queries, t, c):

@@ -2,14 +2,15 @@
 
 Neighbors are ranked by squared Euclidean distance with ties broken by the
 original training index, which makes every downstream classifier run
-reproducible.  :func:`neighbor_blocks` is the one retrieval path: it walks a
-batch of queries in blocks sized by :func:`_block_rows` and yields each
-query's nearest training indices in that order, so every consumer sees the
-same neighbors whether it asks for one query or many.  Prefixes are exact
-because the (distance, index) order is total, so one search at the largest
-t serves every smaller one: a caller that holds one block's order at that
-depth can run every consumer on that block before the next one is
-searched.
+reproducible.  :func:`search` is the one retrieval path: it fills the
+caller's (m, t) order array (int32 or int64, as allocated), and its squared
+distances when asked, one distance tile at a time, so the caller alone
+chooses how many queries it holds at once.  Every row is searched on its
+own, so every consumer sees the same neighbors whether it asks for one
+query or many.  Prefixes are exact because the (distance, index) order is
+total, so one search at the largest t serves every smaller one: a caller
+that searches a batch of queries at that depth can run every consumer on
+the batch before it searches the next one.
 
 Distances come from :func:`sq_distance_chunk`, a coordinate-wise kernel over
 the index's transposed points: it squares one coordinate's differences at a
@@ -58,8 +59,8 @@ of the two computed terms of the expanded value, before its own rounding.
 Every point at distance D_t or less, ties included, is therefore a
 candidate.  E is evaluated in floats with a relative margin of 2^-40, far
 above the rounding of its own few operations.  The bound assumes no
-overflow and no input read as zero: a block with a squared norm above
-2^1000 (or not finite) or a subnormal coordinate (which a
+overflow and no input read as zero: points or queries with a squared norm
+above 2^1000 (or not finite) or a subnormal coordinate (which a
 denormals-are-zero mode would drop) takes the full search.  So does a tile
 whose candidates exceed an eighth of its pairs, where rescoring costs more
 than the kernel: a common offset much larger than the spread of the points
@@ -69,15 +70,8 @@ search then takes 1.15-1.3 times as long as the full one).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
-# Query rows per block (see :func:`_block_rows`): at least _BLOCK, and as
-# many as fit _BLOCK_BYTES of the block's order, its order distances and one
-# float copy of its queries, (2 t + d) 8-byte values per row.
-_BLOCK = 256
-_BLOCK_BYTES = 4 * 1024 * 1024
 # Bytes of one (rows, n) float64 temporary of the distance kernel; a tile
 # holds as many query rows as fit, at least one.
 _TILE_BYTES = 256 * 1024
@@ -105,7 +99,7 @@ _DENSE = 8
 class NeighborIndex:
     """Immutable matrix of training points answering exact queries."""
 
-    __slots__ = ("points", "columns")
+    __slots__ = ("points", "columns", "sq_norms")
 
     def __init__(self, points: np.ndarray) -> None:
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -119,6 +113,8 @@ class NeighborIndex:
         columns = np.ascontiguousarray(points.T)
         columns.flags.writeable = False
         self.columns = columns
+        # the prefilter's |p|^2, or None where its bound does not cover the points
+        self.sq_norms = _safe_sq_norms(points)
 
     @property
     def n(self) -> int:
@@ -248,66 +244,71 @@ def nearest_order(sqd: np.ndarray, limit: int) -> np.ndarray:
     return np.concatenate([below, at[:take]])
 
 
-def neighbor_blocks(
-    index: NeighborIndex, queries: np.ndarray, t: int
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Yield ``(rows, order, sqd)`` for consecutive blocks of queries.
+def search(
+    index: NeighborIndex, queries: np.ndarray, order: np.ndarray, sqd: np.ndarray | None = None
+) -> None:
+    """Write each query's ``t = order.shape[1]`` nearest training indices
+    into ``order`` and, when ``sqd`` is given, their squared distances into
+    ``sqd``.
 
-    ``order[i]`` holds the ``min(t, n)`` nearest training indices of query
-    ``rows.start + i`` under (distance, index) order and ``sqd[i]`` their
+    ``order[i]`` holds the t nearest points of query i under (distance,
+    index) order, in the caller's integer dtype, and ``sqd[i]`` their
     squared distances, each equal to ``((points[j] - query) ** 2).sum(-1)``
-    bit for bit.  A block holds :func:`_block_rows` queries, and its
-    distances are computed and selected one tile of about ``_TILE_BYTES`` at
-    a time, so neither the search nor its callers hold a (block, n) matrix.
-    A block with a non-finite query raises ``ValueError`` when it is
-    reached.
+    bit for bit.  The queries are searched one tile of about
+    ``_TILE_BYTES`` of distances at a time, so the search holds no (m, n)
+    matrix and the caller sizes every other array.  A non-finite query
+    raises ``ValueError`` before anything is written.
 
     Dispatch depends on (t, n, d) alone.  A search with ``t * 32 <= n`` in
-    ``d >= 8`` dimensions is prefiltered (:func:`_prefiltered`): it rescores
-    only the points whose expanded value |p|^2 - 2 q.p lies within 2E of the
-    query's t-th smallest, where E bounds the expanded form's rounding error
-    for any BLAS summation order, with or without FMA, plus an absolute
-    term for underflow (the module docstring gives the bound and its
-    proof).  Every other search computes the full distance matrix
-    (:func:`_exact`), and so does a prefiltered search for a block with a
-    squared norm above ``2**1000`` or a subnormal coordinate and for a tile
-    whose candidates exceed an eighth of its pairs.  Both paths return the
-    same bytes.
+    ``d >= 8`` dimensions is prefiltered: each tile rescores only the points
+    whose expanded value |p|^2 - 2 q.p lies within 2E of the query's t-th
+    smallest (:func:`_candidates`), where E bounds the expanded form's
+    rounding error for any BLAS summation order, with or without FMA, plus
+    an absolute term for underflow (the module docstring gives the bound and
+    its proof).  Every other search computes the tile's full distances, and
+    so does a prefiltered search whose points or queries have a squared norm
+    above ``2**1000`` or a subnormal coordinate, and a tile whose candidates
+    exceed ``1 / _DENSE`` of its pairs.  Both paths write the same bytes.
     """
     queries = _checked_queries(index, np.asarray(queries, dtype=np.float64))
-    t = min(t, index.n)
-    point_sq = None
-    if t <= prefilter_depth(index.n, index.dim):
-        point_sq = _safe_sq_norms(index.points)
-    step = _block_rows(t, index.dim)
-    for start in range(0, queries.shape[0], step):
-        rows = slice(start, min(start + step, queries.shape[0]))
-        q = queries[rows]
-        if not np.all(np.isfinite(q)):
-            bad = rows.start + int(np.argmin(np.isfinite(q).all(axis=1)))
-            raise ValueError(f"queries must be finite; query {bad} is not")
-        query_sq = None if point_sq is None else _safe_sq_norms(q)
-        # yielded unbound, so the block is freed while the next one is searched
-        if query_sq is None:
-            yield rows, *_exact(index, q, t)
+    m, t = order.shape
+    if m != queries.shape[0] or not 1 <= t <= index.n or sqd is not None and sqd.shape != order.shape:
+        raise ValueError(
+            f"order of shape {order.shape} does not hold 1 to {index.n} neighbors"
+            f" for each of {queries.shape[0]} queries"
+        )
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"queries must be finite; query {int(np.argmin(finite))} is not")
+    point_sq = index.sq_norms if t <= prefilter_depth(index.n, index.dim) else None
+    query_sq = None if point_sq is None else _safe_sq_norms(queries)
+    rows = max(1, _TILE_BYTES // (8 * index.n))
+    if query_sq is not None:
+        point_sq_max = float(point_sq.max())
+        expanded = np.empty((min(rows, m), index.n))
+        ranked = np.empty_like(expanded)
+    for start in range(0, m, rows):
+        tile = slice(start, start + rows)
+        q = queries[tile]
+        keep = None if query_sq is None else _candidates(
+            index, q, t, point_sq, query_sq[tile], point_sq_max,
+            expanded[: q.shape[0]], ranked[: q.shape[0]],
+        )
+        if keep is None or np.count_nonzero(keep) * _DENSE > keep.size:
+            dist = sq_distance_chunk(index, q)
+            near = np.array([nearest_order(row, t) for row in dist])
+            dist = np.take_along_axis(dist, near, axis=1)
         else:
-            yield rows, *_prefiltered(index, q, t, point_sq, query_sq)
+            near, dist = _rescored(index.points, q, keep, t)
+        order[tile] = near
+        if sqd is not None:
+            sqd[tile] = dist
 
 
 def prefilter_depth(n: int, d: int) -> int:
-    """The deepest search that :func:`neighbor_blocks` prefilters over n points
+    """The deepest search that :func:`search` prefilters over n points
     in d dimensions: ``n // 32`` when ``d >= 8``, else 0 (none)."""
     return n // _PREFILTER_RATIO if d >= _PREFILTER_MIN_DIM else 0
-
-
-def _block_rows(t: int, d: int) -> int:
-    """Query rows per block of a search ``t`` deep in ``d`` dimensions.
-
-    Rows are independent, so the size changes no output.  The size bounds
-    the search's own memory alone: ``plaknn._order_batches`` copies the
-    blocks into the classifiers' batches, which ``plaknn._batch_rows`` sizes.
-    """
-    return max(_BLOCK, _BLOCK_BYTES // (8 * (2 * t + d)))
 
 
 def _checked_queries(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
@@ -315,20 +316,6 @@ def _checked_queries(index: NeighborIndex, queries: np.ndarray) -> np.ndarray:
     if queries.ndim != 2 or queries.shape[1] != index.dim:
         raise ValueError("queries must be an (m, d) matrix matching the index dimension")
     return queries
-
-
-def _exact(index: NeighborIndex, queries: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, sqd)`` of the ``t`` nearest points from every distance, one
-    tile of about ``_TILE_BYTES`` of them at a time."""
-    m, n = queries.shape[0], index.n
-    order = np.empty((m, t), dtype=np.int64)
-    sqd = np.empty((m, t))
-    rows = max(1, _TILE_BYTES // (8 * n))
-    for start in range(0, m, rows):
-        for i, row in enumerate(sq_distance_chunk(index, queries[start : start + rows]), start):
-            order[i] = nearest_order(row, t)
-            sqd[i] = row[order[i]]
-    return order, sqd
 
 
 def _safe_sq_norms(x: np.ndarray) -> np.ndarray | None:
@@ -366,33 +353,6 @@ def _candidate_limit(
     k = _gamma(d + 2)
     kernel = (k * reach + 4 * d * _ETA) / (1.0 - k)
     return cutoff + (rounding + 2.0 * (expanded + kernel)) * _MARGIN
-
-
-def _prefiltered(
-    index: NeighborIndex, queries: np.ndarray, t: int, point_sq: np.ndarray, query_sq: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, sqd)`` of the ``t`` nearest points, tile by tile: equal to
-    :func:`_exact` byte for byte.  A tile whose candidates exceed
-    ``1 / _DENSE`` of its pairs goes through :func:`_exact` instead."""
-    m, n = queries.shape[0], index.n
-    rows = max(1, _TILE_BYTES // (8 * n))
-    expanded = np.empty((min(rows, m), n))
-    ranked = np.empty_like(expanded)
-    order = np.empty((m, t), dtype=np.int64)
-    sqd = np.empty((m, t))
-    point_sq_max = float(point_sq.max())
-    for start in range(0, m, rows):
-        tile = slice(start, min(start + rows, m))
-        q = queries[tile]
-        keep = _candidates(
-            index, q, t, point_sq, query_sq[tile], point_sq_max,
-            expanded[: q.shape[0]], ranked[: q.shape[0]],
-        )
-        if np.count_nonzero(keep) * _DENSE > keep.size:
-            order[tile], sqd[tile] = _exact(index, q, t)
-        else:
-            order[tile], sqd[tile] = _rescored(index.points, q, keep, t)
-    return order, sqd
 
 
 def _candidates(

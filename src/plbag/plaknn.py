@@ -173,6 +173,12 @@ def _schedule(train: PartialDataset, config: PlaknnConfig) -> tuple[int, np.ndar
     return t_cap, config.threshold(train.n, np.arange(1, t_cap + 1), train.label_space.c, train.dim)
 
 
+# Queries per classification batch (see :func:`_batch_rows`): at least
+# _BATCH, and as many as fit _BATCH_BYTES of the batch's int32 order and the
+# kernels' per-query state.  baselines._qualify caps its chunks by the same
+# budget.
+_BATCH = 256
+_BATCH_BYTES = 4 * 1024 * 1024
 # Bytes per label and query that the elimination kernel holds, the per-row
 # cost :func:`_batch_rows` counts beside the order: 21 of state (int32
 # counts and elimination steps, alive flags, float64 best margins with their
@@ -186,12 +192,13 @@ def _batch_rows(t: int, c: int) -> int:
 
     As many as hold the batch's int32 order (4 t bytes per query) and the
     kernels' per-query state (``_STATE_BYTES`` per label) in
-    ``knn_index._BLOCK_BYTES``, and at least ``knn_index._BLOCK``.  Every
-    kernel call in this module and :mod:`plbag.baselines` gets a batch of
-    this size, searched or cut from a given order.  Rows are independent,
-    so the size changes no output.
+    ``_BATCH_BYTES``, and at least ``_BATCH``.  Every kernel call in this
+    module and :mod:`plbag.baselines` gets a batch of this size, searched
+    straight into its order or cut from a given order, and the search adds
+    only its distance tiles of about 256 KB.  Rows are independent, so the
+    size changes no output.
     """
-    return max(knn_index._BLOCK, knn_index._BLOCK_BYTES // (4 * t + _STATE_BYTES * c))
+    return max(_BATCH, _BATCH_BYTES // (4 * t + _STATE_BYTES * c))
 
 
 def _order_batches(
@@ -199,24 +206,17 @@ def _order_batches(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """``(batch, order)`` for consecutive batches of :func:`_batch_rows` queries
     (the last may be shorter): the int32 order of the batch's
-    ``min(depth, n)`` nearest training points, copied from the search's
-    blocks as they come.  One buffer holds every batch, so each must be used
-    up before the next is drawn.
+    ``min(depth, n)`` nearest training points, which one
+    :func:`knn_index.search` call writes into a buffer that every batch
+    reuses, so each must be used up before the next is drawn.
     """
     m, t = queries.shape[0], min(depth, index.n)
-    batch = np.empty((min(_batch_rows(t, c), m), t), dtype=np.int32)
-    start = filled = 0
-    for _, order, sqd in knn_index.neighbor_blocks(index, queries, depth):
-        del sqd  # unread; freed before the kernels run, it stays out of their memory peak
-        at = 0
-        while at < order.shape[0]:
-            take = min(order.shape[0] - at, batch.shape[0] - filled)
-            batch[filled : filled + take] = order[at : at + take]
-            at, filled = at + take, filled + take
-            if filled == batch.shape[0] or start + filled == m:
-                yield slice(start, start + filled), batch[:filled]
-                start, filled = start + filled, 0
-        del order  # drop this block before the next one is searched
+    step = _batch_rows(t, c)
+    buffer = np.empty((min(step, m), t), dtype=np.int32)
+    for start in range(0, m, step):
+        order = buffer[: min(step, m - start)]
+        knn_index.search(index, queries[start : start + step], order)
+        yield slice(start, start + order.shape[0]), order
 
 
 def _order_blocks(
@@ -230,8 +230,9 @@ def _order_blocks(
     inputs, and ``(rows, order)`` batches of :func:`_batch_rows` queries:
     ``order[i, j]`` is the (j+1)-th nearest training point of query
     ``rows.start + i`` for j < min(t, n), so ``memb[order[i, j]]`` is its
-    bag row.  The batches are searched (:func:`_order_batches`) or cut from
-    a precomputed ``order`` of the queries, read in place.
+    bag row.  The batches are searched, one search call each, into one int32
+    buffer (:func:`_order_batches`), or cut from a precomputed ``order`` of
+    the queries, read in place.
     """
     if index.n != train.n or index.dim != train.dim:
         raise ValueError(

@@ -19,6 +19,7 @@ distance underflows to 0 (fitted entries below 1e-160 may then differ).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,8 +31,9 @@ _VARIANTS = {
     "vision": dict(smoothing_alpha=0.25, smoothing_k=10, density_k=50),
     "realworld": dict(smoothing_alpha=0.1, smoothing_k=10, density_k=100),
 }
-# Rows whose (rows, smoothing_k, d) neighbor vectors _smooth gathers at once;
-# all rows at once would hold smoothing_k copies of the data.
+# Queries per neighbor search of the chain: _smooth gathers their (rows,
+# smoothing_k, d) neighbor vectors at once, and no step holds an (m, k)
+# neighbor array; all rows at once would hold smoothing_k copies of the data.
 _SMOOTH_ROWS = 256
 
 
@@ -82,8 +84,10 @@ def _signed_cube_root(x: np.ndarray) -> np.ndarray:
 
 def _neighbor_distances(
     reference: np.ndarray, queries: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest reference rows per query: (indices, Euclidean distances).
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """``(rows, indices, distances)``: the k nearest reference rows of the
+    queries ``rows``, searched ``_SMOOTH_ROWS`` queries at a time, with their
+    Euclidean distances.
 
     Of the k + 1 nearest rows the first is dropped when it lies at distance
     0, else the last.  A query equal to a reference row gets that row's
@@ -92,15 +96,15 @@ def _neighbor_distances(
     coordinate gaps below ~1.5e-162, whose squared distance underflows to 0).
     Among rows tied at the k-th distance the lowest index wins.
     """
-    m = queries.shape[0]
-    idx = np.empty((m, k), dtype=np.int64)
-    dist = np.empty((m, k))
     index = knn_index.build(reference)
-    for rows, order, sqd in knn_index.neighbor_blocks(index, queries, k + 1):
+    for start in range(0, queries.shape[0], _SMOOTH_ROWS):
+        rows = slice(start, min(start + _SMOOTH_ROWS, queries.shape[0]))
+        order = np.empty((rows.stop - start, k + 1), dtype=np.int64)
+        sqd = np.empty(order.shape)
+        knn_index.search(index, queries[rows], order, sqd)
         zero = sqd[:, :1] == 0.0
-        idx[rows] = np.where(zero, order[:, 1:], order[:, :-1])
-        dist[rows] = np.sqrt(np.where(zero, sqd[:, 1:], sqd[:, :-1]))
-    return idx, dist
+        dist = np.sqrt(np.where(zero, sqd[:, 1:], sqd[:, :-1]))
+        yield rows, np.where(zero, order[:, 1:], order[:, :-1]), dist
 
 
 def gaussian_weights(dist: np.ndarray, sigma: float | np.ndarray) -> np.ndarray:
@@ -122,16 +126,14 @@ def _smooth(vectors: np.ndarray, reference: np.ndarray, config: PipelineConfig) 
     """Convex combination of each vector with the Gaussian-weighted mean of
     its ``smoothing_k`` nearest reference vectors, weighted by
     ``smoothing_alpha``; bandwidth is the per-point median neighbor distance.
-    The neighbor vectors are gathered ``_SMOOTH_ROWS`` rows at a time."""
+    The neighbors are searched and gathered ``_SMOOTH_ROWS`` rows at a time."""
     alpha = config.smoothing_alpha
     if alpha == 0.0:
         return vectors
-    idx, dist = _neighbor_distances(reference, vectors, config.smoothing_k)
-    w = gaussian_weights(dist, np.median(dist, axis=1))
     means = np.empty_like(vectors)
-    for start in range(0, vectors.shape[0], _SMOOTH_ROWS):
-        rows = slice(start, start + _SMOOTH_ROWS)
-        means[rows] = np.matmul(w[rows, None, :], reference[idx[rows]])[:, 0]
+    for rows, idx, dist in _neighbor_distances(reference, vectors, config.smoothing_k):
+        w = gaussian_weights(dist, np.median(dist, axis=1))
+        means[rows] = np.matmul(w[:, None, :], reference[idx])[:, 0]
     return (1.0 - alpha) * vectors + alpha * means
 
 
@@ -144,8 +146,11 @@ def _chain(
     x = x - mean if config.variant == "vision" else _signed_cube_root(x)
     x = _unit_rows(x)
     x = _unit_rows(_smooth(x, x if reference is None else reference, config))
-    _, dist = _neighbor_distances(x if reference is None else reference, x, config.density_k)
-    return x, dist.mean(axis=1)
+    radii = np.empty(x.shape[0])
+    density = _neighbor_distances(x if reference is None else reference, x, config.density_k)
+    for rows, _, dist in density:
+        radii[rows] = dist.mean(axis=1)
+    return x, radii
 
 
 def fit(train_features: np.ndarray, config: PipelineConfig) -> FittedPipeline:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from plbag import knn_index
 from plbag.core import (
     Atom,
     BagGenMatrix,
@@ -117,3 +118,31 @@ def random_partial_dataset(
     return PartialDataset(
         features, membership_to_masks(membership), LabelSpace(c), truths=truths
     )
+
+
+def neighbor_order(index: knn_index.NeighborIndex, queries: np.ndarray, t: int) -> np.ndarray:
+    """The (m, t) int64 neighbor order of ``queries`` from one search call."""
+    order = np.empty((np.shape(queries)[0], t), dtype=np.int64)
+    knn_index.search(index, queries, order)
+    return order
+
+
+def sample_distribution(dist: DiscreteDistribution, n: int, rng: np.random.Generator) -> PartialDataset:
+    """n draws from ``dist``: the atom by mass, the label from the atom's
+    ``LabelDistribution`` and the bag from that label's column of the atom's
+    ``BagGenMatrix`` (row r is the bag of mask r + 1)."""
+    c = dist.label_space.c
+    masses = np.array([atom.mass for atom in dist.atoms])
+    which = rng.choice(masses.shape[0], size=n, p=masses / masses.sum())
+    truths = np.zeros(n, dtype=np.int64)
+    masks = np.zeros(n, dtype=np.uint64)
+    for i, atom in enumerate(dist.atoms):
+        rows = np.flatnonzero(which == i)
+        probs = atom.label_dist.probs
+        truths[rows] = rng.choice(c, size=rows.shape[0], p=probs / probs.sum()) + 1
+        for y in range(1, c + 1):
+            drawn = rows[truths[rows] == y]
+            column = atom.baggen.entries[:, y - 1]
+            masks[drawn] = rng.choice(column.shape[0], size=drawn.shape[0], p=column / column.sum()) + 1
+    locations = np.array([atom.location for atom in dist.atoms])
+    return PartialDataset(locations[which], masks, dist.label_space, truths=truths)

@@ -9,7 +9,7 @@ from plbag import baselines, knn_index, plaknn
 from plbag.core import LabelSpace, PartialDataset
 from plbag.plaknn import PlaknnConfig
 
-from _fixtures import random_partial_dataset
+from _fixtures import neighbor_order, random_partial_dataset
 
 
 def make_train(masks, positions=None, c=2):
@@ -225,27 +225,29 @@ class TestQualifyingCounts:
 
 
 class TestPrecomputedOrder:
-    """``order=`` from ``knn_index.neighbor_blocks`` at a larger depth gives
-    what searching gives, in all three batch functions: block by block, as
-    ``bench run`` passes it, and stacked over several blocks."""
+    """``order=`` from a search at a larger depth gives what searching gives,
+    in all three batch functions: batch by batch, as ``bench run`` passes
+    it, and stacked over several batches."""
 
     @pytest.mark.filterwarnings("ignore:iteration cap")
     @pytest.mark.parametrize("n, T", [(40, 60), (300, 35)], ids=["T_above_n", "T_below_n"])
-    def test_order_matches_search(self, n, T):
+    def test_order_matches_search(self, n, T, monkeypatch):
+        # batches of 300 queries in place of the batch rule's size, so that
+        # both the search and every given order are cut into several
+        monkeypatch.setattr(plaknn, "_batch_rows", lambda t, c: 300)
         rng = np.random.default_rng(n)
         train = random_partial_dataset(rng, n, 2, 4)
         index = knn_index.build(train.features)
-        rows = knn_index._block_rows(min(T + 5, n), 2)
-        m = 2 * rows + rows // 3
-        queries = rng.normal(size=(m, 2))  # three blocks, the last one partial
+        m = 700
+        queries = rng.normal(size=(m, 2))  # three batches, the last one partial
         cfg = PlaknnConfig(T=T)
-        blocks = list(knn_index.neighbor_blocks(index, queries, T + 5))
-        assert len(blocks) == 3
+        blocks = [(rows, order.copy()) for rows, order in plaknn._order_batches(index, queries, T + 5, 4)]
+        assert [rows.stop - rows.start for rows, _ in blocks] == [300, 300, 100]
         searched = plaknn.classify_batch_detail(train, index, queries, cfg)
         aknn = baselines.aknn_batch(train, index, queries, cfg)
         fixed = {k: baselines.fixed_k_batch(train, index, queries, k) for k in (1, 7, min(T, n))}
-        stacked = (slice(0, m), np.concatenate([order for _, order, _ in blocks]), None)
-        for rows, order, _ in blocks + [stacked]:
+        stacked = (slice(0, m), np.concatenate([order for _, order in blocks]))
+        for rows, order in blocks + [stacked]:
             q = queries[rows]
             given = plaknn.classify_batch_detail(train, index, q, cfg, order=order)
             assert np.array_equal(given.labels, searched.labels[rows])
@@ -267,23 +269,23 @@ class TestPrecomputedOrder:
         ids=["plaknn", "aknn", "fixed_k"],
     )
     def test_a_long_order_is_read_one_block_at_a_time(self, classify, depth):
-        # 16 blocks of queries; gathering the bag rows of the whole order at
-        # once peaked at 16.8 (fixed_k) to 57 (aknn) blocks' rows
+        # 8 batches of queries, read one batch at a time: the peak stays
+        # under two batches' boolean bag rows, and a whole order's would be 8
         rng = np.random.default_rng(5)
         train = random_partial_dataset(rng, 400, 2, 10)
         index = knn_index.build(train.features)
-        rows = knn_index._block_rows(200, 2)
-        queries = rng.normal(size=(rows, 2))
-        (_, order, _), = knn_index.neighbor_blocks(index, queries, 200)
+        rows = plaknn._batch_rows(200, 10)
+        queries = rng.normal(size=(rows // 2, 2))
+        order = neighbor_order(index, queries, 200)
         queries, order = np.tile(queries, (16, 1)), np.tile(order, (16, 1))
-        block_rows = rows * 200 * 10  # bytes of one block's boolean bag rows
+        batch_rows = rows * 200 * 10  # bytes of one batch's boolean bag rows
         tracemalloc.start()
         try:
             classify(train, index, queries, depth, order=order)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * block_rows
+        assert peak < 2 * batch_rows
 
     def test_bad_order_shapes(self):
         rng = np.random.default_rng(2)
@@ -291,7 +293,7 @@ class TestPrecomputedOrder:
         index = knn_index.build(train.features)
         queries = rng.normal(size=(20, 2))
         cfg = PlaknnConfig(T=10)
-        (_, order, _), = knn_index.neighbor_blocks(index, queries, 10)
+        order = neighbor_order(index, queries, 10)
         for bad in (order[:-1], order[:, :9], order[0], np.vstack([order, order])):
             with pytest.raises(ValueError, match="order of shape"):
                 plaknn.classify_batch_detail(train, index, queries, cfg, order=bad)
@@ -314,13 +316,13 @@ class TestOneBatching:
 
     def test_kernels_see_the_same_batches(self, monkeypatch):
         # at c = 64 the batch rule gives 990 rows: batches of 990, 990 and 520
-        # queries, where the search's one block holds all 2,500
+        # queries, each searched on its own or cut from the given order
         rng = np.random.default_rng(9)
         train = random_partial_dataset(rng, 300, 2, 64)
         index = knn_index.build(train.features)
         queries = rng.normal(size=(2500, 2))
         cfg = PlaknnConfig(T=35)
-        order = np.concatenate([o for _, o, _ in knn_index.neighbor_blocks(index, queries, 35)])
+        order = neighbor_order(index, queries, 35)
         seen = []
 
         def recorder(kernel):
@@ -339,8 +341,8 @@ class TestOneBatching:
         assert [shape for _, shape, _ in seen[0]] == [(990, 35), (990, 35), (520, 35)] * 2
 
     def test_a_searched_batch_call_stays_small(self):
-        # 20,000 queries in d = 2 are one 0.31 MB search block; the kernels'
-        # O(c) state per query is not held for all of them at once
+        # 20,000 queries in d = 2, searched 2 deep: the kernels' O(c) state
+        # per query is not held for all of them at once
         rng = np.random.default_rng(4)
         train = random_partial_dataset(rng, 200, 2, 64)
         index = knn_index.build(train.features)

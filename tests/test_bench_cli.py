@@ -826,15 +826,15 @@ DIFFERENTIAL_CASES = {
         noise_grid=(0.0, 0.3), repetitions=3, base_seed=5, n_samples=200,
         plaknn=PlaknnConfig(T=40), synth=SynthBagConfig(n_clusters=4, alpha_max=0.5),
     ),
-    # 600 test points: T deep enough for the 256-row floor, so two full
-    # query blocks and a partial third
+    # 600 test points over 2,400 training points at T = 1,100: 13-row
+    # distance tiles, the last one partial
     "gaussian_clusters_blocks": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=ALL_METHODS, fixed_k=5,
         noise_grid=(0.0, 0.3), repetitions=1, base_seed=7, n_samples=3000,
         plaknn=PlaknnConfig(T=1100),
     ),
-    # 1,500 test points at T = 1,100: batches of 832 rows, the first ending
-    # inside the search's fourth 256-row block
+    # 1,500 test points at T = 1,100: batches of 832 rows, each ending in a
+    # partial 21-row distance tile
     "gaussian_clusters_batches": lambda csv: ExperimentConfig(
         scenario="gaussian_clusters", methods=ALL_METHODS, fixed_k=5,
         noise_grid=(0.0, 0.3), repetitions=1, base_seed=7, n_samples=3000,
@@ -920,16 +920,22 @@ class TestRunAgainstOracle:
         assert "T=1000 exceeds the 560" in str(caught[0].message)
 
     def test_a_case_spans_several_blocks(self):
+        # the search's own blocks are its distance tiles
         config = DIFFERENTIAL_CASES["gaussian_clusters_blocks"](None)
-        m = config.n_samples - bench_cli._n_train(config.n_samples, config.train_fraction)
-        rows = knn_index._block_rows(config.plaknn.T, 2)
-        assert m > 2 * rows and m % rows
+        n_train = bench_cli._n_train(config.n_samples, config.train_fraction)
+        rows = tile_rows(n_train)
+        assert config.n_samples - n_train > 2 * rows and (config.n_samples - n_train) % rows
 
     def test_a_case_spans_several_batches(self):
         config = DIFFERENTIAL_CASES["gaussian_clusters_batches"](None)
-        m = config.n_samples - bench_cli._n_train(config.n_samples, config.train_fraction)
+        n_train = bench_cli._n_train(config.n_samples, config.train_fraction)
         rows = plaknn._batch_rows(config.plaknn.T, 10)
-        assert m > rows and rows % knn_index._block_rows(config.plaknn.T, 2)
+        assert config.n_samples - n_train > rows and rows % tile_rows(n_train)
+
+
+def tile_rows(n):
+    """Query rows per distance tile of a search over n points."""
+    return max(1, knn_index._TILE_BYTES // (8 * n))
 
 
 def undecided_oracle(config, source, rep, t):
@@ -1018,14 +1024,14 @@ class TestBenchmarkEntryPoint:
 
     def test_each_jobs_calls_cover_its_test_points_in_order(self, tmp_path, monkeypatch):
         # 1,200 test points; at T = 1,100 the batch rule gives 900 rows: two
-        # batches, the first ending inside the search's fourth 256-row block
+        # batches, the first one's last distance tile partial
         csv = write_csv_dataset(tmp_path / "data.csv", n=2400)
         config = ExperimentConfig(
             dataset=csv, methods=ALL_METHODS, noise_grid=(0.0, 0.5), repetitions=3,
             train_fraction=0.5, base_seed=8, plaknn=PlaknnConfig(T=1100),
         )
         rows = plaknn._batch_rows(config.plaknn.T, 4)
-        assert rows % knn_index._block_rows(config.plaknn.T, 3)
+        assert rows % tile_rows(1200)
         original = bench_cli.classify_batch_detail
         signature = inspect.signature(original)
         calls = []
@@ -1123,21 +1129,30 @@ class TestBenchmarkEntryPoint:
 
 
 class TestOrderBatches:
-    """``plaknn._order_batches`` copies the search's blocks into int32 batches
-    of ``plaknn._batch_rows`` rows, the last one shorter; together they are
-    the search's order."""
+    """``plaknn._order_batches`` searches int32 batches of
+    ``plaknn._batch_rows`` rows, one ``knn_index.search`` call each, the last
+    one shorter; together they are the search of all the queries."""
 
     @pytest.mark.parametrize("depth", [1100, 1500], ids=["below_n", "above_n"])
     @pytest.mark.parametrize("rows", [1, 100, 256, 300, 700, 2000])
     def test_batches_concatenate_to_the_search(self, rows, depth, monkeypatch):
-        # 700 queries searched 1,100 or 1,200 deep: blocks of 256 rows, and
-        # batches of ``rows`` in place of the batch rule's size
+        # 700 queries searched 1,100 or 1,200 deep, in batches of ``rows`` in
+        # place of the batch rule's size
         sized = []
         monkeypatch.setattr(plaknn, "_batch_rows", lambda t, c: sized.append((t, c)) or rows)
+        searches = []
+        search = knn_index.search
+
+        def recorder(index, queries, order):
+            searches.append(order.shape)
+            search(index, queries, order)
+
+        monkeypatch.setattr(knn_index, "search", recorder)
         rng = np.random.default_rng(rows)
         index = knn_index.build(rng.normal(size=(1200, 3)))
         queries = rng.normal(size=(700, 3))
-        want = np.concatenate([o for _, o, _ in knn_index.neighbor_blocks(index, queries, depth)])
+        want = np.empty((700, min(depth, 1200)), dtype=np.int64)
+        search(index, queries, want)
         got = []
         for batch, order in plaknn._order_batches(index, queries, depth, 10):
             assert order.dtype == np.int32
@@ -1146,25 +1161,26 @@ class TestOrderBatches:
             got.append(order.copy())
         assert sized == [(min(depth, 1200), 10)]
         assert [g.shape[0] for g in got] == [min(rows, 700 - s) for s in range(0, 700, rows)]
+        assert searches == [g.shape for g in got]
         assert np.array_equal(np.concatenate(got), want)
 
 
 class TestRepetitionMemory:
-    """A repetition holds one query block's search, not an order with a row
-    for every test point and a column for every neighbor, and a run holds
-    its dumped predictions as label arrays."""
+    """A repetition holds one batch of test points' order, not an order with
+    a row for every test point and a column for every neighbor, and a run
+    holds its dumped predictions as label arrays."""
 
     def test_large_T_run_stays_within_a_few_blocks(self, tmp_path, capsys):
         # 2,000 training and 2,000 test points, T = 2,000: a whole (2000, 2000)
-        # int64 order is 32 MB.  At this depth the block rule gives its floor
-        # of 256 queries, whose order and order distances are 4.1 MB each; the
-        # previous block's are dropped before the next one is searched.
+        # int64 order is 32 MB.  At this depth the batch rule gives 516
+        # queries, whose int32 order is 4.1 MB; every batch is searched into
+        # that one buffer, a distance tile at a time.
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "[experiment]\nscenario = two_gaussians\nn_samples = 4000\ntrain_fraction = 0.5\n"
             "repetitions = 1\nmethods = aknn\n[plaknn]\nT = 2000\n"
         )
-        block_array = knn_index._block_rows(2000, 2) * 2000 * 8
+        batch_order = plaknn._batch_rows(2000, 2) * 2000 * 4
         tracemalloc.start()
         try:
             code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -1172,11 +1188,11 @@ class TestRepetitionMemory:
         finally:
             tracemalloc.stop()
         assert code == 0 and capsys.readouterr().out.startswith("method=aknn")
-        assert peak < 5 * block_array
+        assert peak < 2 * batch_order
 
     def test_cluster_grid_peak(self):
         # the benchmark's clusters shape: k-means holds (k, n) distances and
-        # the search one tile of them, so no (block, n_train) matrix is live
+        # the search one tile of them, so no (batch, n_train) matrix is live
         config = ExperimentConfig(
             scenario="gaussian_clusters", n_samples=5000, methods=ALL_METHODS, fixed_k=10,
             noise_grid=(0.0, 0.3), repetitions=1,
@@ -1698,4 +1714,77 @@ class TestCliContract:
                     return
                 files = sorted((tmp / out).iterdir())
                 outputs.append((stdout.getvalue(), [(f.name, f.read_bytes()) for f in files]))
+            assert outputs[0] == outputs[1]
+
+
+# Lines that break a distribution file: malformed, out of range, unknown.
+BAD_DISTRIBUTION_LINES = (
+    "labels 1", "labels 65", "labels x", "atom 1", "location", "location 1e400",
+    "location nan", "mass -0.5", "mass 2", "mass inf", "probs 1", "probs -1 2",
+    "bagrow 9 1 0", "bagrow 0 1 0", "bagrow 1;x 1 0", "bagrow 1", "bagdefault uniform",
+    "frobnicate 1",
+)
+
+
+@st.composite
+def distribution_texts(draw):
+    """A ``bench theory`` distribution file: c from 2 to 5, up to five atoms
+    with random masses, locations, label probabilities and column-stochastic
+    bag tables, and in one file of three a malformed or out-of-range line in
+    place of one of its lines."""
+    c = draw(st.integers(2, 5))
+    dim = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    points = st.tuples(*[st.integers(-3, 3)] * dim)
+    locations = draw(st.lists(points, min_size=len(weights), max_size=len(weights), unique=True))
+    lines = [f"labels {c}"]
+    for weight, location in zip(weights, locations):
+        probs = draw(st.lists(st.integers(0, 5), min_size=c, max_size=c).filter(any))
+        lines += ["atom", "location " + " ".join(map(str, location)),
+                  f"mass {weight / sum(weights)!r}",
+                  "probs " + " ".join(repr(p / sum(probs)) for p in probs)]
+        table = {}
+        for y in draw(st.lists(st.integers(0, c - 1), max_size=c, unique=True)):
+            bags = draw(st.lists(st.integers(1, (1 << c) - 1), min_size=1, max_size=4, unique=True))
+            shares = draw(st.lists(st.integers(1, 5), min_size=len(bags), max_size=len(bags)))
+            for bag, share in zip(bags, shares):
+                table.setdefault(bag, [0.0] * c)[y] = share / sum(shares)
+        lines += [
+            "bagrow " + ";".join(str(y + 1) for y in range(c) if bag >> y & 1) + " "
+            + " ".join(map(repr, row))
+            for bag, row in table.items()
+        ]
+        lines.append("bagdefault identity")
+    if draw(st.integers(0, 2)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(BAD_DISTRIBUTION_LINES))
+    return "\n".join(lines) + "\n"
+
+
+class TestTheoryCliContract:
+    """Any ``bench theory`` distribution file ends in exit 0 or 3.  Exit 3
+    prints one ``data error:`` line and nothing else, and exit 0 reruns to
+    the same report and CSV bytes."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=distribution_texts())
+    def test_exit_codes_and_messages(self, text):
+        # 200 examples in about 1.9 s; 83 of them exit 0
+        with tempfile.TemporaryDirectory() as tmp:
+            dist = Path(tmp) / "dist.txt"
+            dist.write_text(text)
+            outputs = []
+            for name in ("a.csv", "b.csv"):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                argv = ["theory", "--dist", str(dist), "--csv", str(Path(tmp) / name)]
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                assert code in (0, 3)
+                if code:
+                    err = stderr.getvalue()
+                    assert err.count("\n") == 1 and err.startswith("data error: "), err
+                    assert stdout.getvalue() == ""
+                    return
+                assert stderr.getvalue() == ""
+                outputs.append((stdout.getvalue(), (Path(tmp) / name).read_bytes()))
             assert outputs[0] == outputs[1]

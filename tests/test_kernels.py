@@ -160,7 +160,7 @@ class TestKernelsAgainstMaterializedBags:
         # 4,000 queries with c = 10: a chunk of 26 columns fills the byte
         # budget, so even the first chunk is narrower than _FIRST_CHUNK
         memb, order, deltas = random_case(5, 400, 10, 200, 4000, 1.2, 0.3, 0)
-        assert knn_index._BLOCK_BYTES // (4 * 10 * 4000) < baselines._FIRST_CHUNK
+        assert plaknn._BATCH_BYTES // (4 * 10 * 4000) < baselines._FIRST_CHUNK
         _, (_, steps) = run_kernels(memb, order, deltas)
         assert (steps > 2 * baselines._FIRST_CHUNK).any() and (steps == 0).any()
 

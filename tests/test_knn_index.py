@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,24 +14,44 @@ def sq_distance_oracle(index, queries):
     return np.multiply(diff, diff, out=diff).sum(axis=-1)
 
 
+def searched(index, queries, t, dtype=np.int64):
+    """``(order, sqd)`` that one ``search`` call writes for ``queries``, ``t`` deep."""
+    queries = np.atleast_2d(queries)
+    order = np.empty((queries.shape[0], t), dtype=dtype)
+    sqd = np.empty(order.shape)
+    knn_index.search(index, queries, order, sqd)
+    return order, sqd
+
+
 def neighbors(index, query, t=None):
-    """Neighbor order of one query, read from a one-row block."""
-    blocks = list(knn_index.neighbor_blocks(index, np.atleast_2d(query), t or index.n))
-    assert len(blocks) == 1
-    return blocks[0][1][0]
+    """Neighbor order of one query, from a one-row search."""
+    return searched(index, query, t or index.n)[0][0]
 
 
-def record_prefiltered(monkeypatch):
-    """Route ``_prefiltered`` through a recorder; returns the list of
-    ``(queries, t, index)`` of its calls."""
+def full_search(index, queries, t):
+    """``(order, sqd)`` from every distance: each row of the kernel's matrix
+    ranked by ``nearest_order``."""
+    dist = knn_index.sq_distance_chunk(index, queries)
+    order = np.array([knn_index.nearest_order(row, t) for row in dist]).reshape(-1, t)
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def tiles(m, n):
+    """Distance tiles of a search of m queries over n points."""
+    return -(-m // max(1, knn_index._TILE_BYTES // (8 * n)))
+
+
+def record_candidates(monkeypatch):
+    """Route ``_candidates``, called once per prefiltered tile, through a
+    recorder; returns the list of ``(queries, t, index)`` of its calls."""
     calls = []
-    real = knn_index._prefiltered
+    real = knn_index._candidates
 
-    def recording(index, queries, t, *norms):
+    def recording(index, queries, t, *rest):
         calls.append((queries, t, index))
-        return real(index, queries, t, *norms)
+        return real(index, queries, t, *rest)
 
-    monkeypatch.setattr(knn_index, "_prefiltered", recording)
+    monkeypatch.setattr(knn_index, "_candidates", recording)
     return calls
 
 
@@ -74,14 +95,20 @@ class TestStreamOrder:
     def test_dimension_mismatch(self):
         index = knn_index.build(np.array([[0.0, 0.0]]))
         with pytest.raises(ValueError):
-            next(knn_index.neighbor_blocks(index, np.array([[0.0]]), 1))
+            knn_index.search(index, np.array([[0.0]]), np.empty((1, 1), dtype=np.int64))
 
     def test_exhausts_after_n(self):
-        # asking for more neighbors than points yields all n, once each
+        # all n neighbors come once each; an order deeper than n, or with a
+        # row count other than the queries', is refused
         index = knn_index.build(np.array([[0.0], [1.0]]))
-        _, order, sqd = next(knn_index.neighbor_blocks(index, np.array([[0.0]]), 5))
+        order, sqd = searched(index, np.array([[0.0]]), 2)
         assert order.tolist() == [[0, 1]]
         assert sqd.tolist() == [[0.0, 1.0]]
+        for shape in ((1, 5), (1, 0), (2, 2)):
+            with pytest.raises(ValueError, match="does not hold 1 to 2 neighbors"):
+                knn_index.search(index, np.array([[0.0]]), np.empty(shape, dtype=np.int64))
+        with pytest.raises(ValueError, match="does not hold"):
+            knn_index.search(index, np.array([[0.0]]), order, np.empty((1, 1)))
 
 
 class TestOracleEquivalence:
@@ -131,32 +158,22 @@ class TestNearestOrderHelper:
             assert np.array_equal(got, full[:limit])
 
     def test_chunk_distances_match_single_query(self):
-        # every row of the 600-query batch must equal the same query run as
-        # a one-row block (TestBlockRule splits such a batch into blocks)
+        # every row of the 600-query search must equal the same query
+        # searched alone (TestBlockRule searches such a batch in blocks)
         rng = np.random.default_rng(15)
         for n, m, t in ((40, 9, 40), (300, 600, 20)):
             index = knn_index.build(rng.normal(size=(n, 5)))
             queries = rng.normal(size=(m, 5))
-            covered = 0
-            for rows, order, sqd in knn_index.neighbor_blocks(index, queries, t):
-                assert rows.start == covered and order.shape == (rows.stop - covered, t)
-                for i in range(rows.start, rows.stop):
-                    one = queries[i : i + 1]
-                    _, one_order, one_sqd = next(knn_index.neighbor_blocks(index, one, t))
-                    assert np.array_equal(order[i - covered], one_order[0])
-                    assert np.array_equal(sqd[i - covered], one_sqd[0])
-                covered = rows.stop
-            assert covered == m
+            order, sqd = searched(index, queries, t)
+            for i in range(m):
+                one_order, one_sqd = searched(index, queries[i : i + 1], t)
+                assert np.array_equal(order[i], one_order[0])
+                assert np.array_equal(sqd[i], one_sqd[0])
 
 
 class TestPrefixes:
     """The first t columns of a deeper search equal a search at t; a caller
     that searches once at the largest depth relies on this."""
-
-    @staticmethod
-    def stacked(index, queries, t):
-        blocks = list(knn_index.neighbor_blocks(index, queries, t))
-        return np.concatenate([b[1] for b in blocks]), np.concatenate([b[2] for b in blocks])
 
     def test_integer_grid_ties(self):
         # integer grid: many tied distances, broken by index
@@ -164,33 +181,35 @@ class TestPrefixes:
         points = rng.integers(0, 4, size=(90, 2)).astype(float)
         index = knn_index.build(points)
         queries = rng.integers(0, 4, size=(600, 2)).astype(float)
-        wide, wide_sqd = self.stacked(index, queries, 50)
+        wide, wide_sqd = searched(index, queries, 50)
         for t in (1, 9, 50):
-            order, sqd = self.stacked(index, queries, t)
+            order, sqd = searched(index, queries, t)
             assert np.array_equal(wide[:, :t], order)
             assert wide_sqd[:, :t].tobytes() == sqd.tobytes()
-        assert self.stacked(index, queries, 500)[0].shape == (600, 90)
+        with pytest.raises(ValueError, match="does not hold 1 to 90 neighbors"):
+            searched(index, queries, 500)
 
     def test_depths_straddle_the_prefilter_rule(self, monkeypatch):
         # n = 320 in d = 10: t <= 10 is prefiltered, deeper searches are full
-        calls = record_prefiltered(monkeypatch)
+        calls = record_candidates(monkeypatch)
         rng = np.random.default_rng(19)
         points = rng.normal(size=(320, 10))
         points[200:240] = points[:40]  # exact duplicates
         index = knn_index.build(points)
         queries = np.vstack([rng.normal(size=(290, 10)), points[:10]])
-        deep, deep_sqd = self.stacked(index, queries, 320)
+        deep, deep_sqd = searched(index, queries, 320)
         for t in (1, 3, 10, 11, 40):
-            order, sqd = self.stacked(index, queries, t)
+            order, sqd = searched(index, queries, t)
             assert np.array_equal(deep[:, :t], order), t
             assert deep_sqd[:, :t].tobytes() == sqd.tobytes(), t
-        blocks = {t: -(-queries.shape[0] // knn_index._block_rows(t, 10)) for t in (1, 3, 10)}
-        assert [t for _, t, _ in calls] == [t for t in (1, 3, 10) for _ in range(blocks[t])]
+        assert [t for _, t, _ in calls] == [t for t in (1, 3, 10) for _ in range(tiles(300, 320))]
 
 
 class TestNonFiniteQueries:
-    """A query with a NaN or inf coordinate raises ``ValueError`` when its
-    block is reached, on both dispatch paths; earlier blocks are yielded."""
+    """A query with a NaN or inf coordinate makes ``search`` raise
+    ``ValueError`` once its block (the caller's call) is reached, on both
+    dispatch paths, before anything of the block is written; the rows before
+    it are searched when the caller passes them alone."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
@@ -198,46 +217,43 @@ class TestNonFiniteQueries:
         ids=["90-2-False", "320-8-True"],
     )
     def test_rejected_once_its_block_is_reached(self, monkeypatch, value, n, d, t, prefiltered):
-        calls = record_prefiltered(monkeypatch)
+        calls = record_candidates(monkeypatch)
         rng = np.random.default_rng(29)
         index = knn_index.build(rng.normal(size=(n, d)))
-        rows = knn_index._block_rows(t, d)
-        queries = rng.normal(size=(rows + 44, d))
-        queries[rows + 24, d - 1] = value
-        blocks = knn_index.neighbor_blocks(index, queries, t)
-        first, order, _ = next(blocks)
-        assert first == slice(0, rows) and order.shape == (rows, t)
-        with pytest.raises(ValueError, match=f"queries must be finite; query {rows + 24} is not"):
-            next(blocks)
-        assert [q.shape[0] for q, _, _ in calls] == ([rows] if prefiltered else [])
+        queries = rng.normal(size=(300, d))
+        queries[280, d - 1] = value
+        order = np.full((300, t), -1)
+        sqd = np.full((300, t), -1.0)
+        with pytest.raises(ValueError, match="queries must be finite; query 280 is not"):
+            knn_index.search(index, queries, order, sqd)
+        assert (order == -1).all() and (sqd == -1.0).all() and calls == []
+        knn_index.search(index, queries[:280], order[:280], sqd[:280])
+        assert np.array_equal(order[:280], full_search(index, queries[:280], t)[0])
+        assert len(calls) == (tiles(280, n) if prefiltered else 0)
 
 
 class TestBlockRule:
-    """``neighbor_blocks`` cuts max(256, 4 MiB / (8 (2 t + d))) query rows: a
-    block's order, its distances and one float copy of its queries."""
-
-    def test_rows(self):
-        assert knn_index._block_rows(400, 2) == 653
-        assert knn_index._block_rows(400, 16) == 642
-        assert knn_index._block_rows(1019, 2) == 257
-        for t in (1020, 2000, 10**5):  # deep searches keep the floor
-            assert knn_index._block_rows(t, 2) == 256
-        assert knn_index._block_rows(10, 2000) == 259  # the width term
-        assert knn_index._block_rows(1, 10**5) == 256
+    """A caller may search its queries in blocks of any size, one ``search``
+    call each: every row gets the order and distance bytes of its one-row
+    search."""
 
     @staticmethod
     def assert_blocks_equal_one_row_searches(index, queries, t, sizes, rows):
-        blocks = list(knn_index.neighbor_blocks(index, queries, t))
-        assert [b[0].stop - b[0].start for b in blocks] == sizes
-        order = np.concatenate([b[1] for b in blocks])
-        sqd = np.concatenate([b[2] for b in blocks])
+        order = np.empty((queries.shape[0], t), dtype=np.int64)
+        sqd = np.empty(order.shape)
+        start = 0
+        for size in sizes:
+            block = slice(start, start + size)
+            knn_index.search(index, queries[block], order[block], sqd[block])
+            start += size
+        assert start == queries.shape[0]
         for i in rows:
-            (_, one_order, one_sqd), = knn_index.neighbor_blocks(index, queries[i : i + 1], t)
+            one_order, one_sqd = searched(index, queries[i : i + 1], t)
             assert np.array_equal(order[i], one_order[0]), i
             assert sqd[i].tobytes() == one_sqd[0].tobytes(), i
 
     def test_deep_search_in_floor_blocks(self, monkeypatch):
-        calls = record_prefiltered(monkeypatch)
+        calls = record_candidates(monkeypatch)
         rng = np.random.default_rng(31)
         index = knn_index.build(rng.integers(-4, 5, size=(1100, 3)).astype(float))
         queries = rng.integers(-4, 5, size=(600, 3)).astype(float)
@@ -245,14 +261,15 @@ class TestBlockRule:
         assert calls == []
 
     def test_wide_prefiltered_search(self, monkeypatch):
-        calls = record_prefiltered(monkeypatch)
+        calls = record_candidates(monkeypatch)
         rng = np.random.default_rng(32)
         index = knn_index.build(rng.normal(size=(320, 2000)))
         queries = rng.normal(size=(600, 2000))
         # each block's first and last rows, and a sample between them
         rows = sorted({0, 258, 259, 517, 518, 599, *rng.choice(600, size=30, replace=False)})
         self.assert_blocks_equal_one_row_searches(index, queries, 10, [259, 259, 82], rows)
-        assert [q.shape[0] for q, _, _ in calls] == [259, 259, 82] + [1] * len(rows)
+        # 102-row tiles over 320 points, within each block
+        assert [q.shape[0] for q, _, _ in calls] == [102, 102, 55] * 2 + [82] + [1] * len(rows)
 
 
 class TestDistanceKernel:
@@ -319,7 +336,7 @@ class TestDistanceKernel:
 
 def prefiltered_search(index, queries, t):
     """The prefilter's candidates and rescoring for every query, without the
-    dense-tile fallback of ``_prefiltered``."""
+    dense-tile fallback of ``search``."""
     point_sq = knn_index._safe_sq_norms(index.points)
     query_sq = knn_index._safe_sq_norms(queries)
     assert point_sq is not None and query_sq is not None
@@ -332,18 +349,20 @@ def prefiltered_search(index, queries, t):
 
 
 def assert_same_search(index, queries, t):
-    """Prefiltered and tiled searches give the full search's order and bytes."""
-    order, sqd = knn_index._exact(index, queries, t)
-    point_sq = knn_index._safe_sq_norms(index.points)
-    tiled = knn_index._prefiltered(index, queries, t, point_sq, knn_index._safe_sq_norms(queries))
+    """Prefiltered searches give the full search's order and bytes: every
+    query's candidates rescored at once, and ``search`` with its rule
+    widened to every t and d, tiled, with its dense-tile fallback."""
+    order, sqd = full_search(index, queries, t)
+    with mock.patch.multiple(knn_index, _PREFILTER_RATIO=1, _PREFILTER_MIN_DIM=1):
+        tiled = searched(index, queries, t)
     for got_order, got_sqd in (prefiltered_search(index, queries, t), tiled):
         assert np.array_equal(got_order, order), (index.dim, t)
         assert got_sqd.tobytes() == sqd.tobytes(), (index.dim, t)
 
 
 class TestPrefilter:
-    """The prefiltered search against the full one, through the private
-    functions: ``order`` equal and ``sqd`` equal byte for byte."""
+    """The prefiltered search against the full one: ``order`` equal and
+    ``sqd`` equal byte for byte."""
 
     def test_every_dimension_and_neighbor_count(self):
         # Gaussian and integer-grid points, each with exact duplicates: on the
@@ -440,18 +459,16 @@ class TestPrefilter:
             assert max(errors) - min(errors) <= slack[i]
 
     def test_dispatch_rule(self, monkeypatch):
-        calls = record_prefiltered(monkeypatch)
+        calls = record_candidates(monkeypatch)
         rng = np.random.default_rng(460)
         cases = [(1, 32, 8, True), (2, 64, 8, True), (2, 63, 8, False), (1, 100, 7, False),
                  (3, 96, 20, True), (9, 200, 12, False)]
         for t, n, d, expected in cases:
             index = knn_index.build(rng.normal(size=(n, d)))
             queries = rng.normal(size=(300, d))
-            blocks = list(knn_index.neighbor_blocks(index, queries, t))
-            assert len(blocks) == -(-300 // knn_index._block_rows(t, d))
-            assert (len(calls) == len(blocks)) == expected
-            assert np.array_equal(np.concatenate([b[1] for b in blocks]),
-                                  knn_index._exact(index, queries, t)[0])
+            order, _ = searched(index, queries, t)
+            assert len(calls) == (tiles(300, n) if expected else 0)
+            assert np.array_equal(order, full_search(index, queries, t)[0])
             calls.clear()
 
     def test_norms_out_of_range_take_the_full_search(self, monkeypatch):
@@ -466,30 +483,43 @@ class TestPrefilter:
         nan[1, 1] = np.nan
         for x in (huge, subnormal, nan):
             assert knn_index._safe_sq_norms(x) is None
+        assert knn_index.build(huge).sq_norms is None
 
         def prefiltered(*args):
             raise AssertionError("prefiltered outside the bound's range")
 
-        monkeypatch.setattr(knn_index, "_prefiltered", prefiltered)
+        monkeypatch.setattr(knn_index, "_candidates", prefiltered)
         for points, queries in ((huge, rng.normal(size=(20, 8))), (points, subnormal[:20])):
             index = knn_index.build(points)
-            (_, order, sqd), = knn_index.neighbor_blocks(index, queries, 3)
-            expected_order, expected_sqd = knn_index._exact(index, queries, 3)
+            order, sqd = searched(index, queries, 3)
+            expected_order, expected_sqd = full_search(index, queries, 3)
             assert np.array_equal(order, expected_order)
             assert sqd.tobytes() == expected_sqd.tobytes()
 
     def test_tiles_bound_memory(self):
-        # the candidates of one 256-query block come from tiles of about
-        # _TILE_BYTES; the full path holds a (256, n) matrix, 32 times that
+        # the candidates of a 256-query search come from tiles of about
+        # _TILE_BYTES; a (256, n) distance matrix would be 32 times that
         rng = np.random.default_rng(480)
         index = knn_index.build(rng.normal(size=(8192, 16)))
         queries = rng.normal(size=(256, 16))
-        point_sq = knn_index._safe_sq_norms(index.points)
-        query_sq = knn_index._safe_sq_norms(queries)
+        order = np.empty((256, 11), dtype=np.int64)
+        sqd = np.empty(order.shape)
+        assert 11 <= knn_index.prefilter_depth(8192, 16) and index.sq_norms is not None
         tracemalloc.start()
         try:
-            knn_index._prefiltered(index, queries, 11, point_sq, query_sq)
+            knn_index.search(index, queries, order, sqd)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * knn_index._TILE_BYTES
+
+    @pytest.mark.parametrize("d, t", [(2, 40), (16, 5)], ids=["full", "prefiltered"])
+    def test_the_callers_dtype_and_no_distances(self, d, t):
+        # an int32 order without distances holds the int64 order's values
+        rng = np.random.default_rng(490)
+        index = knn_index.build(rng.normal(size=(400, d)))
+        queries = rng.normal(size=(50, d))
+        wide, _ = searched(index, queries, t)
+        narrow = np.empty((50, t), dtype=np.int32)
+        knn_index.search(index, queries, narrow)
+        assert np.array_equal(narrow, wide)

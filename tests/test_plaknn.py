@@ -8,7 +8,7 @@ from plbag import knn_index, plaknn
 from plbag.core import LabelSpace, PartialDataset
 from plbag.plaknn import EliminationTrace, IterationRecord, PlaknnConfig
 
-from _fixtures import random_partial_dataset
+from _fixtures import neighbor_order, random_partial_dataset
 
 
 def threshold_oracle(n, k, delta, c, c1, d0):
@@ -30,7 +30,7 @@ def classify_oracle(train, index, x, config):
     explicit = PlaknnConfig(c1=config.c1, delta=config.delta, mode=config.mode, d0=d0)
     memb = train.membership_matrix()
     query = np.asarray(x, dtype=np.float64)[None, :]
-    _, order, _ = next(knn_index.neighbor_blocks(index, query, t_cap))
+    order = neighbor_order(index, query, t_cap)
 
     alive = np.ones(c, dtype=bool)
     tau = np.zeros(c, dtype=np.int64)

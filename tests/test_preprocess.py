@@ -10,6 +10,7 @@ without coordinate gaps small enough to underflow a squared distance.
 import contextlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,11 +204,22 @@ class TestNeighborTies:
     def _grid(self):
         return np.random.default_rng(23).integers(-2, 3, size=(200, 2)).astype(float)
 
+    @staticmethod
+    def stacked(reference, queries, k):
+        """``_neighbor_distances``' chunks, checked to cover the queries in
+        order, stacked into (m, k) indices and distances."""
+        chunks = list(_neighbor_distances(reference, queries, k))
+        assert [(rows.start, rows.stop) for rows, _, _ in chunks] == [
+            (s, min(s + preprocess._SMOOTH_ROWS, queries.shape[0]))
+            for s in range(0, queries.shape[0], preprocess._SMOOTH_ROWS)
+        ]
+        return np.concatenate([c[1] for c in chunks]), np.concatenate([c[2] for c in chunks])
+
     def test_self_mode(self):
         # which of several exact duplicates stands for the query is not
         # fixed; the distances and the neighbor vectors are
         ref = self._grid()
-        idx, dist = _neighbor_distances(ref, ref, 7)
+        idx, dist = self.stacked(ref, ref, 7)
         for i in range(ref.shape[0]):
             order, d = self._oracle(ref, ref[i], 7, i)
             np.testing.assert_array_equal(ref[idx[i]], ref[order])
@@ -216,12 +228,39 @@ class TestNeighborTies:
     def test_one_zero_mode(self):
         ref = self._grid()
         queries = np.vstack([ref[:60], ref[:60] + 0.5])
-        idx, dist = _neighbor_distances(ref, queries, 7)
+        idx, dist = self.stacked(ref, queries, 7)
         for i, q in enumerate(queries):
             zeros = np.flatnonzero(((ref - q) ** 2).sum(axis=1) == 0.0)
             order, d = self._oracle(ref, q, 7, zeros[0] if zeros.size else -1)
             assert idx[i].tolist() == order.tolist()
             np.testing.assert_array_equal(dist[i], d)
+
+    def test_chunks_match_one_search(self):
+        # 600 queries in three chunks of _SMOOTH_ROWS against the oracle's
+        # one search of them all
+        ref = self._grid()
+        rng = np.random.default_rng(24)
+        queries = np.vstack([ref, ref[::-1], rng.integers(-3, 4, size=(200, 2)) * 0.5])
+        idx, dist = self.stacked(ref, queries, 7)
+        want_idx, want_dist = neighbor_distances_oracle(ref, queries, 7, "one_zero")
+        assert np.array_equal(idx, want_idx)
+        assert dist.tobytes() == want_dist.tobytes()
+
+    def test_no_step_holds_the_neighbor_arrays(self):
+        # realworld on 6,000 x 16 rows: the fit's (4800, 100) indices and
+        # distances alone would be 7.68 MB; searching and reading 256 rows at
+        # a time keeps the whole fit and transform below that
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(6000, 16))
+        config = PipelineConfig("realworld")
+        transform(fit(x[:300], config), x[:10])  # lazy imports
+        tracemalloc.start()
+        try:
+            transform(fit(x[:4800], config), x[4800:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert config.density_k == 100 and peak < 4800 * 100 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +272,16 @@ def neighbor_distances_oracle(reference, queries, k, exclude):
     """``exclude="self"`` drops the same-index row, ``"one_zero"`` the first
     row when it lies at distance 0; otherwise the last row is dropped."""
     m = queries.shape[0]
-    idx = np.empty((m, k), dtype=np.int64)
-    dist = np.empty((m, k))
-    index = knn_index.build(reference)
-    for rows, order, sqd in knn_index.neighbor_blocks(index, queries, k + 1):
-        if exclude == "self":
-            drop = order == np.arange(rows.start, rows.stop)[:, None]
-        else:
-            drop = np.zeros(order.shape, dtype=bool)
-            drop[:, 0] = sqd[:, 0] == 0.0
-        drop[~drop.any(axis=1), -1] = True
-        idx[rows] = order[~drop].reshape(-1, k)
-        dist[rows] = np.sqrt(sqd[~drop]).reshape(-1, k)
-    return idx, dist
+    order = np.empty((m, k + 1), dtype=np.int64)
+    sqd = np.empty(order.shape)
+    knn_index.search(knn_index.build(reference), queries, order, sqd)
+    if exclude == "self":
+        drop = order == np.arange(m)[:, None]
+    else:
+        drop = np.zeros(order.shape, dtype=bool)
+        drop[:, 0] = sqd[:, 0] == 0.0
+    drop[~drop.any(axis=1), -1] = True
+    return order[~drop].reshape(-1, k), np.sqrt(sqd[~drop]).reshape(-1, k)
 
 
 def gaussian_weights_oracle(dist, sigma):
@@ -379,7 +415,8 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("variant", ["vision", "realworld"])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_searches_cross_a_block_boundary(self, variant, alpha):
-        # 300 training rows and 600 test rows: each search spans blocks
+        # 300 training rows and 600 test rows: each search spans chunks of
+        # _SMOOTH_ROWS queries
         rng = np.random.default_rng(7)
         train = rng.integers(-2, 3, size=(300, 3)).astype(float)
         test = np.vstack([train[::-1], rng.integers(-3, 4, size=(300, 3)).astype(float)])

@@ -1,6 +1,7 @@
 """The documented entry points: the README quick start and the package exports."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ import plbag
 from plbag.bench_cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = ("plaknn", "knn_index", "baselines", "core", "synth", "theory", "preprocess", "bench_cli")
 
 
 def test_readme_quick_start_prints_what_its_comments_state():
@@ -29,6 +31,20 @@ def test_every_export_resolves():
     namespace = {}
     exec("from plbag import *", namespace)
     assert set(plbag.__all__) <= namespace.keys()
+
+
+def test_readme_module_names_resolve():
+    # every dotted name such as `knn_index.search` or `plaknn._batch_rows`
+    # in the README is an attribute of its plbag module
+    pattern = rf"(?<![\w/])(?:{'|'.join(MODULES)})(?:\.\w+)+"
+    names = sorted(set(re.findall(pattern, README.read_text())))
+    assert "knn_index.search" in names
+    for name in names:
+        module, *attrs = name.split(".")
+        value = importlib.import_module(f"plbag.{module}")
+        for attr in attrs:
+            assert hasattr(value, attr), name
+            value = getattr(value, attr)
 
 
 def _options(text):

@@ -1,10 +1,12 @@
 import csv
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plbag import theory
+from plbag import knn_index, plaknn, theory
+from plbag.bench_cli import load_distribution
 from plbag.core import (
     Atom,
     BagGenMatrix,
@@ -38,6 +40,7 @@ from _fixtures import (
     random_baggen,
     random_discrete_distribution,
     random_label_dist,
+    sample_distribution,
     single_atom,
 )
 
@@ -846,3 +849,45 @@ class TestFlip:
                 np.testing.assert_allclose(
                     bag_marginal(flipped, i), bag_marginal(d, i), atol=1e-12
                 )
+
+
+class TestClassifierAgainstOracle:
+    """PL A-kNN at each atom of a finite-support distribution converges to
+    the atom's top bag-frequency labels (``advantage_report``), faster where
+    the advantage is larger; where the process is not label-aligned those
+    labels need not be the Bayes labels.  The distribution is the ``bench
+    theory`` golden: 12 atoms on an integer grid, c = 4."""
+
+    SIZES = (2_000, 5_000, 20_000)
+    # atoms 11 (3.2e-4) and 7 (3.6e-5) lie below it: at n = 20,000 they get
+    # a top label in 4 and 1 of the 5 seeds
+    ADVANTAGE_FLOOR = 5e-4
+
+    def test_labels_reach_the_top_labels(self):
+        # about 0.2 s for 5 seeds at the three sizes, sampling included
+        dist = load_distribution(Path(__file__).parent / "golden" / "theory" / "distribution.txt")
+        entries = advantage_report(dist).entries
+        locations = np.array([atom.location for atom in dist.atoms])
+        labels = {}
+        for n in self.SIZES:
+            for seed in range(5):
+                train = sample_distribution(dist, n, np.random.default_rng(seed))
+                index = knn_index.build(train.features)
+                config = plaknn.PlaknnConfig(T=min(400, n))
+                labels[n, seed] = plaknn.classify_batch(train, index, locations, config)
+        agree = [
+            sum(int(y) in e.top_labels for seed in range(5) for y, e in zip(labels[n, seed], entries))
+            for n in self.SIZES
+        ]
+        assert agree == sorted(agree) and agree[0] < agree[-1]
+        largest = [labels[self.SIZES[-1], seed] for seed in range(5)]
+        for i, e in enumerate(entries):
+            if e.advantage > self.ADVANTAGE_FLOOR:
+                assert all(int(got[i]) in e.top_labels for got in largest), i
+        # not label-aligned: the top label is 1 against Bayes label 3 at
+        # atom 2, and 2 against 1 at atom 5
+        bayes = bayes_rule(dist)
+        for i in (2, 5):
+            (top,) = entries[i].top_labels
+            assert top not in bayes[i]
+            assert all(int(got[i]) == top for got in largest), i

@@ -14,10 +14,10 @@ def sq_distance_oracle(index, queries):
     return np.multiply(diff, diff, out=diff).sum(axis=-1)
 
 
-def searched(index, queries, t, dtype=np.int64):
+def searched(index, queries, t):
     """``(order, sqd)`` that one ``search`` call writes for ``queries``, ``t`` deep."""
     queries = np.atleast_2d(queries)
-    order = np.empty((queries.shape[0], t), dtype=dtype)
+    order = np.empty((queries.shape[0], t), dtype=np.int64)
     sqd = np.empty(order.shape)
     knn_index.search(index, queries, order, sqd)
     return order, sqd

@@ -113,8 +113,9 @@ def _update_centers(points: np.ndarray, assign: np.ndarray, centers: np.ndarray)
     """Move each nonempty cluster's centre to ``points[assign == j].mean(axis=0)``.
 
     For d >= 2 numpy sums those rows one after another, as ``bincount``
-    adds each bin's weights, so one pass gives the same bits.  A single
-    column it sums pairwise, so d = 1 keeps the masked mean.
+    adds each bin's weights, so one ``bincount`` per coordinate gives the
+    same bits.  A single column it sums pairwise, so d = 1 keeps the masked
+    mean.
     """
     k, d = centers.shape
     if d == 1:
@@ -124,8 +125,7 @@ def _update_centers(points: np.ndarray, assign: np.ndarray, centers: np.ndarray)
                 centers[j] = points[members].mean(axis=0)
         return
     counts = np.bincount(assign, minlength=k)
-    flat = (assign[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(flat, weights=points.ravel(), minlength=k * d).reshape(k, d)
+    sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in points.T], axis=1)
     filled = counts > 0
     centers[filled] = sums[filled] / counts[filled, None]
 

@@ -1788,3 +1788,71 @@ class TestTheoryCliContract:
                 assert stderr.getvalue() == ""
                 outputs.append((stdout.getvalue(), (Path(tmp) / name).read_bytes()))
             assert outputs[0] == outputs[1]
+
+
+# Lines that break a bench synth config: malformed, out of range, unknown,
+# or a dataset in place of the scenario bench synth needs.
+BAD_SYNTH_LINES = (
+    "n_samples = 9", "n_samples = x", "scenario = nope", "scenario =", "dataset = data.csv",
+    "base_seed = -1", "alpha_max = 1.5", "noise_nu = -0.1", "n_clusters = 0",
+    "n_clusters = 257", "seed = -1", "frobnicate = 1", "[nosuch]", "just text",
+)
+
+
+@st.composite
+def synth_inputs(draw):
+    """``(config text, --out under a plain file)`` for one ``bench synth``:
+    every scenario, up to 400 samples and 256 k-means clusters, and in one
+    config of three a malformed or out-of-range line in place of one of its
+    lines."""
+    lines = [
+        "[experiment]",
+        f"scenario = {draw(st.sampled_from(SCENARIOS))}",
+        f"n_samples = {draw(st.integers(10, 400))}",
+        f"base_seed = {draw(st.integers(0, 1000))}",
+        "[synth]",
+        f"n_clusters = {draw(st.integers(1, 256))}",
+        f"alpha_max = {draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))}",
+        f"noise_nu = {draw(st.sampled_from([0.0, 0.2, 1.0]))}",
+        f"seed = {draw(st.integers(0, 1000))}",
+    ]
+    if draw(st.integers(0, 2)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(BAD_SYNTH_LINES))
+    return "\n".join(lines) + "\n", draw(st.integers(0, 5)) == 0
+
+
+class TestSynthCliContract:
+    """Any ``bench synth`` config ends in exit 0, 2 or 3.  Exit 2 or 3 prints
+    one stderr line and nothing on stdout, and exit 0 reruns to the same
+    stdout and CSV bytes."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=synth_inputs())
+    def test_exit_codes_and_messages(self, inputs):
+        text, under_file = inputs
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            # shown on stderr, not raised: a warning is one more stderr line
+            warnings.simplefilter("default")
+            warnings.showwarning = _show_on_stderr
+            tmp = Path(tmp)
+            cfg = tmp / "synth.cfg"
+            cfg.write_text(text)
+            (tmp / "afile").write_text("")
+            out = tmp / ("afile/x.csv" if under_file else "data.csv")
+            outputs = []
+            for _ in range(2):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                argv = ["synth", "--config", str(cfg), "--out", str(out)]
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                assert code in (0, 2, 3)
+                if code:
+                    err = stderr.getvalue()
+                    assert err.count("\n") == 1, err
+                    assert err.startswith(("config error:", "data error:")), err
+                    assert stdout.getvalue() == ""
+                    return
+                assert stderr.getvalue() == ""
+                outputs.append((stdout.getvalue(), out.read_bytes()))
+            assert outputs[0] == outputs[1]

@@ -24,6 +24,15 @@ def step_oracle(tau, alive, k, delta_k):
     return margin, alive & ((m1 - tau) / k >= delta_k)
 
 
+def step_partition_oracle(tau, alive, k, delta_k, gap_k):
+    """``_step`` with its former tuple-kth partition for the top two counts."""
+    c = tau.shape[-1]
+    top = np.partition(np.where(alive, tau, -1), (c - 2, c - 1), axis=-1)
+    m2, m1 = top[..., c - 2 : c - 1], top[..., c - 1 :]
+    margin = np.sqrt(k) * (delta_k - (tau - m2) / k)
+    return margin, alive & (m1 - tau >= gap_k), (m1 - m2 >= gap_k)[..., 0]
+
+
 def eliminate_oracle(nb, deltas):
     """Elimination over materialized bags, ``nb[q, k-1]`` being query q's k-th
     nearest bag row: labels, iterations, disambiguated flags and
@@ -163,6 +172,59 @@ class TestKernelsAgainstMaterializedBags:
         assert plaknn._BATCH_BYTES // (4 * 10 * 4000) < baselines._FIRST_CHUNK
         _, (_, steps) = run_kernels(memb, order, deltas)
         assert (steps > 2 * baselines._FIRST_CHUNK).any() and (steps == 0).any()
+
+
+class TestStepTopTwo:
+    """``_step``'s sorted label axis gives the partition's top two counts, so
+    its margins, eliminations and settled flags keep every bit."""
+
+    @staticmethod
+    def counts(rng, rows, c, dtype):
+        """Counts with dead labels, all-tied rows, one alive label per row
+        and rows whose leader ties its runner-up."""
+        tau = rng.integers(0, 6, size=(rows, c)).astype(dtype)
+        alive = rng.random((rows, c)) < 0.6
+        tau[::5] = tau[::5, :1]  # every label tied
+        alive[1::5] = True
+        alive[2::5] = False
+        alive[2::5, rng.integers(c)] = True  # one alive label
+        alive[3::5] = False  # none: the kernel never gets here; the rule still holds
+        return tau, alive
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert np.array_equal(got[1], expected[1]) and np.array_equal(got[2], expected[2])
+
+    @pytest.mark.parametrize("c", [2, 3, 10, 64])
+    def test_batch_step(self, c):
+        # _eliminate's shapes: (rows, c) int32 counts, one step k for all rows
+        rng = np.random.default_rng(c)
+        tau, alive = self.counts(rng, 200, c, np.int32)
+        for k, delta_k in ((1, 0.7), (5, 0.2), (400, 0.01)):
+            gap_k = plaknn._smallest_count(np.full(k, delta_k), 0.0)[k - 1]
+            self.assert_same(
+                plaknn._step(tau, alive, k, delta_k, gap_k),
+                step_partition_oracle(tau, alive, k, delta_k, gap_k),
+            )
+
+    @pytest.mark.parametrize("c", [2, 3, 10, 64])
+    def test_replayed_steps(self, c):
+        # classify's shapes: (steps, c) int64 cumulative counts against
+        # (steps, 1) steps, thresholds and gaps
+        rng = np.random.default_rng(100 + c)
+        steps = 60
+        tau = np.cumsum(rng.random((steps, c)) < 0.4, axis=0, dtype=np.int64)
+        alive = np.ones((steps, c), dtype=bool)
+        alive[steps // 3 :, : c // 2] = False
+        ks = np.arange(1, steps + 1)[:, None]
+        deltas = PlaknnConfig(c1=0.5).threshold(500, np.arange(1, steps + 1), c, 2)[:, None]
+        gaps = plaknn._smallest_count(deltas[:, 0], 0.0)[:, None]
+        for counts in (tau, np.zeros_like(tau)):
+            self.assert_same(
+                plaknn._step(counts, alive, ks, deltas, gaps),
+                step_partition_oracle(counts, alive, ks, deltas, gaps),
+            )
 
 
 class TestGapTable:

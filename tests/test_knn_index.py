@@ -3,8 +3,27 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plbag import knn_index
+
+
+def nearest_order_oracle(sqd, limit):
+    """The former per-row selection: indices of the ``limit`` nearest points
+    of one distance row under (distance, index) order, from a partition and
+    a two-key lexsort of the points below the cutoff; among points tied at
+    the cutoff, lower indices win."""
+    n = sqd.shape[0]
+    limit = min(limit, n)
+    if limit == n:
+        return np.lexsort((np.arange(n), sqd))
+    cutoff = np.partition(sqd, limit - 1)[limit - 1]
+    below = np.flatnonzero(sqd < cutoff)
+    below = below[np.lexsort((below, sqd[below]))]
+    at = np.flatnonzero(sqd == cutoff)
+    take = limit - below.shape[0]
+    return np.concatenate([below, at[:take]])
 
 
 def sq_distance_oracle(index, queries):
@@ -30,9 +49,9 @@ def neighbors(index, query, t=None):
 
 def full_search(index, queries, t):
     """``(order, sqd)`` from every distance: each row of the kernel's matrix
-    ranked by ``nearest_order``."""
+    ranked by ``nearest_order_oracle``."""
     dist = knn_index.sq_distance_chunk(index, queries)
-    order = np.array([knn_index.nearest_order(row, t) for row in dist]).reshape(-1, t)
+    order = np.array([nearest_order_oracle(row, t) for row in dist]).reshape(-1, t)
     return order, np.take_along_axis(dist, order, axis=1)
 
 
@@ -146,6 +165,34 @@ class TestOracleEquivalence:
         assert np.array_equal(first, second)
 
 
+@st.composite
+def distance_tiles(draw):
+    """``(sqd, limit)``: a (rows, n) tile of integer-valued distances (as
+    exact float64 ties), zeros included, with some columns copied onto
+    others, and a limit of 1, n, any value, or one that cuts a run of ties
+    in a row's cutoff."""
+    rows = draw(st.sampled_from([1, 1, 2, 7, 40]))
+    n = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spread = draw(st.sampled_from([1, 2, 5, 50, 10**6]))
+    sqd = rng.integers(0, spread, size=(rows, n)).astype(np.float64)
+    if draw(st.booleans()):
+        sqd[:, rng.integers(0, n, size=n // 2)] = sqd[:, rng.integers(0, n, size=n // 2)]
+    kind = draw(st.sampled_from(["one", "all", "any", "tied", "tied"]))
+    if kind == "one":
+        limit = 1
+    elif kind == "all":
+        limit = n
+    else:
+        limit = draw(st.integers(1, n))
+        ranked = np.sort(sqd[draw(st.integers(0, rows - 1))])
+        cuts = np.flatnonzero(ranked[:-1] == ranked[1:]) + 1
+        if kind == "tied" and cuts.size:
+            limit = int(cuts[draw(st.integers(0, cuts.size - 1))])
+    return sqd, limit
+
+
 class TestNearestOrderHelper:
     def test_matches_lexsort_prefix(self):
         rng = np.random.default_rng(12)
@@ -154,8 +201,20 @@ class TestNearestOrderHelper:
             sqd = rng.integers(0, 6, size=n).astype(float)  # heavy ties
             limit = int(rng.integers(1, n + 1))
             full = np.lexsort((np.arange(n), sqd))
-            got = knn_index.nearest_order(sqd, limit)
-            assert np.array_equal(got, full[:limit])
+            assert np.array_equal(nearest_order_oracle(sqd, limit), full[:limit])
+            assert np.array_equal(knn_index.nearest_order(sqd[None], limit)[0], full[:limit])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=distance_tiles())
+    @example(case=(np.zeros((3, 40)), 17))
+    @example(case=(np.zeros((1, 1)), 1))
+    @example(case=(np.tile(np.repeat(np.arange(20.0), 20), (5, 1)), 150))
+    def test_tile_equals_oracle_row_by_row(self, case):
+        sqd, limit = case
+        got = knn_index.nearest_order(sqd, limit)
+        assert got.shape == (sqd.shape[0], limit)
+        for row, order in zip(sqd, got):
+            assert np.array_equal(order, nearest_order_oracle(row, limit))
 
     def test_chunk_distances_match_single_query(self):
         # every row of the 600-query search must equal the same query
